@@ -2,15 +2,16 @@
 
 Usage::
 
-    python3 perfbench/child.py setup      --target NAME [--spans OUT]
-    python3 perfbench/child.py trajectory --doc DOC --store DIR [--spans OUT]
-    python3 perfbench/child.py prime      --doc DOC --store DIR --cache DIR
-    python3 perfbench/child.py daemon     [--spans OUT] -- <repro-daemon argv>
-    python3 perfbench/child.py serve      [--spans OUT] -- <repro-serve argv>
+    python3 perfbench/child.py setup      --target NAME [--spans OUT] [--pace OUT]
+    python3 perfbench/child.py trajectory --doc DOC --store DIR [--spans OUT] [--pace OUT]
+    python3 perfbench/child.py daemon     [--spans OUT] [--pace OUT] -- <repro-daemon argv>
+    python3 perfbench/child.py serve      [--spans OUT] [--pace OUT] -- <repro-serve argv>
 
 Every role first imports the public entry points and times that.  With
 ``--spans`` the layer wrappers of ``spans.py`` are installed before any
-work and the recorded spans are written to OUT when the role ends.
+work and the recorded spans are written to OUT when the role ends; with
+``--pace`` a host-speed probe (``pace.py``) samples the process from before
+the import on, and its samples are written the same way.
 ``daemon`` and ``serve`` then hand over to ``repro.cli.daemon_main`` /
 ``serve_main`` unchanged, and stop on SIGINT like the console scripts.
 ``setup`` and ``trajectory`` print one ``READY {json}`` line once the
@@ -29,14 +30,21 @@ import time
 from pathlib import Path
 
 _START = time.perf_counter()
+import pace  # noqa: E402
+
+# The probe starts before the program is imported, so short-lived starts
+# get samples too.
+_PROBE = pace.Pace() if "--pace" in sys.argv else None
+if _PROBE is not None:
+    _PROBE.start()
+
 import repro.api  # noqa: E402
 import repro.cli  # noqa: E402
 
 _IMPORTED = time.perf_counter()
 
-import gen  # noqa: E402
 import spans  # noqa: E402
-from quality import npz_digest, pair_hypervolume  # noqa: E402
+from quality import arrays_digest, npz_digest, pair_hypervolume  # noqa: E402
 
 
 def _emit(tag: str, payload) -> None:
@@ -67,6 +75,7 @@ def _setup(target: str) -> dict:
         "target_s": target_s,
         "library_s": library_s,
         "knowledge_base_s": knowledge_base_s,
+        "ready_at": time.time(),
     }
 
 
@@ -74,14 +83,27 @@ def _trajectory(args) -> int:
     import numpy as np
 
     from repro.api.campaign import campaign_from_dict
+    from repro.moscem.sampler import SamplingResult
 
     document = json.loads(Path(args.doc).read_text())
     grid = campaign_from_dict(document)
     _emit("READY", _setup(grid.targets[0]))
+    # The final population lives only in the sampler's result; the cell
+    # harvests its decoys from it, so keep a reference when it does.
+    finals = []
+    harvest = SamplingResult.distinct_non_dominated
+
+    def keep_final(self, *args, **kwargs):
+        finals.append(self)
+        return harvest(self, *args, **kwargs)
+
+    SamplingResult.distinct_non_dominated = keep_final
     session = repro.api.Session(args.store, workers=1)
+    window = [time.time()]
     start = time.perf_counter()
     result = session.run(grid)
     trajectory_s = time.perf_counter() - start
+    window.append(time.time())
 
     cell = result.trajectories[0]
     decoys = cell.decoys
@@ -94,16 +116,25 @@ def _trajectory(args) -> int:
     if not (math.isfinite(cell.best_rmsd) and math.isfinite(cell.best_front_rmsd)):
         problems.append("non-finite best RMSD")
     shard_dir = session.store.shard_dir(grid.run_id, 0)
-    checkpoint = shard_dir / "checkpoint.npz"
-    digests = {
-        "decoys": npz_digest(shard_dir / "decoys.npz"),
-        "population": npz_digest(checkpoint) if checkpoint.is_file() else None,
-    }
+    digests = {"decoys": npz_digest(shard_dir / "decoys.npz")}
+    if len(finals) == 1:
+        final = finals[0]
+        population = final.population
+        digests["population"] = arrays_digest({
+            "torsions": population.torsions,
+            "scores": population.scores,
+            "closure": population.closure,
+            "rmsd": final.rmsd,
+            "non_dominated": final.non_dominated,
+        })
+    else:
+        problems.append(f"{len(finals)} final populations, expected 1")
     ledger = session.store.load_shard_ledgers(grid.run_id, 0)["kernel"]
     _emit(
         "RESULT",
         {
             "trajectory_s": trajectory_s,
+            "window": window,
             "front_hypervolume": pair_hypervolume(scores),
             "best_front_rmsd_A": decoys.best_rmsd(),
             "n_decoys": len(decoys),
@@ -117,22 +148,14 @@ def _trajectory(args) -> int:
     return 0
 
 
-def _prime(args) -> int:
-    from repro.api.campaign import campaign_from_dict
-
-    grid = campaign_from_dict(json.loads(Path(args.doc).read_text()))
-    repro.api.Session(args.store, workers=1, cache=args.cache).run(grid)
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="perfbench/child.py")
-    parser.add_argument("role", choices=("setup", "trajectory", "prime", "daemon", "serve"))
+    parser.add_argument("role", choices=("setup", "trajectory", "daemon", "serve"))
     parser.add_argument("--spans", default=None)
-    parser.add_argument("--target", default=gen.PAPER_TARGET)
+    parser.add_argument("--pace", default=None)
+    parser.add_argument("--target")
     parser.add_argument("--doc")
     parser.add_argument("--store")
-    parser.add_argument("--cache")
     argv = list(sys.argv[1:] if argv is None else argv)
     split = argv.index("--") if "--" in argv else len(argv)
     args, rest = parser.parse_args(argv[:split]), argv[split + 1:]
@@ -147,13 +170,14 @@ def main(argv=None) -> int:
             code = 0
         elif args.role == "trajectory":
             code = _trajectory(args)
-        elif args.role == "prime":
-            code = _prime(args)
         elif args.role == "daemon":
             code = repro.cli.daemon_main(rest)
         else:
             code = repro.cli.serve_main(rest)
     finally:
+        if _PROBE is not None:
+            _PROBE.stop()
+            _PROBE.dump(args.pace)
         if tracer is not None:
             tracer.dump(args.spans)
     return code

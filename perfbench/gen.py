@@ -12,8 +12,8 @@ one cell moves by ~25% from one base seed to the next, so a run-to-run
 comparison must not depend on which cells a seed picked.  Fixed cells also
 make every run's outputs comparable byte for byte.  The seed draws the
 campaign ids and the axis permutations, which change every cell's flat
-index, the order cells are claimed and executed in, and the order cached
-cells are filled in -- but not what any cell computes.
+index, the order cells are claimed and executed in, and the order
+re-submitted cells are filled in -- but not what any cell computes.
 
 ``scale="tiny"`` shrinks every population and count so the harness
 self-check finishes in seconds; it keeps the shapes.
@@ -30,9 +30,6 @@ PAPER_TARGET = "1cex(40:51)"
 #: One 10- and one 11-residue loop for the fleet drain.
 FLEET_PANEL = ("1xif(59:68)", "5pti(7:17)")
 
-#: The cached cells: four loops, two seeds each.
-CACHED_PANEL = ("1qlw(31:40)", "1cb0(129:139)", "1exm(159:169)", "2pia(28:39)")
-
 #: Objective boxes (VDW, TRIPLET, DIST) of the hypervolume: the ideal
 #: corner and the reference point, in raw score units.
 HV_IDEAL = (0.0, 20.0, -1200.0)
@@ -40,19 +37,17 @@ HV_REFERENCE = (30.0, 120.0, -200.0)
 
 #: The paper cell runs one iteration -- initialisation, one MOSCEM step and
 #: finalisation: three population-wide [FitAssg] calls and two CCD closures,
-#: 55-75 s on a 2-vCPU VM.  Each further iteration adds ~15 s to every run
+#: 54-85 s on a 2-vCPU VM.  Each further iteration adds ~15 s to every run
 #: of a benchmark that is repeated dozens of times, so that cell writes no
 #: mid-run checkpoint; fleet_drain's two-iteration cells do.
 SHAPES: Dict[str, Dict[str, Dict[str, int]]] = {
     "full": {
         "paper": {"population_size": 7680, "n_complexes": 60, "iterations": 1},
         "fleet": {"population_size": 1024, "n_complexes": 8, "iterations": 2},
-        "cached": {"population_size": 128, "n_complexes": 1, "iterations": 1},
     },
     "tiny": {
         "paper": {"population_size": 64, "n_complexes": 2, "iterations": 1},
         "fleet": {"population_size": 32, "n_complexes": 2, "iterations": 2},
-        "cached": {"population_size": 32, "n_complexes": 2, "iterations": 1},
     },
 }
 
@@ -100,38 +95,31 @@ def paper_trajectory(seed: int, scale: str = "full") -> Dict[str, Any]:
     )
 
 
-def fleet_drain(seed: int, scale: str = "full") -> Dict[str, Any]:
-    """Two targets x two seeds of mid-scale (8 x 128) cells, axes permuted."""
-    rng = _rng("fleet_drain", seed)
-    return _document(
-        f"fleet-{seed}",
-        _permuted(rng, FLEET_PANEL),
-        "mid",
-        SHAPES[scale]["fleet"],
-        _permuted(rng, CELL_SEEDS),
-    )
+class FleetDrain:
+    """The drained campaign and its permuted re-submissions.
 
-
-class CachedResubmit:
-    """The primed campaign and its endless permuted re-submissions.
-
-    Every re-submission carries a fresh id and its own axis permutation,
-    which keeps each cell's content address but changes its flat index.
+    Two targets x two seeds of mid-scale (8 x 128) cells.  :meth:`campaign`
+    is drawn first; every re-submission after it carries a fresh id and its
+    own axis permutation, which keeps each cell's content address (so it
+    fills from the cache the drain published) but changes its flat index.
     """
 
     def __init__(self, seed: int, scale: str = "full") -> None:
         self.seed = int(seed)
-        self.config = SHAPES[scale]["cached"]
-        self._rng = _rng("cached_resubmit", seed)
+        self.config = SHAPES[scale]["fleet"]
+        self._rng = _rng("fleet_drain", seed)
 
-    def prime(self) -> Dict[str, Any]:
-        return _document("prime", list(CACHED_PANEL), "cached", self.config, list(CELL_SEEDS))
-
-    def resubmission(self, number: int) -> Dict[str, Any]:
+    def _draw(self, campaign_id: str) -> Dict[str, Any]:
         return _document(
-            f"resubmit-{self.seed}-{number}",
-            _permuted(self._rng, CACHED_PANEL),
-            "cached",
+            campaign_id,
+            _permuted(self._rng, FLEET_PANEL),
+            "mid",
             self.config,
             _permuted(self._rng, CELL_SEEDS),
         )
+
+    def campaign(self) -> Dict[str, Any]:
+        return self._draw(f"fleet-{self.seed}")
+
+    def resubmission(self, number: int) -> Dict[str, Any]:
+        return self._draw(f"resubmit-{self.seed}-{number}")

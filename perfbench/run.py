@@ -1,38 +1,44 @@
-"""The repository benchmark: three workloads through the public entry points.
+"""The repository benchmark: two workloads through the public entry points.
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload paper_trajectory --seed 1 --seconds 10 --trace 0
+    python3 perfbench/run.py --workload paper_trajectory --seed 1 --seconds 3 --trace 0
     python3 perfbench/run.py --self-check
 
 Workloads (see ``BENCHMARK.json`` and ``gen.py`` for their shapes):
 
 * ``paper_trajectory`` -- a fresh process runs one population-7,680 cell
   through ``Session.run`` (gpu backend, inline);
-* ``fleet_drain`` -- two cold ``repro-daemon --leases --cache`` processes
-  with one worker each drain one submitted campaign of 8 x 128 cells;
-* ``cached_resubmit`` -- a ``repro-serve --cache`` process over a primed
-  cache; one closed-loop ``ServeClient`` re-submits the cached cells under
-  fresh ids and permuted axes, then fetches the result and every decoy set.
-  ``--seconds`` is the length of this loop; the other two workloads are
-  fixed amounts of work.
+* ``fleet_drain`` -- ``repro-serve --cache`` and two cold ``repro-daemon
+  --leases --cache`` processes (one worker each) on one store.  A
+  ``ServeClient`` submits one campaign of 8 x 128 cells, the daemons drain
+  it, and the client fetches the result and every decoy set.  With the
+  daemons stopped, the client then re-submits the cells under fresh ids
+  and permuted axes in a closed loop for ``--seconds``; every cell must
+  fill from the cache the drain published.
 
-Every end-to-end metric is reported for every workload:
+Both workloads are otherwise fixed amounts of work, so a run outlasts
+``--seconds``.  Every end-to-end metric is reported for every workload:
 
-* ``setup_s`` -- median of several cold starts: spawn until the target,
-  loop library and knowledge base are built (paper), until both daemons
-  wrote their first heartbeat (fleet), until ``/v1/healthz`` answers (cached);
+* ``setup_s`` -- spawn until the target, loop library and knowledge base
+  are built (paper), or until the server answers ``/v1/healthz`` and both
+  daemons wrote their first heartbeat (fleet); the median of
+  ``PAPER_STARTS`` / ``FLEET_STARTS`` cold starts;
 * ``trajectory_s`` -- the ``Session.run`` wall (paper), the median sampler
-  wall of the executed cells (fleet), the wall time per trajectory result
-  delivered (cached, where nothing executes);
-* ``cells_per_s`` / ``campaigns_per_s`` -- results delivered per second;
-* ``request_p50_ms`` / ``request_p90_ms`` -- the ``Session.run`` call
-  (paper, one sample), submit to campaign complete (fleet, one sample:
-  per-cell latencies follow the axis permutation), submit to result and
-  every decoy set fetched (cached, one sample per re-submission);
+  wall of the drained cells (fleet);
+* ``cells_per_s`` -- cells completed per second of submit-to-complete time;
 * ``front_hypervolume`` / ``best_front_rmsd_A`` -- of the harvested decoys,
   averaged (mean / median) over the cells;
 * ``peak_rss_mb`` -- the largest peak RSS of the processes under test.
+
+The three times (``setup_s``, ``trajectory_s`` and the makespan behind
+``cells_per_s``) are scaled to a reference host speed: every process under
+test runs the probe of ``pace.py``, and each time is multiplied by the
+probe's speed in the process and interval it was measured in.  The host
+changes speed by up to 1.4x for minutes at a time, which moved unscaled
+medians by 25-35% between two sets of runs of the same code.  Unscaled
+walls and the speeds go to standard error; ``host.speed`` is a per-layer
+metric.
 
 Untraced runs (``--trace 0``) print the end-to-end metrics; traced runs
 (``--trace 1``) install the layer wrappers of ``spans.py`` in every process
@@ -43,19 +49,20 @@ overhead is their difference from an untraced run of the same seed.
 The last line of standard output is one JSON object with ``correct``,
 ``attempted``, ``failed`` and ``metrics``; ``failed / attempted`` is the
 error rate.  A human-readable breakdown goes to standard error.
-``--self-check`` runs all three workloads at a tiny scale, asserts that
-every metric named in ``BENCHMARK.json`` is emitted with its unit, and that
-a corrupted cache entry is counted as a failure.
+``--self-check`` runs both workloads at a tiny scale, asserts that every
+metric named in ``BENCHMARK.json`` is emitted with its unit, and that a
+corrupted cache entry is counted as a failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
-import math
 import os
+import shutil
 import signal
 import statistics
 import subprocess
@@ -71,26 +78,28 @@ SRC = ROOT / "src"
 WORK = ROOT / ".perfbench-work"
 
 import gen  # noqa: E402
+import pace  # noqa: E402
 import spans  # noqa: E402
 from quality import npz_digest, pair_hypervolume  # noqa: E402
 
-#: Setup repetitions per workload run; ``setup_s`` is their median.  A
-#: paper-scale setup builds the library and knowledge base (3-4 s, so one
-#: probe besides the trajectory's own), a daemon or server start only
-#: imports and binds (~0.5 s).
-SETUP_REPEATS = {"paper_trajectory": 2, "fleet_drain": 3, "cached_resubmit": 3}
+#: Cold starts per run; ``setup_s`` is their median.  A paper-scale start
+#: builds the library and knowledge base (3-5 s), so one probe precedes the
+#: trajectory process's own; a server and daemon-pair start only imports
+#: and binds (~1 s), and the last of them is the one that drains.
+PAPER_STARTS = 2
+FLEET_STARTS = 5
 #: Longest wait for one workload step before it counts as failed.
 STEP_TIMEOUT_S = 150.0
 #: Traced and ledger kernel totals may differ by this share plus 50 ms.
 LEDGER_TOLERANCE = 0.05
+#: Run directories (stores, caches, logs, spans) kept for inspection; older
+#: ones are deleted when the next run starts.
+KEEP_RUNS = 3
 
 END_TO_END_UNITS = {
     "setup_s": "s",
     "trajectory_s": "s",
     "cells_per_s": "cells/s",
-    "campaigns_per_s": "1/s",
-    "request_p50_ms": "ms",
-    "request_p90_ms": "ms",
     "front_hypervolume": "fraction",
     "best_front_rmsd_A": "angstrom",
     "peak_rss_mb": "MB",
@@ -105,15 +114,24 @@ def log(line: str) -> None:
     print(line, file=sys.stderr, flush=True)
 
 
-def percentile(values: List[float], share: float) -> float:
-    """Linear-interpolated percentile (``share`` in [0, 1])."""
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    position = share * (len(ordered) - 1)
-    low = math.floor(position)
-    high = min(low + 1, len(ordered) - 1)
-    return ordered[low] + (ordered[high] - ordered[low]) * (position - low)
+@functools.lru_cache(maxsize=None)
+def code_identity() -> str:
+    """sha256 over the program's sources: digests compare runs of one code."""
+    digest = hashlib.sha256()
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        digest.update(path.relative_to(SRC).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def prune_runs(keep: int = KEEP_RUNS) -> None:
+    """Delete all but the newest ``keep`` run directories.
+
+    Called before a run starts, so the deletion falls outside what it measures.
+    """
+    runs = sorted(WORK.glob("run-*"), key=lambda path: path.stat().st_mtime)
+    for old in runs[: max(len(runs) - keep, 0)]:
+        shutil.rmtree(old, ignore_errors=True)
 
 
 # ---------------------------------------------------------------------------
@@ -124,15 +142,22 @@ def percentile(values: List[float], share: float) -> float:
 class Child:
     """One process under test, reaped with its resource usage."""
 
-    def __init__(self, popen: subprocess.Popen, started: float, log: Path) -> None:
+    def __init__(self, popen: subprocess.Popen, started: float, log: Path,
+                 pace_path: Optional[Path]) -> None:
         self.popen = popen
         self.started = started
+        self.started_at = time.time()
         self.log = log
+        self.pace_path = pace_path
         self.rss_mb: Optional[float] = None
 
     @property
     def pid(self) -> int:
         return self.popen.pid
+
+    def pace(self) -> List[List[float]]:
+        """Host-speed probe samples; complete once the child has exited."""
+        return pace.load(str(self.pace_path)) if self.pace_path else []
 
     def read_tagged(self, tag: str) -> Dict[str, Any]:
         """Block until the child prints ``<tag> {json}`` on its stdout pipe."""
@@ -180,9 +205,6 @@ class Run:
         self.seconds = float(seconds)
         self.trace = bool(trace)
         self.scale = scale
-        # Run directories are left behind on purpose: deleting thousands of
-        # small files queues discards on the disk that slow the next runs'
-        # file writes by up to 10x for minutes.
         self.dir = WORK / f"run-{workload}-{time.time_ns()}-{os.getpid()}"
         self.children: List[Child] = []
         self.span_files: List[str] = []
@@ -191,6 +213,7 @@ class Run:
         self.problems: List[str] = []
         self.extra: Dict[str, Any] = {}
         self.breakdown: Optional[Dict[str, Any]] = None
+        self.speeds: List[float] = []
         self.env = dict(os.environ)
         self.env["PYTHONPATH"] = str(SRC)
         self.env["PYTHONHASHSEED"] = "0"
@@ -202,14 +225,18 @@ class Run:
             self.problems.append(problem)
         return ok
 
-    def spawn(self, role: str, *args: str, log_name: Optional[str] = None,
-              traced: bool = True) -> Child:
-        """Start ``child.py <role>``; stdout goes to a pipe or ``log_name``."""
+    def spawn(self, role: str, *args: str, log_name: Optional[str] = None) -> Child:
+        """Start ``child.py <role>``; stdout goes to a pipe or ``log_name``.
+
+        Every role runs the host-speed probe.
+        """
         command = [sys.executable, str(HERE / "child.py"), role]
-        if self.trace and traced:
+        if self.trace:
             path = str(self.dir / f"spans-{len(self.span_files)}.json")
             self.span_files.append(path)
             command += ["--spans", path]
+        pace_path = self.dir / f"pace-{len(self.children)}.json"
+        command += ["--pace", str(pace_path)]
         command += list(args)
         log_name = log_name or f"{role}-{len(self.children)}.err"
         with open(self.dir / log_name, "w") as output:
@@ -218,9 +245,19 @@ class Run:
                 command, cwd=ROOT, env=self.env, text=True, stderr=output,
                 stdout=output if log_name.endswith(".log") else subprocess.PIPE,
             )
-        child = Child(popen, started, self.dir / log_name)
+        child = Child(popen, started, self.dir / log_name, pace_path)
         self.children.append(child)
         return child
+
+    def scaled(self, seconds: float, samples: List[List[float]], start: float, end: float) -> float:
+        """``seconds`` measured in [start, end], at the reference host speed.
+
+        Falls back to the samples of the whole run, then to no scaling, when
+        the interval holds none (tiny scale).
+        """
+        speed = pace.speed(samples, start, end) or pace.speed(samples)
+        self.speeds.append(speed or 1.0)
+        return seconds * (speed or 1.0)
 
     def stop_all(self) -> None:
         for child in self.children:
@@ -244,12 +281,14 @@ def _cell_key(document: Dict[str, Any]) -> str:
 
 
 def _digest_record(run: Run, key: str, digest: str) -> bool:
-    """Compare ``digest`` with any earlier run's for the same cell; record it.
+    """Compare ``digest`` with any earlier run's of the same cell and code.
 
-    Cells are content-addressed, so a digest that changes between runs means
-    the program's output depends on something other than the cell itself
-    (which daemon ran it, tracing, the flat index).
+    Cells are content-addressed, so a digest that changes between runs of
+    the same sources means the program's output depends on something other
+    than the cell itself (which daemon ran it, tracing, the flat index).
+    Other sources get their own reference: a change may alter results.
     """
+    key = f"{code_identity()}:{key}"
     folder = WORK / "digests"
     folder.mkdir(parents=True, exist_ok=True)
     path = folder / (hashlib.sha256(key.encode()).hexdigest()[:32] + ".json")
@@ -267,109 +306,168 @@ def _digest_record(run: Run, key: str, digest: str) -> bool:
 def paper_trajectory(run: Run) -> Dict[str, float]:
     document = gen.paper_trajectory(run.seed, run.scale)
     doc = run.write_doc("paper.json", document)
-    target = document["campaign"]["targets"][0]
-    setup_s = []
-    splits = []
-    for _ in range(SETUP_REPEATS[run.workload] - 1):
-        probe = run.spawn("setup", "--target", target)
+    starts, splits = [], []
+    for _ in range(PAPER_STARTS - 1):
+        probe = run.spawn("setup", "--target", document["campaign"]["targets"][0])
         splits.append(probe.read_tagged("READY"))
-        setup_s.append(time.perf_counter() - probe.started)
+        starts.append((probe, time.perf_counter() - probe.started))
         probe.reap()
     child = run.spawn("trajectory", "--doc", doc, "--store", str(run.dir / "store"))
     splits.append(child.read_tagged("READY"))
-    setup_s.append(time.perf_counter() - child.started)
+    starts.append((child, time.perf_counter() - child.started))
     result = child.read_tagged("RESULT")
     run.check(child.reap() == 0, "trajectory process failed")
     run.check(not result["problems"], "; ".join(result["problems"]))
     for kind, digest in sorted(result["digests"].items()):
-        if digest is not None:
-            run.check(
-                _digest_record(run, f"{kind}:{_cell_key(document)}", digest),
-                f"{kind} digest differs from an earlier run of the same cell",
-            )
-    trajectory_s = result["trajectory_s"]
+        run.check(
+            _digest_record(run, f"{kind}:{_cell_key(document)}", digest),
+            f"{kind} digest differs from an earlier run of the same cell",
+        )
+    setup_s = [
+        run.scaled(seconds, process.pace(), process.started_at, split["ready_at"])
+        for (process, seconds), split in zip(starts, splits)
+    ]
+    wall_s = result["trajectory_s"]
+    trajectory_s = run.scaled(wall_s, child.pace(), *result["window"])
     run.extra = {
+        "setup_s": [seconds for _, seconds in starts],
         "setup_splits": splits,
         "ledger": result["ledger"],
-        "cell_wall_s": [trajectory_s],
-        "n_requests": 1,
+        "cell_wall_s": [wall_s],
+        "wall_s": wall_s,
     }
     return {
         "setup_s": statistics.median(setup_s),
         "trajectory_s": trajectory_s,
         "cells_per_s": 1.0 / trajectory_s,
-        "campaigns_per_s": 1.0 / trajectory_s,
-        "request_p50_ms": 1000.0 * trajectory_s,
-        "request_p90_ms": 1000.0 * trajectory_s,
         "front_hypervolume": result["front_hypervolume"],
         "best_front_rmsd_A": result["best_front_rmsd_A"],
-        "peak_rss_mb": max(c.rss_mb for c in run.children),
+        "peak_rss_mb": child.rss_mb,
     }
 
 
-def _start_daemons(run: Run, store: Path, cache: Path, tag: str) -> List[Child]:
-    """Two cold daemons; returns once both wrote their first heartbeat."""
+def _wait_until(ready: Callable[[], bool], children: List[Child], what: str) -> None:
+    deadline = time.monotonic() + STEP_TIMEOUT_S
+    while not ready():
+        for child in children:
+            if child.popen.poll() is not None:
+                raise Failed(f"{what}: process {child.pid} exited:\n{child.log_tail()}")
+        if time.monotonic() > deadline:
+            raise Failed(f"{what}: timed out")
+        time.sleep(0.005)
+
+
+def _start_fleet(run: Run, store: Path, cache: Path, tag: str) -> Tuple[Child, str, List[Child]]:
+    """``repro-serve`` and two cold daemons on one store; returns once the
+    server answers ``/v1/healthz`` and both daemons wrote a heartbeat."""
     from repro.obs.fleet import heartbeat_path
 
-    daemons = []
-    for slot in range(2):
-        daemon_id = f"bench-{slot}"
-        daemons.append(
-            run.spawn(
-                "daemon", "--", "--store", str(store), "--workers", "1",
-                "--leases", "--daemon-id", daemon_id, "--cache", str(cache),
-                "--interval", "0.5",
-                log_name=f"daemon-{tag}-{slot}.log",
-            )
+    server_log = f"serve-{tag}.log"
+    server = run.spawn(
+        "serve", "--", "--store", str(store), "--cache", str(cache), "--port", "0",
+        log_name=server_log,
+    )
+    daemons = [
+        run.spawn(
+            "daemon", "--", "--store", str(store), "--workers", "1",
+            "--leases", "--daemon-id", f"bench-{slot}", "--cache", str(cache),
+            "--interval", "0.5",
+            log_name=f"daemon-{tag}-{slot}.log",
         )
+        for slot in range(2)
+    ]
+    url: List[str] = []
+
+    def server_up() -> bool:
+        if not url:
+            for line in (run.dir / server_log).read_text().splitlines():
+                if "listening on " in line:
+                    url.append(line.split("listening on ", 1)[1].strip())
+                    break
+        if not url:
+            return False
+        try:
+            with urllib.request.urlopen(url[0] + "/v1/healthz", timeout=5) as response:
+                return response.status == 200
+        except OSError:
+            return False
+
     beats = [heartbeat_path(store, f"bench-{slot}") for slot in range(2)]
-    deadline = time.monotonic() + STEP_TIMEOUT_S
-    while not all(path.is_file() for path in beats):
-        for daemon in daemons:
-            if daemon.popen.poll() is not None:
-                raise Failed(f"a daemon exited during start-up:\n{daemon.log_tail()}")
-        if time.monotonic() > deadline:
-            raise Failed("daemons did not start")
-        time.sleep(0.005)
-    return daemons
+    _wait_until(lambda: all(path.is_file() for path in beats), daemons, "daemon start-up")
+    _wait_until(server_up, [server], "repro-serve start-up")
+    return server, url[0], daemons
 
 
-def fleet_drain(run: Run) -> Dict[str, float]:
+def _fetch(run: Run, client: Any, document: Dict[str, Any], handle: Any = None) -> Optional[List[bytes]]:
+    """Result and every cell's decoys of one campaign over HTTP (None: failed).
+
+    Without a ``handle`` the document is submitted first.
+    """
+    from repro.api.campaign import campaign_from_dict
+    from repro.serve.client import ServeError
+
+    campaign_id = document["campaign"]["id"]
+    try:
+        if handle is None:
+            handle = client.submit(document)
+        handle.result()
+        blobs = []
+        for index in range(len(campaign_from_dict(document).cells())):
+            status, body, _ = client._request("GET", handle._path(f"cells/{index}/decoys"))
+            if status >= 300:
+                raise ServeError(status, f"decoys of cell {index}: {body[:200]!r}")
+            blobs.append(body)
+    except ServeError as exc:
+        run.check(False, f"{campaign_id}: {exc}")
+        return None
+    return blobs
+
+
+def fleet_drain(run: Run, tamper: bool = False) -> Dict[str, float]:
     import numpy as np
 
-    from repro.api import Session
     from repro.api.campaign import campaign_from_dict
     from repro.runtime import RunStore
     from repro.serve.cache import cell_cache_key
+    from repro.serve.client import ServeClient
 
-    grid = campaign_from_dict(gen.fleet_drain(run.seed, run.scale))
+    workload = gen.FleetDrain(run.seed, run.scale)
+    document = workload.campaign()
+    grid = campaign_from_dict(document)
     store_root = run.dir / "store"
     cache_root = run.dir / "cache"
-    setup_s = []
-    for round_ in range(SETUP_REPEATS[run.workload]):
-        last = round_ == SETUP_REPEATS[run.workload] - 1
+    starts = []
+    for round_ in range(FLEET_STARTS):
+        last = round_ == FLEET_STARTS - 1
         store = store_root if last else run.dir / f"probe-store-{round_}"
-        started = time.perf_counter()
-        daemons = _start_daemons(run, store, cache_root, str(round_))
-        setup_s.append(time.perf_counter() - started)
+        started, started_at = time.perf_counter(), time.time()
+        server, url, daemons = _start_fleet(run, store, cache_root, str(round_))
+        starts.append(([server, *daemons], time.perf_counter() - started, started_at, time.time()))
         if not last:
-            for daemon in daemons:
-                daemon.stop()
+            for child in (server, *daemons):
+                child.stop()
 
-    session = Session(RunStore(str(store_root)))
+    client = ServeClient(url, timeout=30.0)
     submitted_wall = time.time()
     submitted = time.perf_counter()
-    handle = session.submit(grid)
+    handle = client.submit(document)
     deadline = submitted + STEP_TIMEOUT_S
     # The cells' own finish stamps time the drain; polling is only the exit
     # condition, kept slow so the harness takes no CPU from the daemons.
-    while not handle.status().complete and time.perf_counter() < deadline:
-        time.sleep(0.25)
+    # A daemon publishes a cell to the cache after writing its result, so
+    # stopping the daemons at "complete" could cut a publication short.
+    entries = [cache_root / key[:2] / key / "entry.json" for key in map(cell_cache_key, grid.cells())]
+    while time.perf_counter() < deadline and not (
+        handle.status()["complete"] and all(entry.is_file() for entry in entries)
+    ):
+        time.sleep(0.5)
     observed_s = time.perf_counter() - submitted
     for daemon in daemons:
         run.check(daemon.stop() == 0, f"daemon {daemon.pid} exited with an error")
+    # Cells run on the daemons' main threads, where their probes sample.
+    samples = [sample for daemon in daemons for sample in daemon.pace()]
 
-    store = session.store
+    store = RunStore(str(store_root))
     journal = [json.loads(line) for line in store.canonical_journal(grid.run_id).splitlines()]
     done_counts: Dict[int, int] = {}
     for record in journal:
@@ -377,7 +475,8 @@ def fleet_drain(run: Run) -> Dict[str, float]:
             done_counts[int(record["shard"])] = done_counts.get(int(record["shard"]), 0) + 1
     pids = {d.pid: slot for slot, d in enumerate(daemons)}
     executed = [0, 0]
-    finished, walls, volumes, best = [], [], [], []
+    expected: Dict[str, str] = {}
+    finished, walls, scaled_walls, volumes, best = [], [], [], [], []
     for cell in grid.cells():
         index = cell.index
         name = f"{grid.run_id}/{cell.name}"
@@ -390,178 +489,81 @@ def fleet_drain(run: Run) -> Dict[str, float]:
         slot = pids.get(int(status.get("pid", -1)))
         if slot is not None:
             executed[slot] += 1
-        shard_dir = store.shard_dir(grid.run_id, index)
+        decoys_path = store.shard_dir(grid.run_id, index) / "decoys.npz"
         key = cell_cache_key(cell)
         entry = cache_root / key[:2] / key / "entry.json"
-        blob = (shard_dir / "decoys.npz").read_bytes()
-        if ok and (not entry.is_file() or json.loads(entry.read_text())["npz_sha256"] != hashlib.sha256(blob).hexdigest()):
+        expected[key] = hashlib.sha256(decoys_path.read_bytes()).hexdigest()
+        if ok and (not entry.is_file() or json.loads(entry.read_text())["npz_sha256"] != expected[key]):
             ok, problem = False, f"{name}: cache entry does not hold the cell's decoys"
-        if ok and not _digest_record(run, f"decoys:{key}", npz_digest(shard_dir / "decoys.npz")):
+        if ok and not _digest_record(run, f"decoys:{key}", npz_digest(decoys_path)):
             ok, problem = False, f"{name}: decoys differ from an earlier run of the same cell"
         run.check(ok, problem)
-        finished.append(float(status.get("finished_at", submitted_wall + observed_s)) - submitted_wall)
+        finished_at = float(status.get("finished_at", submitted_wall + observed_s))
+        finished.append(finished_at - submitted_wall)
         walls.append(float(summary["wall_seconds"]))
+        scaled_walls.append(run.scaled(walls[-1], samples, finished_at - walls[-1], finished_at))
         decoys = store.load_shard_decoys(grid.run_id, index)
         scores = decoys.scores_matrix() if len(decoys) else np.zeros((0, 3))
         volumes.append(pair_hypervolume(scores))
         best.append(decoys.best_rmsd())
+    if not finished:
+        raise Failed("no cell of the drained campaign completed")
+
+    def check_downloads(doc: Dict[str, Any], blobs: Optional[List[bytes]], filled: bool) -> None:
+        if blobs is None:
+            return
+        problems = []
+        for cell, blob in zip(campaign_from_dict(doc).cells(), blobs):
+            if hashlib.sha256(blob).hexdigest() != expected.get(cell_cache_key(cell)):
+                problems.append(f"cell {cell.index} decoys differ from the cache entry")
+            if filled and not store.read_shard_status(cell.run_id, cell.index).get("cache_hit"):
+                problems.append(f"cell {cell.index} executed instead of filling")
+        run.check(not problems, f"{doc['campaign']['id']}: " + "; ".join(problems))
+
+    check_downloads(document, _fetch(run, client, document, handle), filled=False)
+    if tamper:
+        # Self-check: corrupt one published entry before the re-submissions.
+        victim = cache_root / key[:2] / key / "decoys.npz"
+        victim.write_bytes(victim.read_bytes()[:-16] + b"\0" * 16)
+    # Re-submissions under fresh ids and permuted axes, in a closed loop:
+    # with the daemons gone, every cell must fill from the cache.
+    number = 0
+    window_end = time.perf_counter() + run.seconds
+    while number == 0 or time.perf_counter() < window_end:
+        resubmitted = workload.resubmission(number)
+        number += 1
+        check_downloads(resubmitted, _fetch(run, client, resubmitted), filled=True)
+    run.check(server.stop() == 0, "repro-serve exited with an error")
+
     # Cells finish in claim order, so per-cell latencies depend on the axis
     # permutation; the campaign's submit-to-complete time does not.
-    makespan = max(finished) if finished else observed_s
+    makespan = max(finished)
+    setup_s = [
+        run.scaled(seconds, [s for child in children for s in child.pace()], start, end)
+        for children, seconds, start, end in starts
+    ]
     run.extra = {
+        "setup_s": [seconds for _, seconds, _, _ in starts],
         "executed": executed,
         "cell_wall_s": walls,
         "makespan_s": makespan,
         "n_daemons": 2,
-        "n_requests": 1,
-    }
-    return {
-        "setup_s": statistics.median(setup_s),
-        "trajectory_s": statistics.median(walls),
-        "cells_per_s": len(finished) / makespan,
-        "campaigns_per_s": 1.0 / makespan,
-        "request_p50_ms": 1000.0 * makespan,
-        "request_p90_ms": 1000.0 * makespan,
-        "front_hypervolume": statistics.mean(volumes),
-        "best_front_rmsd_A": statistics.median(best),
-        "peak_rss_mb": max(d.rss_mb for d in daemons),
-    }
-
-
-def _start_server(run: Run, store: Path, cache: Path, tag: str) -> Tuple[Child, str]:
-    """One server on a free port; returns once ``/v1/healthz`` answers."""
-    log_name = f"serve-{tag}.log"
-    server = run.spawn(
-        "serve", "--", "--store", str(store), "--cache", str(cache), "--port", "0",
-        log_name=log_name,
-    )
-    deadline = time.monotonic() + STEP_TIMEOUT_S
-    url = None
-    while time.monotonic() < deadline:
-        if server.popen.poll() is not None:
-            raise Failed(f"repro-serve exited during start-up:\n{server.log_tail()}")
-        if url is None:
-            for line in (run.dir / log_name).read_text().splitlines():
-                if "listening on " in line:
-                    url = line.split("listening on ", 1)[1].strip()
-        if url is not None:
-            try:
-                with urllib.request.urlopen(url + "/v1/healthz", timeout=5) as response:
-                    if response.status == 200:
-                        return server, url
-            except OSError:
-                pass
-        time.sleep(0.005)
-    raise Failed("repro-serve did not start")
-
-
-def cached_resubmit(run: Run, tamper: bool = False) -> Dict[str, float]:
-    import io
-
-    import numpy as np
-
-    from repro.api.campaign import campaign_from_dict
-    from repro.runtime import RunStore
-    from repro.serve.cache import cell_cache_key
-    from repro.serve.client import ServeClient, ServeError
-
-    workload = gen.CachedResubmit(run.seed, run.scale)
-    cache_root = run.dir / "cache"
-    primer = run.spawn(
-        "prime", "--doc", run.write_doc("prime.json", workload.prime()),
-        "--store", str(run.dir / "prime-store"), "--cache", str(cache_root),
-        traced=False,
-    )
-    if primer.reap() != 0:
-        raise Failed("priming the cache failed")
-    run.children.remove(primer)  # builds the cache; not a process under test
-    expected = {}
-    for cell in campaign_from_dict(workload.prime()).cells():
-        key = cell_cache_key(cell)
-        entry = cache_root / key[:2] / key
-        expected[key] = json.loads((entry / "entry.json").read_text())["npz_sha256"]
-
-    store_root = run.dir / "store"
-    setup_s = []
-    for round_ in range(SETUP_REPEATS[run.workload]):
-        last = round_ == SETUP_REPEATS[run.workload] - 1
-        store = store_root if last else run.dir / f"probe-store-{round_}"
-        started = time.perf_counter()
-        server, url = _start_server(run, store, cache_root, str(round_))
-        setup_s.append(time.perf_counter() - started)
-        if not last:
-            server.stop()
-
-    client = ServeClient(url, timeout=30.0)
-    store = RunStore(str(store_root))
-    latencies: List[float] = []
-    volumes: Dict[str, float] = {}
-    best: Dict[str, float] = {}
-    number = 0
-    started = time.perf_counter()
-    deadline = started + run.seconds
-    while time.perf_counter() < deadline or number == 0:
-        document = workload.resubmission(number)
-        number += 1
-        cells = campaign_from_dict(document).cells()
-        request_started = time.perf_counter()
-        blobs = []
-        try:
-            handle = client.submit(document)
-            handle.result()
-            for cell in cells:
-                status, body, _ = client._request("GET", handle._path(f"cells/{cell.index}/decoys"))
-                if status >= 300:
-                    raise ServeError(status, "decoy download failed")
-                blobs.append(body)
-        except ServeError as exc:
-            run.check(False, f"{document['campaign']['id']}: {exc}")
-            continue
-        latencies.append(time.perf_counter() - request_started)
-        problems = []
-        for cell, blob in zip(cells, blobs):
-            key = cell_cache_key(cell)
-            if hashlib.sha256(blob).hexdigest() != expected[key]:
-                problems.append(f"cell {cell.index} decoys differ from the cache entry")
-            if not store.read_shard_status(cell.run_id, cell.index).get("cache_hit"):
-                problems.append(f"cell {cell.index} executed instead of filling")
-            if key not in volumes:
-                with np.load(io.BytesIO(blob)) as data:
-                    volumes[key] = pair_hypervolume(data["scores"])
-                    best[key] = float(data["rmsd"].min()) if data["rmsd"].size else math.inf
-        run.check(not problems, f"{document['campaign']['id']}: " + "; ".join(problems))
-        if tamper and number == 1:
-            # Self-check: corrupt one entry's decoys after the first request.
-            victim = cache_root / key[:2] / key / "decoys.npz"
-            victim.write_bytes(victim.read_bytes()[:-16] + b"\0" * 16)
-    elapsed = time.perf_counter() - started
-    run.check(server.stop() == 0, "repro-serve exited with an error")
-    if not latencies:
-        raise Failed("no re-submission succeeded")
-    n_cells = len(expected)
-    run.extra = {
-        "n_requests": len(latencies),
+        "resubmissions": number,
         "store_runs": len(store.list_runs()),
     }
     return {
         "setup_s": statistics.median(setup_s),
-        # No trajectory executes here: the wall time per trajectory result
-        # delivered, which the cache turns from seconds into milliseconds.
-        "trajectory_s": elapsed / (n_cells * len(latencies)),
-        "cells_per_s": n_cells * len(latencies) / elapsed,
-        "campaigns_per_s": len(latencies) / elapsed,
-        "request_p50_ms": 1000.0 * percentile(latencies, 0.5),
-        "request_p90_ms": 1000.0 * percentile(latencies, 0.9),
-        "front_hypervolume": statistics.mean(volumes.values()),
-        "best_front_rmsd_A": statistics.median(best.values()),
-        "peak_rss_mb": server.rss_mb,
+        "trajectory_s": statistics.median(scaled_walls),
+        "cells_per_s": len(finished) / run.scaled(makespan, samples, submitted_wall, submitted_wall + makespan),
+        "front_hypervolume": statistics.mean(volumes),
+        "best_front_rmsd_A": statistics.median(best),
+        "peak_rss_mb": max(child.rss_mb for child in (server, *daemons)),
     }
 
 
 WORKLOADS: Dict[str, Callable[..., Dict[str, float]]] = {
     "paper_trajectory": paper_trajectory,
     "fleet_drain": fleet_drain,
-    "cached_resubmit": cached_resubmit,
 }
 
 
@@ -656,6 +658,7 @@ def per_layer(run: Run, e2e: Dict[str, float]) -> Dict[str, Dict[str, Any]]:
                 f"traced {span_name} {traced:.3f}s disagrees with ledger {ledger_name} {booked:.3f}s",
             )
     values["trace.ledger_mismatch_fraction"] = (mismatch, "fraction")
+    values["host.speed"] = (statistics.median(run.speeds) if run.speeds else 1.0, "ratio")
     for name, value in e2e.items():
         values[f"traced.{name}"] = (value, END_TO_END_UNITS[name])
     run.breakdown = agg
@@ -663,12 +666,16 @@ def per_layer(run: Run, e2e: Dict[str, float]) -> Dict[str, Dict[str, Any]]:
 
 
 def _render(run: Run, e2e: Dict[str, float]) -> None:
-    extra = run.extra
     log(f"{run.workload} seed={run.seed} trace={int(run.trace)} scale={run.scale}: "
         f"{run.failed}/{run.attempted} checks failed, error_rate="
-        f"{run.failed / max(run.attempted, 1):.4f}, requests={extra.get('n_requests')}")
+        f"{run.failed / max(run.attempted, 1):.4f}")
     for name, value in e2e.items():
         log(f"  {name:<22} {value:14.6g} {END_TO_END_UNITS[name]}")
+    if run.speeds:
+        log(f"  host speed (reference 1) min {min(run.speeds):.3f} median "
+            f"{statistics.median(run.speeds):.3f} max {max(run.speeds):.3f}; "
+            f"unscaled cell walls {[round(w, 3) for w in run.extra.get('cell_wall_s', [])]}, "
+            f"unscaled starts {[round(w, 3) for w in run.extra.get('setup_s', [])]}")
     for problem in run.problems[:5]:
         log(f"  FAILED: {problem}")
     if len(run.problems) > 5:
@@ -683,6 +690,7 @@ def _render(run: Run, e2e: Dict[str, float]) -> None:
 
 def run_workload(workload: str, seed: int, seconds: float, trace: bool, scale: str = "full",
                  **options: Any) -> Dict[str, Any]:
+    prune_runs()
     run = Run(workload, seed, seconds, trace, scale)
     run.dir.mkdir(parents=True)
     try:
@@ -728,7 +736,7 @@ def self_check() -> int:
         for name, metric in outputs[0]["metrics"].items():
             traced = outputs[1]["metrics"][f"traced.{name}"]["value"]
             log(f"  tracing overhead {workload} {name}: {traced - metric['value']:+.6g} {metric['unit']}")
-    tampered = run_workload("cached_resubmit", 1, 1.0, False, scale="tiny", tamper=True)
+    tampered = run_workload("fleet_drain", 1, 1.0, False, scale="tiny", tamper=True)
     if tampered["failed"] == 0 or tampered["correct"]:
         problems.append("a corrupted cache entry was not counted as a failure")
     for problem in problems:
@@ -741,7 +749,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="perfbench/run.py", description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--seconds", type=float, default=3.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--self-check", action="store_true")
     args = parser.parse_args(argv)
