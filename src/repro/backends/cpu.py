@@ -140,11 +140,11 @@ class CPUBackend(SamplingBackend):
         block_size = self.config.kernel_block_size
         with self.ledger.section("FitAssg within Complex"):
             for indices in complex_indices:
+                # One reference pass per complex: current members and
+                # proposals are scored as one stack of independent queries.
                 ref = population_scores[indices]
-                current[indices] = fitness_against(
-                    ref, population_scores[indices], block_size=block_size
-                )
-                proposed[indices] = fitness_against(
-                    ref, proposal_scores[indices], block_size=block_size
+                queries = np.concatenate([ref, proposal_scores[indices]])
+                current[indices], proposed[indices] = np.split(
+                    fitness_against(ref, queries, block_size=block_size), 2
                 )
         return current, proposed

@@ -177,12 +177,12 @@ class GPUBackend(SamplingBackend):
             current = np.empty(pop, dtype=np.float64)
             proposed = np.empty(pop, dtype=np.float64)
             for indices in complex_indices:
+                # One reference pass per complex: current members and
+                # proposals are scored as one stack of independent queries.
                 ref = population_scores[indices]
-                current[indices] = fitness_against(
-                    ref, population_scores[indices], block_size=chunk
-                )
-                proposed[indices] = fitness_against(
-                    ref, proposal_scores[indices], block_size=chunk
+                queries = np.concatenate([ref, proposal_scores[indices]])
+                current[indices], proposed[indices] = np.split(
+                    fitness_against(ref, queries, block_size=chunk), 2
                 )
             return current, proposed
 

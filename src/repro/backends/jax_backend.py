@@ -114,17 +114,14 @@ class JAXBackend(CPUBackend):
         block_size = self.config.kernel_block_size
         with self.ledger.section("FitAssg within Complex"):
             for indices in complex_indices:
+                # One reference pass per complex: current members and
+                # proposals are scored as one stack of independent queries.
                 ref = population_scores[indices]
-                current[indices] = fitness_against(
-                    ref,
-                    population_scores[indices],
-                    block_size=block_size,
-                    kernels=self.kernels,
-                )
-                proposed[indices] = fitness_against(
-                    ref,
-                    proposal_scores[indices],
-                    block_size=block_size,
-                    kernels=self.kernels,
+                queries = np.concatenate([ref, proposal_scores[indices]])
+                current[indices], proposed[indices] = np.split(
+                    fitness_against(
+                        ref, queries, block_size=block_size, kernels=self.kernels
+                    ),
+                    2,
                 )
         return current, proposed

@@ -15,19 +15,48 @@ in at least one.  Following the paper:
 Hence "fitness < 1" identifies the current Pareto-optimal front, the
 property the sampler uses when harvesting decoys.
 
-The fitness kernels never materialise the full ``(N, N)`` dominance matrix:
-they stream over column blocks (the population-chunking helpers of
-:mod:`repro.scoring.pairwise`, sized by ``SamplingConfig.kernel_block_size``)
-so the peak temporary is ``(N, B, K)``.  Every accumulation is either integer
-(domination counts, any-reductions) or a full-length reduction along the
-unchunked axis, so the chunked results are bit-identical to the dense path
-for every block size.
+Front first
+-----------
+Only the F front members carry a strength, so the passes never compare all
+N x N pairs (the maxima-of-vectors filter of Kung, Luccio & Preparata,
+JACM 1975, as used for MOEAs by Jensen, IEEE TEVC 2003):
+
+1. **Find the front.**  Rows are sorted lexicographically
+   (:func:`numpy.lexsort`).  A dominator is no greater in every column and
+   smaller in one, so it sorts strictly before every member it dominates.
+   The sorted rows are walked in :func:`~repro.scoring.pairwise.population_blocks`
+   chunks of B members; each chunk is tested against the front found so far,
+   then against itself.  Dominance is transitive, so a dominated member is
+   dominated by some front member, and that member sorts before it: either
+   in an earlier chunk (already in the front) or in the same chunk.
+2. **Count over dominated columns only.**  A front member dominates only
+   dominated members, so the domination counts are an F x D pass over the
+   D = N - F dominated columns, and each dominated member's sum of its front
+   dominators' counts is a second F x D pass.
+
+The cost is O(N * (F + B)) pairs instead of N^2; when every member is on
+the front the filter compares each pair once, about N^2 / 2 pairs.  The
+result is bit-identical to the full N x N streaming passes (kept as a
+test-only oracle): the front is a set, so the sort order only decides
+the comparison schedule, not the outcome; counts and count sums are
+integers; and each fitness is one division of an integer by N, exactly as
+before.  Every temporary is ``(F, B, K)`` or ``(B, N, K)``, bounded by
+``SamplingConfig.kernel_block_size`` along one axis.
+
+Non-finite scores
+-----------------
+A row holding any NaN fails every ``<=`` and ``<`` comparison, so it is
+never dominated and dominates nothing: it is a front member with fitness
+0.  :func:`numpy.lexsort` puts a NaN after every number of its key, so
+such a row lands after the rows that tie with it on the preceding keys;
+where it lands does not matter, since it has no dominance relation to any
+row.  ``+inf`` and ``-inf`` compare like any other value.
 
 The per-block comparison itself — the only dense array math here — is the
 generic :func:`_dominance_columns` kernel registered with the
-:mod:`repro.xp` facade; the streaming passes are host orchestration and
-take an optional :class:`~repro.xp.dispatch.KernelBundle` to route the
-block comparisons through a compiled namespace.
+:mod:`repro.xp` facade; the passes are host orchestration and take an
+optional :class:`~repro.xp.dispatch.KernelBundle` to route the block
+comparisons through a compiled namespace.
 """
 
 from __future__ import annotations
@@ -95,28 +124,68 @@ def _dominance_block(
     return kernels.to_numpy(kernels.dominance_columns(scores, column_scores))
 
 
+def _lexicographic_order(scores: np.ndarray) -> np.ndarray:
+    """Row order, first column most significant, in which every member
+    sorts strictly after all of its dominators (NaN sorts last per key)."""
+    if scores.shape[1] == 0:  # no objectives: nothing dominates anything
+        return np.arange(scores.shape[0])
+    return np.lexsort(scores.T[::-1])
+
+
+def _front(
+    scores: np.ndarray,
+    block_size: Optional[int],
+    kernels: Optional["KernelBundle"] = None,
+) -> np.ndarray:
+    """Indices of the non-dominated members, in lexicographic order.
+
+    Walks the lexicographic order in chunks; each chunk is filtered against
+    the front found so far and then against itself (see the module
+    docstring for why that is sufficient).
+    """
+    n, k = scores.shape
+    order = _lexicographic_order(scores)
+    front = np.empty(n, dtype=np.intp)
+    front_scores = np.empty((n, k), dtype=np.float64)
+    size = 0
+    for block in population_blocks(n, block_size):
+        members = order[block]
+        member_scores = scores[members]
+        if size:
+            keep = ~np.any(
+                _dominance_block(front_scores[:size], member_scores, kernels), axis=0
+            )
+            members, member_scores = members[keep], member_scores[keep]
+        keep = ~np.any(_dominance_block(member_scores, member_scores, kernels), axis=0)
+        added = int(keep.sum())
+        front[size : size + added] = members[keep]
+        front_scores[size : size + added] = member_scores[keep]
+        size += added
+    return front[:size]
+
+
 def _strength_pass(
     scores: np.ndarray,
     block_size: Optional[int],
     kernels: Optional["KernelBundle"] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Chunked first pass: non-dominated mask and integer domination counts.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Front indices, their integer domination counts and dominated indices.
 
-    Streams column blocks of the dominance matrix; the dominated mask is an
-    any-reduction and the domination counts are integer sums, so the result
-    does not depend on the block size.  Counts of dominated members are
-    zeroed — they never contribute to fitness sums.
+    Front members dominate only dominated members, so the counts stream
+    over the dominated columns alone; they are integer sums, so the result
+    does not depend on the block size.
     """
-    n = scores.shape[0]
-    dominated = np.zeros(n, dtype=bool)
-    counts = np.zeros(n, dtype=np.int64)
-    for block in population_blocks(n, block_size):
-        dom = _dominance_block(scores, scores[block], kernels)
-        dominated[block] = np.any(dom, axis=0)
-        counts += dom.sum(axis=1)
-    nd_mask = ~dominated
-    counts[dominated] = 0
-    return nd_mask, counts
+    front = _front(scores, block_size, kernels)
+    is_dominated = np.ones(scores.shape[0], dtype=bool)
+    is_dominated[front] = False
+    dominated = np.flatnonzero(is_dominated)
+    front_scores = scores[front]
+    counts = np.zeros(front.size, dtype=np.int64)
+    for block in population_blocks(dominated.size, block_size):
+        counts += _dominance_block(
+            front_scores, scores[dominated[block]], kernels
+        ).sum(axis=1)
+    return front, counts, dominated
 
 
 def non_dominated_mask(
@@ -131,21 +200,17 @@ def non_dominated_mask(
     scores:
         ``(N, K)`` score matrix.
     block_size:
-        Column chunk size (see :func:`repro.scoring.pairwise.population_blocks`);
-        the peak temporary is ``(N, B, K)`` instead of ``(N, N, K)``.
+        Chunk size (see :func:`repro.scoring.pairwise.population_blocks`)
+        of the front filter; the peak temporary is ``(F, B, K)``.
     kernels:
         Optional kernel bundle the block comparisons run through.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
         raise ValueError("scores must have shape (N, K)")
-    n = scores.shape[0]
-    dominated = np.zeros(n, dtype=bool)
-    for block in population_blocks(n, block_size):
-        dominated[block] = np.any(
-            _dominance_block(scores, scores[block], kernels), axis=0
-        )
-    return ~dominated
+    mask = np.zeros(scores.shape[0], dtype=bool)
+    mask[_front(scores, block_size, kernels)] = True
+    return mask
 
 
 def strength_fitness(
@@ -178,19 +243,19 @@ def strength_fitness(
     n = scores.shape[0]
     if n == 0:
         return np.zeros(0, dtype=np.float64)
-    nd_mask, counts = _strength_pass(scores, block_size, kernels)
+    front, counts, dominated = _strength_pass(scores, block_size, kernels)
 
     fitness = np.empty(n, dtype=np.float64)
     # Non-dominated: fitness equals own strength (< 1 by construction).
-    fitness[nd_mask] = counts[nd_mask] / float(n)
-    # Dominated: 1 + sum of strengths of the non-dominated members that
-    # dominate them.  The strengths share the denominator n, so the sum is
+    fitness[front] = counts / float(n)
+    # Dominated: 1 + sum of strengths of the front members that dominate
+    # them.  The strengths share the denominator n, so the sum is
     # accumulated on the integer domination counts and divided once —
-    # exact, hence independent of the column chunking.
-    dominated_idx = np.where(~nd_mask)[0]
-    for block in population_blocks(dominated_idx.size, block_size):
-        cols = dominated_idx[block]
-        dominators = _dominance_block(scores, scores[cols], kernels) & nd_mask[:, None]
+    # exact, hence independent of the chunking.
+    front_scores = scores[front]
+    for block in population_blocks(dominated.size, block_size):
+        cols = dominated[block]
+        dominators = _dominance_block(front_scores, scores[cols], kernels)
         count_sums = (counts[:, None] * dominators).sum(axis=0)
         fitness[cols] = 1.0 + count_sums / float(n)
     return fitness
@@ -216,9 +281,9 @@ def fitness_against(
     query_scores:
         ``(Q, K)`` scores of the query conformations.
     block_size:
-        Query chunk size bounding the ``(N, Q)`` cross-dominance temporaries
-        (``None`` or ``0`` selects the engine default); the result is
-        bit-identical for every value.
+        Query chunk size bounding the cross-dominance temporaries (``None``
+        or ``0`` selects the engine default); the result is bit-identical
+        for every value.
     kernels:
         Optional kernel bundle the block comparisons run through.
 
@@ -237,16 +302,17 @@ def fitness_against(
     if n == 0:
         return np.zeros(q, dtype=np.float64)
 
-    # Domination counts of the reference set (chunked over reference
-    # columns); counts of dominated reference members are already zeroed.
-    ref_nd, ref_counts = _strength_pass(reference_scores, block_size, kernels)
+    ref_front, ref_counts, _ = _strength_pass(reference_scores, block_size, kernels)
+    front_scores = reference_scores[ref_front]
 
     fitness = np.empty(q, dtype=np.float64)
     for block in population_blocks(q, block_size):
         queries = query_scores[block]
-        # (N, B): reference member i dominates query j of the block.
-        ref_dominates_query = _dominance_block(reference_scores, queries, kernels)
-        query_nd = ~np.any(ref_dominates_query, axis=0)  # (B,)
+        # (F, B): front member i dominates query j of the block.  By
+        # transitivity a query dominated by any reference member is
+        # dominated by a front member.
+        front_dominates_query = _dominance_block(front_scores, queries, kernels)
+        query_nd = ~np.any(front_dominates_query, axis=0)  # (B,)
         block_fitness = np.empty(queries.shape[0], dtype=np.float64)
 
         # Non-dominated queries: strength relative to the reference set
@@ -257,12 +323,11 @@ def fitness_against(
                 queries[query_nd], reference_scores, kernels
             )
             block_fitness[query_nd] = query_dominates_ref.sum(axis=1) / float(n)
-        # Dominated queries: 1 + sum of strengths of dominating
-        # non-dominated reference members (full reference-axis reduction).
+        # Dominated queries: 1 + sum of strengths of dominating front
+        # members, as integer counts divided once (see strength_fitness).
         dominated = ~query_nd
         if np.any(dominated):
-            dominators = ref_dominates_query[:, dominated] & ref_nd[:, None]
-            # Integer count accumulation, one division (see strength_fitness).
+            dominators = front_dominates_query[:, dominated]
             count_sums = (ref_counts[:, None] * dominators).sum(axis=0)
             block_fitness[dominated] = 1.0 + count_sums / float(n)
         fitness[block] = block_fitness

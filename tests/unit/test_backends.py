@@ -7,7 +7,7 @@ from repro.backends import CPUBackend, GPUBackend, make_backend
 from repro.config import SamplingConfig
 from repro.loops.ramachandran import RamachandranModel
 from repro.moscem.complexes import partition_population
-from repro.moscem.dominance import strength_fitness
+from repro.moscem.dominance import fitness_against, strength_fitness
 from repro.simt.memory import MemcpyKind
 
 
@@ -171,3 +171,20 @@ class TestBackendAgreement:
         # Both pipelines must close the same proposals to comparable quality.
         assert gpu_result.closure_error.mean() <= cpu_result.closure_error.mean() * 1.5 + 0.1
         assert cpu_result.closure_error.mean() <= gpu_result.closure_error.mean() * 1.5 + 0.1
+
+    @pytest.mark.parametrize("backend", ["cpu_backend", "gpu_backend"])
+    def test_complex_fitness_equals_separate_queries(self, backend, request, rng):
+        """One stacked ``fitness_against`` call per complex gives exactly
+        the fitness of scoring members and proposals in separate calls."""
+        scores = np.round(rng.normal(size=(8, 3)), 1)
+        proposal_scores = np.round(rng.normal(size=(8, 3)), 1)
+        complexes = partition_population(8, 2)
+        current, proposed = request.getfixturevalue(backend).fitness_within_complexes(
+            scores, proposal_scores, complexes
+        )
+        for indices in complexes:
+            ref = scores[indices]
+            assert np.array_equal(current[indices], fitness_against(ref, ref))
+            assert np.array_equal(
+                proposed[indices], fitness_against(ref, proposal_scores[indices])
+            )

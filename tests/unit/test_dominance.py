@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.moscem.dominance import (
+    _lexicographic_order,
     dominance_matrix,
     dominates,
     fitness_against,
@@ -200,3 +201,48 @@ class TestChunkedFitnessKernels:
     def test_empty_and_single(self):
         assert strength_fitness(np.zeros((0, 3)), block_size=4).shape == (0,)
         assert strength_fitness(np.zeros((1, 3)), block_size=4)[0] == 0.0
+
+
+class TestNonFiniteScores:
+    """A NaN row is never dominated and dominates nothing (a front member
+    with fitness 0); ±inf compares like any other value."""
+
+    def test_nan_rows_are_front_members_with_zero_fitness(self):
+        scores = np.array([[0.0, 0.0], [np.nan, 5.0], [1.0, 1.0], [2.0, np.nan]])
+        fitness = strength_fitness(scores)
+        # Member 0 dominates member 2 only: the NaN rows neither count
+        # towards its strength nor receive one.
+        assert np.array_equal(fitness, [0.25, 0.0, 1.25, 0.0])
+        assert non_dominated_mask(scores).tolist() == [True, True, False, True]
+
+    def test_nan_row_dominates_nothing_even_where_it_would_win(self):
+        scores = np.array([[np.nan, -np.inf], [np.inf, np.inf]])
+        assert np.array_equal(strength_fitness(scores), [0.0, 0.0])
+
+    def test_infinities_compare_like_values(self):
+        scores = np.array([[-np.inf, 0.0], [0.0, 0.0], [np.inf, np.inf]])
+        # -inf dominates both others; 0 dominates +inf but is dominated.
+        assert np.array_equal(strength_fitness(scores), [2 / 3, 1 + 2 / 3, 1 + 2 / 3])
+        tied = np.full((2, 2), np.inf)
+        assert np.array_equal(strength_fitness(tied), [0.0, 0.0])
+
+    def test_nan_queries_and_references(self):
+        reference = np.array([[0.0, 0.0], [np.nan, 1.0], [2.0, 2.0]])
+        queries = np.array([[np.nan, 9.0], [1.0, 1.0], [-1.0, -1.0]])
+        # The NaN query is non-dominated and dominates nothing; the NaN
+        # reference row neither dominates nor is dominated by a query.
+        assert np.array_equal(
+            fitness_against(reference, queries), [0.0, 1 + 1 / 3, 2 / 3]
+        )
+
+    def test_nan_rows_in_the_lexicographic_order(self):
+        """NaN sorts after every number of its key: a NaN in the first
+        column puts the row last, a NaN in a later column puts it after
+        the rows that tie with it on the earlier columns."""
+        scores = np.array(
+            [[np.nan, 0.0], [1.0, np.nan], [1.0, 0.0], [0.0, 5.0], [1.0, 3.0]]
+        )
+        assert _lexicographic_order(scores).tolist() == [3, 2, 4, 1, 0]
+        assert np.array_equal(
+            strength_fitness(scores), [0.0, 0.0, 0.2, 0.0, 1.2]
+        )
