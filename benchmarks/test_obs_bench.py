@@ -1,8 +1,8 @@
 """Observability benchmark: what does tracing cost a drain?
 
-Drains the same campaign with tracing off and tracing on (min of N
-repetitions each, fresh stores every time so no run resumes another's
-checkpoints) and writes the relative overhead to ``BENCH_obs.json`` at
+Drains the same campaign with tracing off and tracing on (N back-to-back
+pairs, fresh stores every time so no run resumes another's checkpoints)
+and writes the median per-pair relative overhead to ``BENCH_obs.json`` at
 the repo root (committed, so reviewers can diff tracing-cost claims
 against the tree).  The acceptance gate is the tentpole's promise:
 **a traced drain stays within 3% of an untraced one** — spans piggyback
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import statistics
 import time
 
 from repro.api import Session, campaign, drain_once
@@ -38,8 +39,8 @@ _SCALED = {
     "paper": SamplingConfig(population_size=64, n_complexes=16, iterations=30),
 }
 
-#: Drain repetitions per arm; min-of-N suppresses scheduler noise.
-_REPEATS = {"smoke": 3, "default": 3, "paper": 5}
+#: Back-to-back drain pairs; odd, so the median is one pair's ratio.
+_REPEATS = {"smoke": 11, "default": 11, "paper": 7}
 
 #: The acceptance ceiling on traced-drain overhead.
 MAX_OVERHEAD_FRACTION = 0.03
@@ -76,7 +77,7 @@ def _drain_seconds(root: pathlib.Path, campaign_id: str, config, trace: bool) ->
 def test_obs_benchmarks(tmp_path, capsys):
     scale = bench_scale()
     config = _SCALED.get(scale, _SCALED["smoke"])
-    repeats = _REPEATS.get(scale, 3)
+    repeats = _REPEATS.get(scale, 11)
     report: dict = {
         "scale": scale,
         "config": {
@@ -88,27 +89,35 @@ def test_obs_benchmarks(tmp_path, capsys):
         },
     }
 
-    # --- traced vs untraced drains, interleaved, min of N --------------
+    # --- traced vs untraced drains, paired, median of N ----------------
+    # One drain swings +-10% on a shared 2-vCPU host and the host's speed
+    # (CPU time too) shifts within seconds, so a min over each arm tracks
+    # which arm caught a fast burst.  Each rep runs one drain of each arm
+    # back to back, alternating which goes first: the pair shares the
+    # host's speed of the moment, and the median of the per-pair ratios
+    # drops the few pairs that straddle a change of speed.
     plain_times, traced_times = [], []
     for rep in range(repeats):
-        plain_times.append(
-            _drain_seconds(tmp_path / f"plain-{rep}", "bench-plain", config, False)
-        )
-        traced_times.append(
-            _drain_seconds(tmp_path / f"traced-{rep}", "bench-traced", config, True)
-        )
+        for trace in ((False, True) if rep % 2 == 0 else (True, False)):
+            arm = "traced" if trace else "plain"
+            (traced_times if trace else plain_times).append(
+                _drain_seconds(tmp_path / f"{arm}-{rep}", f"bench-{arm}", config, trace)
+            )
     plain, traced = min(plain_times), min(traced_times)
-    overhead = traced / plain - 1.0
+    pair_overheads = [t / p - 1.0 for p, t in zip(plain_times, traced_times)]
+    overhead = statistics.median(pair_overheads)
     report["tracing"] = {
         "untraced_drain_seconds": round(plain, 4),
         "traced_drain_seconds": round(traced, 4),
+        "pair_overhead_fractions": [round(x, 4) for x in pair_overheads],
         "overhead_fraction": round(overhead, 4),
         "max_overhead_fraction": MAX_OVERHEAD_FRACTION,
     }
     # The tentpole gate: tracing rides within 3% of an untraced drain.
     assert overhead <= MAX_OVERHEAD_FRACTION, (
-        f"traced drain {traced:.3f}s exceeds untraced {plain:.3f}s "
-        f"by {100 * overhead:.1f}% (> {100 * MAX_OVERHEAD_FRACTION:.0f}%)"
+        f"traced drains run {100 * overhead:.1f}% slower than untraced ones "
+        f"(> {100 * MAX_OVERHEAD_FRACTION:.0f}%; median of {repeats} pairs, "
+        f"fastest {traced:.3f}s vs {plain:.3f}s)"
     )
 
     # --- trace document size (what the status channel carries) ---------

@@ -28,6 +28,11 @@ per-call dispatch cost" half of the facade's contract (the other half is
 :mod:`repro.xp.dispatch` resolving kernel bindings once at
 stack-assembly time).
 
+Allocator thresholds: the first request for the numpy namespace pins
+glibc's ``malloc`` at the thresholds its own dynamic heuristic converges
+to (see :func:`_pin_malloc_thresholds`), so a fresh process does not
+page-fault the blocked kernels' per-block temporaries on every block.
+
 64-bit precision: requesting the jax namespace enables
 ``jax_enable_x64`` before anything is traced.  The repo's determinism
 invariants are stated in float64; a silently float32 JAX tier would
@@ -36,6 +41,7 @@ diverge from every golden output.
 
 from __future__ import annotations
 
+import ctypes
 from types import ModuleType
 from typing import Any, Dict, List, Optional
 
@@ -152,10 +158,47 @@ _NAMESPACES: Dict[str, ArrayNamespace] = {}
 _JAX_PROBE: Optional[bool] = None
 
 
+#: ``mallopt`` parameter numbers (glibc ``<malloc.h>``).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+#: glibc's ceiling for the dynamic mmap threshold on 64-bit hosts
+#: (``DEFAULT_MMAP_THRESHOLD_MAX``); its trim threshold follows at twice it.
+_MMAP_THRESHOLD_MAX = 32 * 1024 * 1024
+
+
+def _pin_malloc_thresholds() -> None:
+    """Start glibc ``malloc`` at the thresholds its heuristic converges to.
+
+    glibc serves requests at or above a dynamic mmap threshold (128 KiB
+    at start) with a fresh ``mmap``, and hands the top of the heap back
+    to the kernel once more than twice that threshold is free.  Each
+    free of a larger mmapped chunk raises both, up to 32 MiB / 64 MiB.
+    The blocked kernels allocate several same-sized temporaries per
+    block (3 MiB each at the default block of 128 members and ~1,000
+    pairs) and free them all at the end of the block, so until some
+    unrelated larger chunk happens to be freed, every block re-faults
+    its temporaries from zeroed pages (~470,000 minor faults per
+    15,360-member VDW+DIST pass).  A long-running process usually reaches
+    these thresholds anyway; pinning them makes that the state from the
+    first call on.  C libraries without ``mallopt`` are left alone.
+    Allocation placement never changes a computed value.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
+
+
 def numpy_namespace() -> ArrayNamespace:
     """The default (and determinism-baseline) namespace: plain numpy."""
     ns = _NAMESPACES.get("numpy")
     if ns is None:
+        _pin_malloc_thresholds()
         ns = ArrayNamespace("numpy", np, mutable=True, eager=True)
         _NAMESPACES["numpy"] = ns
     return ns

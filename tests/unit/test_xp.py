@@ -11,8 +11,16 @@ plumbing.
 
 from __future__ import annotations
 
+import ctypes
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.xp import (
     ArrayNamespace,
@@ -148,6 +156,47 @@ class TestCompile:
         assert block_until_ready(arr) is arr
         out = block_until_ready((arr, [arr]))
         assert out[0] is arr
+
+
+_FAULTS_SCRIPT = textwrap.dedent(
+    """
+    import resource
+    import numpy as np
+    from repro.scoring.pairwise import indexed_penalty_sum
+
+    rng = np.random.default_rng(0)
+    coords = rng.normal(scale=6.0, size=(1024, 48, 3))
+    first, second = np.triu_indices(48, k=4)
+    contacts = np.full(first.size, 9.0)
+    indexed_penalty_sum(coords, coords, first, second, contacts, block_size=128)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    indexed_penalty_sum(coords, coords, first, second, contacts, block_size=128)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """
+)
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="C library has no mallopt")
+class TestMallocThresholds:
+    def test_blocked_kernel_reuses_heap_pages(self):
+        # A fresh process: the thresholds must hold from the first kernel
+        # call on, not only after some unrelated large free.  Unpinned,
+        # glibc re-faults each block's 3 MiB temporaries (~15,000 minor
+        # faults for this second call); pinned, the heap pages are reused.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", _FAULTS_SCRIPT],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert int(out.stdout.strip()) < 1000
 
 
 @pytest.mark.skipif(not has_jax(), reason="jax wheel not installed")
