@@ -1,7 +1,7 @@
 """String-keyed component registries for backends and scoring functions.
 
 The sampler is assembled from named components: an execution *backend*
-(``"cpu"``, ``"cpu-batched"``, ``"gpu"``) and a stack of *scorers*
+(``"cpu"``, ``"gpu"``, ``"xp"``, ``"jax"``) and a stack of *scorers*
 (``"vdw"``, ``"triplet"``, ``"dist"``).  Before this module those names
 were resolved by if/elif ladders in :func:`repro.backends.make_backend`
 and hard-coded lists in :func:`repro.scoring.default_multi_score`; now
@@ -231,14 +231,6 @@ def _cpu_backend(target, multi_score, config, **kwargs):
     return CPUBackend(target, multi_score, config, **kwargs)
 
 
-@register_backend("cpu-batched")
-def _cpu_batched_backend(target, multi_score, config, **kwargs):
-    """The CPU backend routed through the population-batched kernels."""
-    from repro.backends.cpu import CPUBackend
-
-    return CPUBackend(target, multi_score, config, scoring_mode="batched", **kwargs)
-
-
 @register_backend("gpu", aliases=("cpu-gpu", "simt"))
 def _gpu_backend(target, multi_score, config, **kwargs):
     """The heterogeneous CPU-GPU implementation on the simulated SIMT engine."""
@@ -247,30 +239,30 @@ def _gpu_backend(target, multi_score, config, **kwargs):
     return GPUBackend(target, multi_score, config, **kwargs)
 
 
-@register_backend("jax", aliases=("jax-jit",))
-def _jax_backend(target, multi_score, config, **kwargs):
-    """The batched kernels jit-compiled through the repro.xp facade.
+def _bundle_backend(namespace):
+    """Factory of the batched backend bound to ``namespace``'s kernel bundle."""
 
-    Requires the ``jax`` wheel; construction raises
-    :class:`repro.xp.xp.NamespaceError` with installation guidance when it
-    is not importable.
-    """
-    from repro.backends.jax_backend import JAXBackend
+    def factory(target, multi_score, config, **kwargs):
+        from repro.backends.gpu import BatchedBackend
+        from repro.xp.dispatch import bind_kernels
 
-    return JAXBackend(target, multi_score, config, **kwargs)
+        return BatchedBackend(
+            target, multi_score, config, kernels=bind_kernels(namespace), **kwargs
+        )
+
+    return factory
 
 
-@register_backend("xp", aliases=("xp-numpy", "array-api"))
-def _xp_numpy_backend(target, multi_score, config, **kwargs):
-    """The facade-routed batched kernels on the eager numpy namespace.
+#: The batched kernels jit-compiled through the repro.xp facade.  Requires
+#: the ``jax`` wheel; construction raises :class:`repro.xp.xp.NamespaceError`
+#: with installation guidance when it is not importable.
+register_backend("jax", _bundle_backend("jax"), aliases=("jax-jit",))
 
-    Numerically bit-identical to the ``gpu`` backend; exists so the
-    dispatch layer itself is exercised end-to-end on machines (and CI
-    runners) without an accelerator wheel.
-    """
-    from repro.backends.jax_backend import JAXBackend
-
-    return JAXBackend(target, multi_score, config, namespace="numpy", **kwargs)
+#: The facade-routed batched kernels on the eager numpy namespace.
+#: Numerically bit-identical to the ``gpu`` backend; exists so the dispatch
+#: layer itself is exercised end-to-end on machines (and CI runners)
+#: without an accelerator wheel.
+register_backend("xp", _bundle_backend("numpy"), aliases=("xp-numpy", "array-api"))
 
 
 @register_scorer("vdw")

@@ -1,43 +1,60 @@
-"""Simulated CPU-GPU backend.
+"""Population-batched backends: the shared kernel loop and its SIMT flavour.
 
-Implements the paper's heterogeneous design on the simulated SIMT engine:
+:class:`BatchedBackend` runs [CCD], [EvalVDW], [EvalDIST], [EvalTRIP] and
+both fitness assignments as population-batched vectorised operations, one
+logical thread per conformation, while sorting, partitioning and assembly
+stay on the host.  Given a :class:`~repro.xp.dispatch.KernelBundle` it
+routes the CCD sweep, the scorers and the dominance blocks through it (the
+``xp`` and ``jax`` registry entries).  Every kernel runs through one timing
+hook (:meth:`~BatchedBackend._launch`, a ledger section by default) and
+every host/device round trip through one transfer hook
+(:meth:`~BatchedBackend._transfer`, a no-op by default).
 
-* the heavy kernels — [CCD], [EvalVDW], [EvalDIST], [EvalTRIP] and the two
-  fitness assignments — run as population-batched vectorised operations,
-  one logical thread per conformation, launched through the
-  :class:`~repro.simt.engine.SIMTEngine` which profiles each launch;
-* the knowledge-based scoring tables and the environment atoms are
-  "uploaded" once at construction (texture-memory residency in the paper);
-* the per-iteration host round trips (fitness values out for sorting,
-  permutations back in, the final population readback) are recorded as
-  simulated memcpy events so the Table II transfer rows can be reproduced.
+:class:`GPUBackend` overrides only those hooks to implement the paper's
+heterogeneous design on the simulated SIMT engine: each kernel is launched
+(and profiled) by :class:`~repro.simt.engine.SIMTEngine`, the scoring
+tables and environment atoms are "uploaded" once at construction
+(texture-memory residency in the paper), and the per-iteration host round
+trips are recorded as simulated memcpy events for the Table II rows.
 """
 
 from __future__ import annotations
 
+import copy
 from functools import partial
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
 from repro.backends.base import SamplingBackend
 from repro.closure.ccd import CCDResult, ccd_close_batch
 from repro.moscem.dominance import fitness_against, strength_fitness
+from repro.scoring.base import MultiScore
 from repro.scoring.pairwise import resolve_block_size
 from repro.moscem.population import Population
-from repro.simt.device import DeviceSpec, GTX280
+from repro.simt.device import GTX280
 from repro.simt.engine import SIMTEngine
-from repro.simt.kernel import PAPER_KERNELS, KernelSpec
+from repro.simt.kernel import PAPER_KERNELS
 from repro.simt.memory import MemcpyKind
 from repro.simt.profiler import KernelProfiler
 
-__all__ = ["GPUBackend"]
+if TYPE_CHECKING:  # pragma: no cover - type hints only
+    from repro.xp.dispatch import KernelBundle
+
+__all__ = ["BatchedBackend", "GPUBackend"]
+
+#: Paper kernel specs keyed by their ledger name (``"[FitAssg] within
+#: Complex"`` is ledgered as ``"FitAssg within Complex"``).
+_SPECS = {
+    spec.name.replace("[", "").replace("]", ""): spec
+    for spec in PAPER_KERNELS.values()
+}
 
 
-class GPUBackend(SamplingBackend):
-    """Population-batched backend running on the simulated SIMT engine."""
+class BatchedBackend(SamplingBackend):
+    """Population-batched backend, optionally bound to a kernel bundle."""
 
-    name = "gpu"
+    name = "batched"
 
     def __init__(
         self,
@@ -45,14 +62,172 @@ class GPUBackend(SamplingBackend):
         multi_score,
         config,
         ledger=None,
-        device: DeviceSpec = GTX280,
-        engine: Optional[SIMTEngine] = None,
-        profiler: Optional[KernelProfiler] = None,
+        kernels: Optional["KernelBundle"] = None,
     ) -> None:
+        if kernels is not None:
+            # Bind the bundle on private copies: the caller's stack may be
+            # shared with other backends (e.g. a worker's cached stack).
+            bound = [copy.copy(fn) for fn in multi_score]
+            for fn in bound:
+                fn.use_kernels(kernels)
+            multi_score = MultiScore(bound)
+            namespace = kernels.namespace.name
+            self.name = "jax" if namespace == "jax" else f"xp-{namespace}"
         super().__init__(target, multi_score, config, ledger=ledger)
-        self.engine = engine if engine is not None else SIMTEngine(
-            device=device, profiler=profiler
+        self.kernels = kernels
+
+    # ------------------------------------------------------------------
+    # Hooks
+    # ------------------------------------------------------------------
+
+    def _launch(
+        self, name: str, population_size: int, fn, *args, block_size=None, **kwargs
+    ):
+        """Run one kernel, timed into the ledger under ``name``.
+
+        ``block_size`` is the population chunk the kernel body processes;
+        only launch accounting reads it.
+        """
+        with self.ledger.section(name):
+            return fn(*args, **kwargs)
+
+    def _transfer(self, kind: MemcpyKind, payload) -> None:
+        """Record a host/device transfer of ``payload`` (nothing off-device)."""
+
+    # ------------------------------------------------------------------
+    # Kernel bodies (the scalar CPU backend overrides these two)
+    # ------------------------------------------------------------------
+
+    def _close(
+        self, torsions: np.ndarray, start_indices: Optional[np.ndarray]
+    ) -> CCDResult:
+        return ccd_close_batch(
+            torsions,
+            self.target,
+            start_indices=start_indices,
+            max_iterations=self.config.ccd_iterations,
+            tolerance=self.config.ccd_tolerance,
+            kernels=self.kernels,
         )
+
+    def _score(self, fn, coords: np.ndarray, torsions: np.ndarray) -> np.ndarray:
+        return fn.evaluate_batch(coords, torsions)
+
+    # ------------------------------------------------------------------
+    # Kernels
+    # ------------------------------------------------------------------
+
+    def close_loops(
+        self, torsions: np.ndarray, start_indices: Optional[np.ndarray] = None
+    ) -> CCDResult:
+        """Close the whole population ([CCD])."""
+        torsions = np.asarray(torsions, dtype=np.float64)
+        # Proposals are produced on the host; record their transfer to the
+        # device's global memory before the kernel reads them.
+        self._transfer(MemcpyKind.HOST_TO_DEVICE, torsions)
+        return self._launch(
+            "CCD", torsions.shape[0], self._close, torsions, start_indices
+        )
+
+    def evaluate_scores(self, coords: np.ndarray, torsions: np.ndarray) -> np.ndarray:
+        """Evaluate every scoring function with one kernel each."""
+        coords = np.asarray(coords, dtype=np.float64)
+        torsions = np.asarray(torsions, dtype=np.float64)
+        pop = coords.shape[0]
+        # Fresh conformations are copied into texture memory for the scoring
+        # kernels (device-to-array in the paper's scheme).
+        self._transfer(MemcpyKind.DEVICE_TO_ARRAY, coords)
+        columns = [
+            self._launch(
+                fn.kernel_name, pop, self._score, fn, coords, torsions,
+                block_size=fn.resolved_block_size(pop),
+            )
+            for fn in self.multi_score
+        ]
+        scores = np.stack(columns, axis=1)
+        # Scores are copied to texture memory for the fitness kernels.
+        self._transfer(MemcpyKind.DEVICE_TO_ARRAY, scores)
+        return scores
+
+    def fitness_population(self, scores: np.ndarray) -> np.ndarray:
+        """Strength fitness over the whole population as one kernel."""
+        scores = np.asarray(scores, dtype=np.float64)
+        pop = scores.shape[0]
+        chunk = self.config.kernel_block_size
+        fitness = self._launch(
+            "FitAssg within Population",
+            pop,
+            partial(strength_fitness, scores, block_size=chunk, kernels=self.kernels),
+            block_size=resolve_block_size(chunk, max(pop, 1)),
+        )
+        # Fitness values travel back to the host for sorting/partitioning.
+        self._transfer(MemcpyKind.DEVICE_TO_HOST, fitness)
+        return fitness
+
+    def fitness_within_complexes(
+        self,
+        population_scores: np.ndarray,
+        proposal_scores: np.ndarray,
+        complex_indices: List[np.ndarray],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Complex-wise fitness, run as a single kernel per iteration."""
+        population_scores = np.asarray(population_scores, dtype=np.float64)
+        proposal_scores = np.asarray(proposal_scores, dtype=np.float64)
+        pop = population_scores.shape[0]
+        # The complex assignment (a permutation) is produced on the host.
+        self._transfer(MemcpyKind.HOST_TO_DEVICE, np.concatenate(complex_indices))
+
+        chunk = self.config.kernel_block_size
+
+        def _kernel() -> Tuple[np.ndarray, np.ndarray]:
+            current = np.empty(pop, dtype=np.float64)
+            proposed = np.empty(pop, dtype=np.float64)
+            for indices in complex_indices:
+                # One reference pass per complex: current members and
+                # proposals are scored as one stack of independent queries.
+                ref = population_scores[indices]
+                queries = np.concatenate([ref, proposal_scores[indices]])
+                current[indices], proposed[indices] = np.split(
+                    fitness_against(
+                        ref, queries, block_size=chunk, kernels=self.kernels
+                    ),
+                    2,
+                )
+            return current, proposed
+
+        return self._launch(
+            "FitAssg within Complex",
+            pop,
+            _kernel,
+            block_size=resolve_block_size(chunk, max(pop, 1)),
+        )
+
+    # ------------------------------------------------------------------
+    # Host synchronisation
+    # ------------------------------------------------------------------
+
+    def sync_to_host(self, population: Population) -> None:
+        """Device-to-host copy of the data the host-side steps need."""
+        if population.fitness is not None:
+            self._transfer(MemcpyKind.DEVICE_TO_HOST, population.fitness)
+
+    def sync_to_device(self, population: Population) -> None:
+        """Host-to-device copy of the data mutated on the host."""
+        self._transfer(MemcpyKind.HOST_TO_DEVICE, population.torsions)
+
+    def finalize(self, population: Population) -> None:
+        """Final readback of the whole population at the end of a run."""
+        self._transfer(MemcpyKind.DEVICE_TO_HOST, population.nbytes())
+
+
+class GPUBackend(BatchedBackend):
+    """The batched kernels launched on the simulated SIMT engine."""
+
+    name = "gpu"
+
+    def __init__(self, target, multi_score, config, ledger=None) -> None:
+        super().__init__(target, multi_score, config, ledger=ledger)
+        self.engine = SIMTEngine(device=GTX280)
 
         # One-time upload of constant data, mirroring the paper's placement:
         # knowledge-based tables and environment data into texture memory,
@@ -67,145 +242,23 @@ class GPUBackend(SamplingBackend):
         self.engine.upload_tables(*tables)
         self.engine.upload_constants(256)
 
-    # ------------------------------------------------------------------
-    # Internal helpers
-    # ------------------------------------------------------------------
-
     @property
     def profiler(self) -> KernelProfiler:
         """The kernel profiler of the underlying engine."""
         return self.engine.profiler
 
-    def _kernel(self, key: str) -> KernelSpec:
-        return PAPER_KERNELS[key]
-
     def _launch(
-        self, key: str, population_size: int, fn, *args, block_size=None, **kwargs
+        self, name: str, population_size: int, fn, *args, block_size=None, **kwargs
     ):
-        """Launch a kernel, mirroring the timing into the backend ledger."""
-        spec = self._kernel(key)
+        """Launch a kernel on the engine, mirroring its timing into the ledger."""
+        spec = _SPECS[name]
         before = self.profiler.kernel_seconds.get(spec.name, 0.0)
         result = self.engine.launch(
             spec, population_size, fn, *args, block_size=block_size, **kwargs
         )
         after = self.profiler.kernel_seconds.get(spec.name, 0.0)
-        self.ledger.add(spec.name.replace("[", "").replace("]", ""), after - before)
+        self.ledger.add(name, after - before)
         return result
 
-    # ------------------------------------------------------------------
-    # Kernels
-    # ------------------------------------------------------------------
-
-    def close_loops(
-        self, torsions: np.ndarray, start_indices: Optional[np.ndarray] = None
-    ) -> CCDResult:
-        """Close the whole population in lock-step with the batched CCD."""
-        torsions = np.asarray(torsions, dtype=np.float64)
-        pop = torsions.shape[0]
-        # Proposals are produced on the host; record their transfer to the
-        # device's global memory before the kernel reads them.
-        self.engine.memcpy(MemcpyKind.HOST_TO_DEVICE, torsions)
-        return self._launch(
-            "CCD",
-            pop,
-            ccd_close_batch,
-            torsions,
-            self.target,
-            start_indices=start_indices,
-            max_iterations=self.config.ccd_iterations,
-            tolerance=self.config.ccd_tolerance,
-        )
-
-    def evaluate_scores(self, coords: np.ndarray, torsions: np.ndarray) -> np.ndarray:
-        """Evaluate every scoring function with one batched kernel each."""
-        coords = np.asarray(coords, dtype=np.float64)
-        torsions = np.asarray(torsions, dtype=np.float64)
-        pop = coords.shape[0]
-        # Fresh conformations are copied into texture memory for the scoring
-        # kernels (device-to-array in the paper's scheme).
-        self.engine.memcpy(MemcpyKind.DEVICE_TO_ARRAY, coords)
-        columns = []
-        for fn in self.multi_score:
-            columns.append(
-                self._launch(
-                    fn.kernel_name,
-                    pop,
-                    fn.evaluate_batch,
-                    coords,
-                    torsions,
-                    block_size=fn.resolved_block_size(pop),
-                )
-            )
-        scores = np.stack(columns, axis=1)
-        # Scores are copied to texture memory for the fitness kernels.
-        self.engine.memcpy(MemcpyKind.DEVICE_TO_ARRAY, scores)
-        return scores
-
-    def fitness_population(self, scores: np.ndarray) -> np.ndarray:
-        """Strength fitness over the whole population as one kernel launch."""
-        scores = np.asarray(scores, dtype=np.float64)
-        pop = scores.shape[0]
-        chunk = self.config.kernel_block_size
-        fitness = self._launch(
-            "FitAssgPopulation",
-            pop,
-            partial(strength_fitness, scores, block_size=chunk),
-            block_size=resolve_block_size(chunk, max(pop, 1)),
-        )
-        # Fitness values travel back to the host for sorting/partitioning.
-        self.engine.memcpy(MemcpyKind.DEVICE_TO_HOST, fitness)
-        return fitness
-
-    def fitness_within_complexes(
-        self,
-        population_scores: np.ndarray,
-        proposal_scores: np.ndarray,
-        complex_indices: List[np.ndarray],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Complex-wise fitness, launched as a single kernel per iteration."""
-        population_scores = np.asarray(population_scores, dtype=np.float64)
-        proposal_scores = np.asarray(proposal_scores, dtype=np.float64)
-        pop = population_scores.shape[0]
-        # The complex assignment (a permutation) is produced on the host.
-        self.engine.memcpy(
-            MemcpyKind.HOST_TO_DEVICE, np.concatenate(complex_indices)
-        )
-
-        chunk = self.config.kernel_block_size
-
-        def _kernel() -> Tuple[np.ndarray, np.ndarray]:
-            current = np.empty(pop, dtype=np.float64)
-            proposed = np.empty(pop, dtype=np.float64)
-            for indices in complex_indices:
-                # One reference pass per complex: current members and
-                # proposals are scored as one stack of independent queries.
-                ref = population_scores[indices]
-                queries = np.concatenate([ref, proposal_scores[indices]])
-                current[indices], proposed[indices] = np.split(
-                    fitness_against(ref, queries, block_size=chunk), 2
-                )
-            return current, proposed
-
-        return self._launch(
-            "FitAssgComplex",
-            pop,
-            _kernel,
-            block_size=resolve_block_size(chunk, max(pop, 1)),
-        )
-
-    # ------------------------------------------------------------------
-    # Host synchronisation
-    # ------------------------------------------------------------------
-
-    def sync_to_host(self, population: Population) -> None:
-        """Device-to-host copy of the data the host-side steps need."""
-        if population.fitness is not None:
-            self.engine.memcpy(MemcpyKind.DEVICE_TO_HOST, population.fitness)
-
-    def sync_to_device(self, population: Population) -> None:
-        """Host-to-device copy of the data mutated on the host."""
-        self.engine.memcpy(MemcpyKind.HOST_TO_DEVICE, population.torsions)
-
-    def finalize(self, population: Population) -> None:
-        """Final readback of the whole population at the end of a run."""
-        self.engine.memcpy(MemcpyKind.DEVICE_TO_HOST, population.nbytes())
+    def _transfer(self, kind: MemcpyKind, payload) -> None:
+        self.engine.memcpy(kind, payload)

@@ -156,7 +156,7 @@ def _sample_parser() -> argparse.ArgumentParser:
         "--backend",
         default="gpu",
         help="execution backend: any registered name or alias "
-        '("cpu", "cpu-batched", "gpu", "xp", "jax", ...); see '
+        '("cpu", "gpu", "xp", "jax", ...); see '
         "repro.api.registry",
     )
     parser.add_argument(

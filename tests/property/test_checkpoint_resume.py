@@ -94,15 +94,16 @@ def test_resume_matches_across_rng_draws(tmp_path, small_target, small_multi_sco
 
 
 def test_resume_on_cpu_backend(tmp_path, small_target, small_multi_score):
-    """Checkpoint/resume is backend-agnostic (state lives on the host)."""
-    reference = _make_sampler(small_target, small_multi_score, "cpu-batched").run(seed=8)
+    """Checkpoint/resume is backend-agnostic (state lives on the host),
+    including on the kernel-bundle path of the ``xp`` backend."""
+    reference = _make_sampler(small_target, small_multi_score, "xp").run(seed=8)
 
-    sampler = _make_sampler(small_target, small_multi_score, "cpu-batched")
+    sampler = _make_sampler(small_target, small_multi_score, "xp")
     state = sampler.initial_state(seed=8)
     for _ in range(2):
         sampler.step(state)
     save_checkpoint(tmp_path, state)
 
-    resumer = _make_sampler(small_target, small_multi_score, "cpu-batched")
+    resumer = _make_sampler(small_target, small_multi_score, "xp")
     resumed = resumer.run(state=load_checkpoint(tmp_path, resumer))
     _assert_results_identical(resumed, reference)

@@ -279,27 +279,32 @@ class TestCCDBitIdentity:
 
 
 class TestBackendBitIdentity:
-    def test_xp_numpy_backend_equals_gpu_backend(
-        self, small_target, small_multi_score
-    ):
-        """JAXBackend routed through the *numpy* namespace reproduces the
-        batched (GPU) backend bit-for-bit over a full pipeline pass —
-        the facade layer itself adds no numeric drift."""
+    def test_xp_numpy_backend_equals_gpu_backend(self, small_target, knowledge_base):
+        """The ``xp`` backend (batched kernels routed through the *numpy*
+        bundle) reproduces the ``gpu`` backend bit-for-bit, kernel by kernel
+        and over a full sampler run — the facade layer itself adds no
+        numeric drift.  Each side gets its own scorer stack, so neither can
+        score through the other's bundle."""
         from repro.backends import make_backend
-        from repro.backends.jax_backend import JAXBackend
         from repro.config import SamplingConfig
         from repro.loops.ramachandran import RamachandranModel
+        from repro.moscem.sampler import MOSCEMSampler
+        from repro.scoring import default_multi_score
 
-        config = SamplingConfig(population_size=8, n_complexes=2, iterations=2, seed=3)
-        reference = make_backend("gpu", small_target, small_multi_score, config)
-        routed = JAXBackend(
-            small_target, small_multi_score, config, namespace="numpy"
-        )
+        config = SamplingConfig(population_size=16, n_complexes=4, iterations=4, seed=3)
+
+        def build(kind):
+            multi = default_multi_score(small_target, knowledge_base=knowledge_base)
+            return make_backend(kind, small_target, multi, config)
+
+        reference, routed = build("gpu"), build("xp")
+        assert reference.kernels is None
+        assert all(fn.kernels is None for fn in reference.multi_score)
         assert routed.name == "xp-numpy"
+        assert all(fn.kernels is routed.kernels for fn in routed.multi_score)
 
-        model = RamachandranModel()
-        proposals = model.sample_population(
-            small_target.sequence, 8, np.random.default_rng(17)
+        proposals = RamachandranModel().sample_population(
+            small_target.sequence, 16, np.random.default_rng(17)
         )
         closed_ref = reference.close_loops(proposals)
         closed_xp = routed.close_loops(proposals)
@@ -315,19 +320,27 @@ class TestBackendBitIdentity:
             routed.fitness_population(scores_xp),
         )
 
-    def test_jax_backend_requires_the_wheel(
-        self, small_target, small_multi_score
-    ):
-        from repro.backends.jax_backend import JAXBackend
+        runs = {
+            kind: MOSCEMSampler(small_target, config, backend=build(kind)).run()
+            for kind in ("gpu", "xp")
+        }
+        for field in ("torsions", "scores", "fitness"):
+            assert np.array_equal(
+                getattr(runs["gpu"].population, field),
+                getattr(runs["xp"].population, field),
+            ), f"xp backend diverged from gpu on {field}"
+
+    def test_jax_backend_requires_the_wheel(self, small_target, small_multi_score):
+        from repro.backends import make_backend
         from repro.config import SamplingConfig
 
         config = SamplingConfig(population_size=8, n_complexes=2, iterations=2)
         if has_jax():
-            backend = JAXBackend(small_target, small_multi_score, config)
+            backend = make_backend("jax", small_target, small_multi_score, config)
             assert backend.name == "jax"
         else:
             with pytest.raises(NamespaceError, match="jax"):
-                JAXBackend(small_target, small_multi_score, config)
+                make_backend("jax", small_target, small_multi_score, config)
 
     def test_facade_tiers_registered_in_backend_registry(self):
         from repro.api.registry import BACKENDS

@@ -31,7 +31,7 @@ SMOKE = SamplingConfig(population_size=16, n_complexes=4, iterations=2)
 
 class TestComponentRegistry:
     def test_builtin_backends_and_scorers_registered(self):
-        assert {"cpu", "cpu-batched", "gpu"} <= set(backend_names())
+        assert {"cpu", "gpu", "xp", "jax"} <= set(backend_names())
         assert {"vdw", "triplet", "dist"} <= set(scorer_names())
 
     def test_aliases_resolve_to_canonical_factory(self):
@@ -96,7 +96,7 @@ class TestCampaignExpansion:
             targets=("1cex(40:51)", "1akz(181:192)"),
             configs=(("small", SMOKE), ("big", SMOKE.scaled(2.0))),
             seeds=(0, 1, 2),
-            backends=("gpu", "cpu-batched"),
+            backends=("gpu", "xp"),
             base_seed=5,
             checkpoint_every=2,
             workers=2,

@@ -1,4 +1,4 @@
-"""Unit tests for the CPU and simulated-GPU sampling backends."""
+"""Unit tests for the CPU, batched and simulated-GPU sampling backends."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from repro.config import SamplingConfig
 from repro.loops.ramachandran import RamachandranModel
 from repro.moscem.complexes import partition_population
 from repro.moscem.dominance import fitness_against, strength_fitness
+from repro.scoring import default_multi_score
 from repro.simt.memory import MemcpyKind
 
 
@@ -33,6 +34,11 @@ def gpu_backend(small_target, small_multi_score, backend_config):
     return GPUBackend(small_target, small_multi_score, backend_config)
 
 
+@pytest.fixture(scope="module")
+def xp_backend(small_target, small_multi_score, backend_config):
+    return make_backend("xp", small_target, small_multi_score, backend_config)
+
+
 class TestMakeBackend:
     def test_factory_names(self, small_target, small_multi_score, backend_config):
         assert isinstance(
@@ -51,6 +57,18 @@ class TestMakeBackend:
     def test_unknown_backend_rejected(self, small_target, small_multi_score, backend_config):
         with pytest.raises(ValueError):
             make_backend("tpu", small_target, small_multi_score, backend_config)
+
+    def test_bundle_backend_leaves_caller_stack_unbound(
+        self, small_target, knowledge_base, backend_config
+    ):
+        """A bundle-bound backend binds private copies of the scorers, so a
+        stack shared across cells keeps scoring on the plain numpy path."""
+        multi = default_multi_score(small_target, knowledge_base=knowledge_base)
+        xp = make_backend("xp", small_target, multi, backend_config)
+        gpu = make_backend("gpu", small_target, multi, backend_config)
+        assert all(fn.kernels is xp.kernels for fn in xp.multi_score)
+        assert all(fn.kernels is None for fn in multi)
+        assert all(fn.kernels is None for fn in gpu.multi_score)
 
 
 class TestCPUBackend:
@@ -172,7 +190,7 @@ class TestBackendAgreement:
         assert gpu_result.closure_error.mean() <= cpu_result.closure_error.mean() * 1.5 + 0.1
         assert cpu_result.closure_error.mean() <= gpu_result.closure_error.mean() * 1.5 + 0.1
 
-    @pytest.mark.parametrize("backend", ["cpu_backend", "gpu_backend"])
+    @pytest.mark.parametrize("backend", ["cpu_backend", "gpu_backend", "xp_backend"])
     def test_complex_fitness_equals_separate_queries(self, backend, request, rng):
         """One stacked ``fitness_against`` call per complex gives exactly
         the fitness of scoring members and proposals in separate calls."""

@@ -295,15 +295,20 @@ class TestDistanceOverflowRegression:
 
 class TestBatchedCPUBackend:
     def test_batched_mode_matches_scalar_reference(
-        self, small_target, small_multi_score
+        self, small_target, knowledge_base
     ):
+        """Small-block batched scoring (3-member chunks over a population of
+        8, the last chunk ragged) matches the scalar per-member reference."""
         config = SamplingConfig(
             population_size=8, n_complexes=2, iterations=1, kernel_block_size=3, seed=1
         )
-        scalar = make_backend("cpu", small_target, small_multi_score, config)
-        batched = make_backend("cpu-batched", small_target, small_multi_score, config)
-        assert batched.scoring_mode == "batched"
-        assert batched.name == "cpu-batched"
+        multi = default_multi_score(
+            small_target,
+            knowledge_base=knowledge_base,
+            block_size=config.kernel_block_size,
+        )
+        scalar = make_backend("cpu", small_target, multi, config)
+        batched = make_backend("gpu", small_target, multi, config)
 
         from repro.loops.ramachandran import RamachandranModel
 
@@ -318,15 +323,7 @@ class TestBatchedCPUBackend:
         )
         for name in ("EvalVDW", "EvalTRIP", "EvalDIST"):
             assert name in batched.ledger.records
-
-    def test_invalid_scoring_mode_rejected(
-        self, small_target, small_multi_score
-    ):
-        from repro.backends import CPUBackend
-
-        config = SamplingConfig(population_size=8, n_complexes=2, iterations=1)
-        with pytest.raises(ValueError):
-            CPUBackend(small_target, small_multi_score, config, scoring_mode="simd")
+            assert batched.profiler.kernel_calls[f"[{name}]"] == 1
 
 
 class TestKernelBlockSizeConfig:
@@ -345,8 +342,6 @@ class TestKernelBlockSizeConfig:
     def test_gpu_backend_records_chunked_launches(
         self, small_target, knowledge_base
     ):
-        from repro.simt.profiler import KernelProfiler
-
         config = SamplingConfig(
             population_size=8, n_complexes=2, iterations=1, kernel_block_size=4, seed=3
         )
@@ -358,13 +353,8 @@ class TestKernelBlockSizeConfig:
             knowledge_base=knowledge_base,
             block_size=config.kernel_block_size,
         )
-        backend = make_backend(
-            "gpu",
-            small_target,
-            multi,
-            config,
-            profiler=KernelProfiler(keep_launches=True),
-        )
+        backend = make_backend("gpu", small_target, multi, config)
+        backend.profiler.keep_launches = True
         from repro.loops.ramachandran import RamachandranModel
 
         torsions = RamachandranModel().sample_population(

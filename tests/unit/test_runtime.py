@@ -30,7 +30,7 @@ def _spec(**overrides) -> Campaign:
             ("config", SamplingConfig(population_size=16, n_complexes=4, iterations=3)),
         ),
         seeds=(0, 1),
-        backends=("gpu", "cpu-batched"),
+        backends=("gpu", "xp"),
         base_seed=11,
         checkpoint_every=2,
         workers=2,
