@@ -5,9 +5,10 @@ pairs, fresh stores every time so no run resumes another's checkpoints)
 and writes the median per-pair relative overhead to ``BENCH_obs.json`` at
 the repo root (committed, so reviewers can diff tracing-cost claims
 against the tree).  The acceptance gate is the tentpole's promise:
-**a traced drain stays within 3% of an untraced one** — spans piggyback
-on the checkpoint cadence and the kernel ledger the sampler keeps
-anyway, so tracing adds bookkeeping, not measurement.
+**a traced drain stays within 3% of an untraced one** — epoch spans
+follow the checkpoint cadence and leaf spans are the measurements the
+timing ledgers take anyway, so tracing adds bookkeeping, not
+measurement.
 
 Also measured, because they are the other always-on costs: metric
 increments per second (the counters stay on unconditionally) and the

@@ -12,7 +12,8 @@ every host/device round trip through one transfer hook
 
 :class:`GPUBackend` overrides only those hooks to implement the paper's
 heterogeneous design on the simulated SIMT engine: each kernel is launched
-(and profiled) by :class:`~repro.simt.engine.SIMTEngine`, the scoring
+by :class:`~repro.simt.engine.SIMTEngine`, which times it into the same
+ledger section and records its launch geometry, the scoring
 tables and environment atoms are "uploaded" once at construction
 (texture-memory residency in the paper), and the per-iteration host round
 trips are recorded as simulated memcpy events for the Table II rows.
@@ -34,7 +35,7 @@ from repro.scoring.pairwise import resolve_block_size
 from repro.moscem.population import Population
 from repro.simt.device import GTX280
 from repro.simt.engine import SIMTEngine
-from repro.simt.kernel import PAPER_KERNELS
+from repro.simt.kernel import KERNELS_BY_SECTION
 from repro.simt.memory import MemcpyKind
 from repro.simt.profiler import KernelProfiler
 
@@ -42,13 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.xp.dispatch import KernelBundle
 
 __all__ = ["BatchedBackend", "GPUBackend"]
-
-#: Paper kernel specs keyed by their ledger name (``"[FitAssg] within
-#: Complex"`` is ledgered as ``"FitAssg within Complex"``).
-_SPECS = {
-    spec.name.replace("[", "").replace("]", ""): spec
-    for spec in PAPER_KERNELS.values()
-}
 
 
 class BatchedBackend(SamplingBackend):
@@ -227,7 +221,8 @@ class GPUBackend(BatchedBackend):
 
     def __init__(self, target, multi_score, config, ledger=None) -> None:
         super().__init__(target, multi_score, config, ledger=ledger)
-        self.engine = SIMTEngine(device=GTX280)
+        # Launches are timed into this backend's ledger: Table II reads it.
+        self.engine = SIMTEngine(device=GTX280, profiler=KernelProfiler(ledger=self.ledger))
 
         # One-time upload of constant data, mirroring the paper's placement:
         # knowledge-based tables and environment data into texture memory,
@@ -250,15 +245,11 @@ class GPUBackend(BatchedBackend):
     def _launch(
         self, name: str, population_size: int, fn, *args, block_size=None, **kwargs
     ):
-        """Launch a kernel on the engine, mirroring its timing into the ledger."""
-        spec = _SPECS[name]
-        before = self.profiler.kernel_seconds.get(spec.name, 0.0)
-        result = self.engine.launch(
-            spec, population_size, fn, *args, block_size=block_size, **kwargs
+        """Launch a kernel on the engine (timed into the ledger there)."""
+        return self.engine.launch(
+            KERNELS_BY_SECTION[name], population_size, fn, *args,
+            block_size=block_size, **kwargs
         )
-        after = self.profiler.kernel_seconds.get(spec.name, 0.0)
-        self.ledger.add(name, after - before)
-        return result
 
     def _transfer(self, kind: MemcpyKind, payload) -> None:
         self.engine.memcpy(kind, payload)

@@ -392,6 +392,7 @@ class MOSCEMSampler:
         snapshot_iterations: Sequence[int] = (),
         state: Optional[SamplerState] = None,
         on_iteration: Optional[Callable[[SamplerState], None]] = None,
+        host_ledger: Optional[TimingLedger] = None,
     ) -> SamplingResult:
         """Run one sampling trajectory (possibly resuming a restored state).
 
@@ -416,9 +417,12 @@ class MOSCEMSampler:
         on_iteration:
             Optional hook called with the live state after every completed
             iteration — the attachment point for periodic checkpointing.
+        host_ledger:
+            Ledger timing the host-side sections (fresh by default).
         """
         config = self.config
-        host_ledger = TimingLedger()
+        if host_ledger is None:
+            host_ledger = TimingLedger()
         recorder = TrajectoryRecorder(iterations=snapshot_iterations)
 
         start = time.perf_counter()

@@ -7,9 +7,10 @@ TimingLedger` and a tail of journal lines.  ``repro.obs`` is the
 measurement backbone, zero-dependency and strictly *telemetry*:
 
 * :mod:`repro.obs.trace` — span-based tracing.  A :class:`Tracer`
-  records nested spans (campaign → cell → checkpoint epoch → kernel
-  section); each cell's :class:`~repro.utils.timing.TimingLedger` is
-  absorbed as leaf spans, the per-cell tree is persisted in the
+  records nested spans (campaign → cell → setup / checkpoint epoch →
+  kernel section); each cell's :class:`~repro.utils.timing.TimingLedger`
+  hands every section it measures to the tracer as a leaf span on its
+  true start, the per-cell tree is persisted in the
   :class:`~repro.runtime.store.RunStore` (``trace.json``, a status-channel
   file), and ``repro-campaign trace <id>`` exports the whole campaign as
   Chrome trace-event JSON loadable in Perfetto / ``chrome://tracing``.
@@ -53,7 +54,6 @@ from repro.obs.trace import (
     Span,
     Tracer,
     chrome_trace,
-    ledger_snapshot,
     trace_depth,
 )
 
@@ -72,7 +72,6 @@ __all__ = [
     "default_daemon_id",
     "fleet_snapshot",
     "heartbeat_path",
-    "ledger_snapshot",
     "read_heartbeats",
     "trace_depth",
     "write_heartbeat",

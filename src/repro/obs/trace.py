@@ -7,16 +7,16 @@ injectable monotonic clock (:func:`time.perf_counter` by default — never
 the wall clock, so a tracer is legal even in wall-clock-free modules).
 Tests inject a fake clock and get byte-deterministic trace documents.
 
-The cell executor uses exactly three verbs:
-
-* ``begin``/``end`` around the cell and around each checkpoint *epoch*
-  (the span between two checkpoint boundaries);
-* :meth:`Tracer.absorb_ledger` at each epoch close, turning the kernel
-  :class:`~repro.utils.timing.TimingLedger` *delta* since the epoch
-  opened into consecutive leaf spans — the paper's Table II sections
-  become the innermost trace level;
-* :meth:`Tracer.to_dict` to persist the tree as the cell's
-  ``trace.json`` (a status-channel file: never replay-compared).
+The cell executor opens and closes spans around the cell, its *setup*
+(sampler build and checkpoint load) and each checkpoint *epoch* (the
+span between two checkpoint boundaries).  The leaves below are not timed
+here: a :class:`~repro.utils.timing.TimingLedger` with this tracer
+attached hands every section it measures to :meth:`Tracer.add_leaf`,
+which files it under the open span at its true start — each kernel
+launch and host section of the paper's Fig. 1 / Table II becomes one
+leaf, on the same clock as the spans around it.  :meth:`Tracer.to_dict`
+persists the tree as the cell's ``trace.json`` (a status-channel file:
+never replay-compared).
 
 :func:`chrome_trace` merges per-cell trace documents into one Chrome
 trace-event JSON object (``{"traceEvents": [...]}``) that Perfetto and
@@ -27,9 +27,10 @@ assert the campaign → cell → epoch → kernel hierarchy without re-deriving
 containment from timestamps.
 
 Cost model: a disabled tracer (``Tracer(enabled=False)``) reduces every
-verb to an attribute check, and the executor does not even construct one
-unless tracing was requested — the traced-vs-untraced drain benchmark
-(``BENCH_obs.json``) holds the overhead of the *enabled* path under 3%.
+verb to an attribute check, and the executor attaches no tracer to its
+ledgers unless tracing was requested — the traced-vs-untraced drain
+benchmark (``BENCH_obs.json``) holds the overhead of the *enabled* path
+under 3%.
 """
 
 from __future__ import annotations
@@ -37,17 +38,13 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
-
-if TYPE_CHECKING:
-    from repro.utils.timing import TimingLedger
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "TRACE_FORMAT_VERSION",
     "Span",
     "Tracer",
     "chrome_trace",
-    "ledger_snapshot",
     "trace_depth",
 ]
 
@@ -101,17 +98,6 @@ class Span:
         )
 
 
-def ledger_snapshot(ledger: "TimingLedger") -> Dict[str, Tuple[int, float]]:
-    """Point-in-time copy of a ledger: section name -> (calls, seconds).
-
-    Taken at an epoch open and subtracted at the epoch close, so the
-    cumulative per-run ledger yields true per-epoch kernel sections.
-    """
-    return {
-        name: (rec.calls, rec.total_seconds) for name, rec in ledger.records.items()
-    }
-
-
 class Tracer:
     """Records a tree of spans against an injectable monotonic clock.
 
@@ -135,11 +121,6 @@ class Tracer:
             self._origin = self._clock()
             return 0.0
         return self._clock() - self._origin
-
-    @property
-    def current(self) -> Optional[Span]:
-        """The innermost open span, if any."""
-        return self._stack[-1] if self._stack else None
 
     def begin(self, name: str, category: str = "", **args: Any) -> Optional[Span]:
         """Open a span nested under the innermost open one."""
@@ -178,59 +159,25 @@ class Tracer:
                 self.end()
 
     def add_leaf(
-        self,
-        name: str,
-        start: float,
-        duration: float,
-        category: str = "",
-        **args: Any,
+        self, name: str, start: float, duration: float, category: str = ""
     ) -> Optional[Span]:
-        """Append an already-measured leaf span under the open span."""
+        """File an already-measured interval as a leaf under the open span.
+
+        ``start`` is a reading of this tracer's clock, converted here to
+        an offset from the origin (which it pins if nothing did yet).
+        """
         if not self.enabled:
             return None
+        if self._origin is None:
+            self._origin = start
         span = Span(
-            name=name, category=category, start=start, duration=duration, args=dict(args)
+            name=name, category=category, start=start - self._origin, duration=duration
         )
         if self._stack:
             self._stack[-1].children.append(span)
         else:
             self.roots.append(span)
         return span
-
-    def absorb_ledger(
-        self,
-        ledger: "TimingLedger",
-        category: str = "section",
-        since: Optional[Dict[str, Tuple[int, float]]] = None,
-        start: Optional[float] = None,
-    ) -> None:
-        """Turn a ledger (or its delta since a snapshot) into leaf spans.
-
-        Each section becomes one leaf under the innermost open span, laid
-        consecutively from ``start`` (the open span's start by default) in
-        sorted-name order — ledgers accumulate durations, not intervals,
-        so the layout is a deterministic rendering, not a timeline claim.
-        The ``calls`` delta rides in the span args.
-        """
-        if not self.enabled:
-            return
-        deltas: Dict[str, Tuple[int, float]] = {}
-        for name, rec in ledger.records.items():
-            base_calls, base_seconds = (since or {}).get(name, (0, 0.0))
-            calls = rec.calls - base_calls
-            seconds = rec.total_seconds - base_seconds
-            if calls > 0 or seconds > 0.0:
-                deltas[name] = (calls, seconds)
-        if start is not None:
-            cursor = start
-        elif self._stack:
-            cursor = self._stack[-1].start
-        else:
-            cursor = 0.0
-        for name in sorted(deltas):
-            calls, seconds = deltas[name]
-            self.add_leaf(name, cursor, seconds, category=category, calls=calls)
-            cursor += seconds
 
     def to_dict(self) -> Dict[str, Any]:
         """The whole trace as a JSON-safe document (open spans closed first)."""

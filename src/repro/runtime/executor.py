@@ -56,7 +56,7 @@ from typing import (
 )
 
 from repro.islands.broker import MigrationBroker, WaitingForPackets
-from repro.obs.trace import Tracer, ledger_snapshot
+from repro.obs.trace import Tracer
 from repro.runtime.checkpoint import (
     has_checkpoint,
     load_checkpoint,
@@ -66,6 +66,7 @@ from repro.runtime.checkpoint import (
 from repro.runtime.spec import Campaign, CellSpec, shard_name
 from repro.runtime.store import RunStore
 from repro.utils.logging import get_logger
+from repro.utils.timing import TimingLedger
 
 if TYPE_CHECKING:  # heavy sampler imports stay lazy in worker processes
     from repro.moscem.sampler import MOSCEMSampler, SamplerState
@@ -283,11 +284,13 @@ def run_cell(
     instead of completing: the cell checkpointed at a migration boundary
     whose source packets are not on disk yet, and a later pass resumes it.
 
-    With ``trace`` on, the cell records a span tree — one *epoch* span per
-    checkpoint segment, each absorbing the kernel ledger's delta as leaf
-    spans — persisted as the shard's ``trace.json``.  Tracing is pure
-    telemetry on the status channel: nothing it records feeds the result,
-    the journal or the checkpoints, so traced and untraced drains produce
+    With ``trace`` on, the cell records a span tree — a *setup* span
+    (sampler build, checkpoint load), then one *epoch* span per checkpoint
+    segment holding a leaf per kernel launch and host section, handed over
+    by the kernel and host ledgers on its real start — persisted as the
+    shard's ``trace.json``.  Tracing is pure telemetry on the status
+    channel: nothing it records feeds the result, the journal, the ledgers
+    or the checkpoints, so traced and untraced drains produce
     byte-identical replay surfaces.
     """
     index = cell.index
@@ -296,28 +299,24 @@ def run_cell(
     if store.has_shard_result(cell.run_id, index):
         return store.load_shard_summary(cell.run_id, index)
 
-    sampler = _build_sampler(cell)
-    tracer: Optional[Tracer] = Tracer() if trace else None
-    epoch_state: Dict[str, Any] = {"index": 0, "kernel": {}}
+    tracer = Tracer(enabled=trace)
+    cell_span = tracer.begin(
+        f"cell {cell.name}",
+        "cell",
+        target=cell.target,
+        backend=cell.backend,
+        seed=cell.seed,
+        run_id=cell.run_id,
+    )
+    epochs_traced = 0
 
-    def _epoch_open(iteration: int) -> None:
-        """Start the next epoch span, snapshotting the kernel ledger."""
-        if tracer is None:
-            return
-        epoch_state["kernel"] = ledger_snapshot(sampler.backend.ledger)
-        tracer.begin(
-            f"epoch {epoch_state['index']}", "epoch", start_iteration=iteration
-        )
-
-    def _epoch_close() -> None:
-        """Close the open epoch, absorbing the kernel ledger's delta."""
-        if tracer is None:
-            return
-        tracer.absorb_ledger(
-            sampler.backend.ledger, category="kernel", since=epoch_state["kernel"]
-        )
-        tracer.end()
-        epoch_state["index"] += 1
+    def _next_epoch(iteration: int) -> None:
+        """Close the open epoch span (if any) and open the next one."""
+        nonlocal epochs_traced
+        if epochs_traced:
+            tracer.end()
+        tracer.begin(f"epoch {epochs_traced}", "epoch", start_iteration=iteration)
+        epochs_traced += 1
 
     plan = cell.migration
     migrating = (
@@ -337,13 +336,21 @@ def run_cell(
     state = None
     resumed_from = None
     epochs_absorbed = 0
-    if has_checkpoint(shard_dir):
-        state = load_checkpoint(shard_dir, sampler)
-        resumed_from = state.iteration
-        if migrating:
-            epochs_absorbed = int(
-                load_checkpoint_extra(shard_dir).get("migration_epochs", 0)
-            )
+    with tracer.span("setup", "setup"):
+        sampler = _build_sampler(cell)
+        if has_checkpoint(shard_dir):
+            state = load_checkpoint(shard_dir, sampler)
+            resumed_from = state.iteration
+            if migrating:
+                epochs_absorbed = int(
+                    load_checkpoint_extra(shard_dir).get("migration_epochs", 0)
+                )
+    host_ledger = TimingLedger()
+    if cell_span is not None:
+        cell_span.args["resumed_from"] = resumed_from
+        # Every section the ledgers time from here on lands as a leaf span.
+        sampler.backend.ledger.attach(tracer, "kernel")
+        host_ledger.attach(tracer, "host")
 
     # Status writes replace the whole document, so the failure-attempt
     # counter must be carried through every rewrite — otherwise a cell
@@ -452,29 +459,22 @@ def run_cell(
                 ),
             )
             checkpointed = True
-        if checkpointed and tracer is not None:
+        if checkpointed:
             # Checkpoint boundaries delimit the trace's epoch spans.
-            _epoch_close()
-            _epoch_open(live_state.iteration)
+            _next_epoch(live_state.iteration)
 
-    if tracer is not None:
-        tracer.begin(
-            f"cell {cell.name}",
-            "cell",
-            target=cell.target,
-            backend=cell.backend,
-            seed=cell.seed,
-            run_id=cell.run_id,
-            resumed_from=resumed_from,
-        )
-        _epoch_open(0 if state is None else state.iteration)
-
+    _next_epoch(0 if state is None else state.iteration)
     try:
         if state is not None:
             # A cell parked at a boundary resumes *on* it: absorb (or wait
             # again) before stepping further.
             _maybe_migrate(state)
-        result = sampler.run(seed=cell.seed, state=state, on_iteration=_on_iteration)
+        result = sampler.run(
+            seed=cell.seed,
+            state=state,
+            on_iteration=_on_iteration,
+            host_ledger=host_ledger,
+        )
     except _MigrationWait as blocked:
         return {
             "run_id": cell.run_id,
@@ -485,6 +485,7 @@ def run_cell(
             "migration_epoch": blocked.epoch,
             "waiting_on": list(blocked.missing),
         }
+    tracer.end()  # the last epoch
     decoys = result.distinct_non_dominated(trajectory=index)
 
     summary = {
@@ -517,17 +518,7 @@ def run_cell(
         host_ledger=result.host_ledger,
         kernel_ledger=result.kernel_ledger,
     )
-    if tracer is not None:
-        _epoch_close()
-        root = tracer.current
-        if root is not None:
-            # Lay the host-side sections after the last epoch so same-level
-            # spans never overlap in the Chrome-trace rendering.
-            host_start = max((c.end for c in root.children), default=root.start)
-            tracer.absorb_ledger(
-                result.host_ledger, category="host", start=host_start
-            )
-        tracer.end()
+    if trace:
         store.save_shard_trace(cell.run_id, index, tracer.to_dict())
     # Wall-clock stamps live in the status document — the mutable,
     # non-replayed metadata channel (it already carries the pid) — never

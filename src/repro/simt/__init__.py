@@ -12,8 +12,9 @@ substrate with the same *shape*:
   paper reports in Table III;
 * :mod:`~repro.simt.occupancy` — the CUDA compute-capability 1.3 occupancy
   calculation, which reproduces the occupancy column of Table III;
-* :class:`~repro.simt.profiler.KernelProfiler` — a ledger of kernel launches
-  and host/device memory transfers, rendering Table II-style breakdowns;
+* :class:`~repro.simt.profiler.KernelProfiler` — kernel times read off a
+  timing ledger plus host/device memory transfers, rendering Table II-style
+  breakdowns;
 * :class:`~repro.simt.engine.SIMTEngine` — executes "kernels" (vectorised
   NumPy batch functions, one logical thread per population member) while
   recording their timing and transfer activity.

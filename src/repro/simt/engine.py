@@ -5,8 +5,9 @@ here is a Python callable operating on whole-population arrays (one logical
 thread per population member); the engine
 
 * validates the launch configuration against the device limits,
-* executes the callable and measures its wall-clock time,
-* records the launch with the profiler, and
+* executes the callable inside a section of its profiler's timing ledger
+  (the one measurement of the kernel's time; the engine reads no clock),
+* records the launch geometry with the profiler, and
 * synthesises host/device transfer events (the real computation happens in
   host memory, so transfer *times* are modelled from the device's bandwidth
   and latency figures, while transfer *sizes* are the true array sizes).
@@ -18,7 +19,6 @@ units rather than CUDA cores.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -63,7 +63,8 @@ class SIMTEngine:
         """Execute ``fn`` as a kernel launch over ``population_size`` threads.
 
         The callable is executed once (it is expected to be vectorised over
-        the population) and its wall-clock time is attributed to the kernel.
+        the population), timed by the profiler's ledger under the kernel's
+        section name.
         ``block_size`` documents the population chunk size the kernel body
         processes internally, so the recorded launch stays truthful about
         the chunked execution.  Returns whatever ``fn`` returns.
@@ -78,14 +79,12 @@ class SIMTEngine:
         else:
             block_size = None
             chunks = 1
-        start = time.perf_counter()
-        result = fn(*args, **kwargs)
-        elapsed = time.perf_counter() - start
-        self.profiler.record_kernel(
+        with self.profiler.ledger.section(spec.section):
+            result = fn(*args, **kwargs)
+        self.profiler.record_launch(
             KernelLaunch(
                 spec=spec,
                 population_size=population_size,
-                elapsed_seconds=elapsed,
                 blocks=blocks,
                 block_size=block_size,
                 chunks=chunks,

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["KernelSpec", "KernelLaunch", "PAPER_KERNELS"]
+__all__ = ["KernelSpec", "KernelLaunch", "PAPER_KERNELS", "KERNELS_BY_SECTION"]
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,15 @@ class KernelSpec:
         if self.threads_per_block <= 0:
             raise ValueError("threads_per_block must be positive")
 
+    @property
+    def section(self) -> str:
+        """The kernel's timing-ledger section name: its label sans brackets."""
+        return self.name.replace("[", "").replace("]", "")
+
 
 @dataclass
 class KernelLaunch:
-    """One recorded kernel launch.
+    """The geometry of one kernel launch (its time lives in the ledger).
 
     ``block_size``/``chunks`` record how the host-side vectorised kernel
     body actually partitioned the population (``None``/1 when it processed
@@ -53,7 +58,6 @@ class KernelLaunch:
 
     spec: KernelSpec
     population_size: int
-    elapsed_seconds: float
     blocks: int
     block_size: Optional[int] = None
     chunks: int = 1
@@ -73,3 +77,6 @@ PAPER_KERNELS = {
     "FitAssgPopulation": KernelSpec("[FitAssg] within Population", registers_per_thread=8),
     "FitAssgComplex": KernelSpec("[FitAssg] within Complex", registers_per_thread=5),
 }
+
+#: The paper kernels keyed by ledger section name (the one label <-> section map).
+KERNELS_BY_SECTION = {spec.section: spec for spec in PAPER_KERNELS.values()}

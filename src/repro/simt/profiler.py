@@ -1,8 +1,10 @@
 """Kernel and memcpy profiler (the simulated CUDA Visual Profiler).
 
-Accumulates per-kernel execution time and per-category transfer statistics
-during a GPU-backend run and renders them in the layout of the paper's
-Table II (category, method, number of calls, GPU time, % GPU time).
+Reads per-kernel execution time off the :class:`~repro.utils.timing.
+TimingLedger` the engine times its launches into, accumulates the modelled
+per-category transfer statistics during a GPU-backend run, and renders
+both in the layout of the paper's Table II (category, method, number of
+calls, GPU time, % GPU time).
 """
 
 from __future__ import annotations
@@ -10,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.simt.kernel import KernelLaunch
+from repro.simt.kernel import KERNELS_BY_SECTION, KernelLaunch
 from repro.simt.memory import MemcpyKind, TransferRecord
+from repro.utils.timing import TimingLedger
 
 __all__ = ["KernelProfiler", "ProfileRow"]
 
@@ -27,27 +30,39 @@ class ProfileRow:
     fraction: float
 
 
+def _label(section: str) -> str:
+    """The Table II label of a ledger section (``"CCD"`` -> ``"[CCD]"``)."""
+    spec = KERNELS_BY_SECTION.get(section)
+    return spec.name if spec is not None else section
+
+
 @dataclass
 class KernelProfiler:
-    """Accumulates kernel launches and memory transfers."""
+    """Kernel times read off a ledger, plus memory transfers and launches."""
 
-    kernel_seconds: Dict[str, float] = field(default_factory=dict)
-    kernel_calls: Dict[str, int] = field(default_factory=dict)
+    ledger: TimingLedger = field(default_factory=TimingLedger)
     launches: List[KernelLaunch] = field(default_factory=list)
     transfers: Dict[MemcpyKind, TransferRecord] = field(default_factory=dict)
     keep_launches: bool = False
+
+    @property
+    def kernel_seconds(self) -> Dict[str, float]:
+        """Seconds per kernel label, a read-only view of the ledger records."""
+        return {
+            _label(name): rec.total_seconds for name, rec in self.ledger.records.items()
+        }
+
+    @property
+    def kernel_calls(self) -> Dict[str, int]:
+        """Calls per kernel label, a read-only view of the ledger records."""
+        return {_label(name): rec.calls for name, rec in self.ledger.records.items()}
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
 
-    def record_kernel(self, launch: KernelLaunch) -> None:
-        """Record one kernel launch."""
-        name = launch.spec.name
-        self.kernel_seconds[name] = (
-            self.kernel_seconds.get(name, 0.0) + launch.elapsed_seconds
-        )
-        self.kernel_calls[name] = self.kernel_calls.get(name, 0) + 1
+    def record_launch(self, launch: KernelLaunch) -> None:
+        """Keep one launch's geometry (only with ``keep_launches``)."""
         if self.keep_launches:
             self.launches.append(launch)
 
@@ -56,25 +71,13 @@ class KernelProfiler:
         record = self.transfers.setdefault(kind, TransferRecord(kind=kind))
         record.add(nbytes, seconds)
 
-    def merge(self, other: "KernelProfiler") -> None:
-        """Fold another profiler's statistics into this one."""
-        for name, seconds in other.kernel_seconds.items():
-            self.kernel_seconds[name] = self.kernel_seconds.get(name, 0.0) + seconds
-        for name, calls in other.kernel_calls.items():
-            self.kernel_calls[name] = self.kernel_calls.get(name, 0) + calls
-        for kind, record in other.transfers.items():
-            mine = self.transfers.setdefault(kind, TransferRecord(kind=kind))
-            mine.calls += record.calls
-            mine.total_bytes += record.total_bytes
-            mine.total_seconds += record.total_seconds
-
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
 
     def total_kernel_seconds(self) -> float:
         """Total time spent inside kernels."""
-        return sum(self.kernel_seconds.values())
+        return self.ledger.total()
 
     def total_transfer_seconds(self) -> float:
         """Total time spent in host/device transfers."""
@@ -88,17 +91,17 @@ class KernelProfiler:
         """Rows of the Table II-style breakdown, sorted by time within category."""
         total = self.total_gpu_seconds()
         rows: List[ProfileRow] = []
-        kernel_items = sorted(
-            self.kernel_seconds.items(), key=lambda kv: kv[1], reverse=True
+        kernel_records = sorted(
+            self.ledger.records.values(), key=lambda rec: rec.total_seconds, reverse=True
         )
-        for name, seconds in kernel_items:
+        for rec in kernel_records:
             rows.append(
                 ProfileRow(
                     category="Kernel",
-                    method=name,
-                    calls=self.kernel_calls.get(name, 0),
-                    gpu_seconds=seconds,
-                    fraction=seconds / total if total > 0 else 0.0,
+                    method=_label(rec.name),
+                    calls=rec.calls,
+                    gpu_seconds=rec.total_seconds,
+                    fraction=rec.total_seconds / total if total > 0 else 0.0,
                 )
             )
         transfer_items = sorted(

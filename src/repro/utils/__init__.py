@@ -1,7 +1,7 @@
 """Shared utilities: RNG streams, timers, logging and validation helpers."""
 
 from repro.utils.rng import RandomStreams, spawn_rng
-from repro.utils.timing import Stopwatch, TimingLedger
+from repro.utils.timing import TimingLedger
 from repro.utils.validation import (
     check_angle_array,
     check_positive,
@@ -12,7 +12,6 @@ from repro.utils.validation import (
 __all__ = [
     "RandomStreams",
     "spawn_rng",
-    "Stopwatch",
     "TimingLedger",
     "check_angle_array",
     "check_positive",

@@ -1,9 +1,11 @@
 """Wall-clock timing utilities used by the profiling experiments.
 
 The paper profiles the CPU-only implementation (Fig. 1) and the GPU kernels
-(Table II).  :class:`TimingLedger` is the common instrument: code sections
-are timed by name and the ledger can render percentage breakdowns in the
-same style as the paper's tables.
+(Table II).  :class:`TimingLedger` is the one timing instrument: code
+sections are timed by name, once, and every other view derives from that
+measurement — the ledger renders percentage breakdowns in the style of the
+paper's tables, the SIMT profiler reads its records, and an attached
+tracer receives each measured section as a leaf span.
 """
 
 from __future__ import annotations
@@ -11,47 +13,9 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Tuple
 
-__all__ = ["Stopwatch", "TimingLedger", "TimingRecord"]
-
-
-class Stopwatch:
-    """A simple restartable wall-clock stopwatch."""
-
-    def __init__(self) -> None:
-        self._start: Optional[float] = None
-        self._elapsed: float = 0.0
-
-    def start(self) -> "Stopwatch":
-        """Start (or resume) the stopwatch."""
-        if self._start is None:
-            self._start = time.perf_counter()
-        return self
-
-    def stop(self) -> float:
-        """Stop the stopwatch and return the accumulated elapsed seconds."""
-        if self._start is not None:
-            self._elapsed += time.perf_counter() - self._start
-            self._start = None
-        return self._elapsed
-
-    def reset(self) -> None:
-        """Reset accumulated time and stop."""
-        self._start = None
-        self._elapsed = 0.0
-
-    @property
-    def elapsed(self) -> float:
-        """Elapsed seconds, including the in-progress interval if running."""
-        if self._start is None:
-            return self._elapsed
-        return self._elapsed + (time.perf_counter() - self._start)
-
-    @property
-    def running(self) -> bool:
-        """Whether the stopwatch is currently running."""
-        return self._start is not None
+__all__ = ["TimingLedger", "TimingRecord"]
 
 
 @dataclass
@@ -61,11 +25,6 @@ class TimingRecord:
     name: str
     calls: int = 0
     total_seconds: float = 0.0
-
-    def add(self, seconds: float) -> None:
-        """Record one call taking ``seconds``."""
-        self.calls += 1
-        self.total_seconds += seconds
 
     @property
     def mean_seconds(self) -> float:
@@ -78,6 +37,18 @@ class TimingLedger:
     """Accumulates named timing sections and renders breakdown tables."""
 
     records: Dict[str, TimingRecord] = field(default_factory=dict)
+    _tracer: Any = field(default=None, init=False, repr=False, compare=False)
+    _category: str = field(default="", init=False, repr=False, compare=False)
+
+    def attach(self, tracer: Any, category: str) -> None:
+        """Hand each section measured from now on to ``tracer``.
+
+        Duck-typed: ``tracer.add_leaf(name, start, duration, category)``
+        gets the section's :func:`time.perf_counter` start.  Data flows one
+        way only — nothing read from the tracer feeds the ledger.
+        """
+        self._tracer = tracer
+        self._category = category
 
     @contextmanager
     def section(self, name: str) -> Iterator[None]:
@@ -86,7 +57,10 @@ class TimingLedger:
         try:
             yield
         finally:
-            self.add(name, time.perf_counter() - start)
+            seconds = time.perf_counter() - start
+            self.add(name, seconds)
+            if self._tracer is not None:
+                self._tracer.add_leaf(name, start, seconds, self._category)
 
     def add(self, name: str, seconds: float, calls: int = 1) -> None:
         """Add ``seconds`` (over ``calls`` calls) to the record for ``name``."""

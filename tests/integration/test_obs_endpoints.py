@@ -127,13 +127,27 @@ class TestFleetEndpoint:
         assert names == ["alpha.1", "beta.2"]  # sorted by slug, stable
 
 
+def _leaf_durations(span, category, out):
+    """Collect ``name -> [duration, ...]`` of every ``category`` leaf, in order."""
+    for child in span["children"]:
+        if child["category"] == category:
+            out.setdefault(child["name"], []).append(child["duration"])
+        _leaf_durations(child, category, out)
+    return out
+
+
 class TestTracedDrain:
-    def test_trace_persists_and_exports(self, store_root, tmp_path, capsys):
+    @pytest.mark.parametrize("drive", ["session_run", "submit_drain_once"])
+    def test_trace_persists_and_exports(self, store_root, tmp_path, drive):
         store = RunStore(store_root)
-        session = Session(store, trace=True)
-        handle = session.submit(_grid("traced"))
-        report = drain_once(store, workers=1, trace=True)
-        assert report.executed == 2 and report.failed == 0
+        session = Session(store, workers=1, trace=True)
+        if drive == "session_run":
+            session.run(_grid("traced"))
+        else:
+            session.submit(_grid("traced"))
+            report = drain_once(store, workers=1, trace=True)
+            assert report.executed == 2 and report.failed == 0
+        handle = session.handle("traced")
 
         # Every executed cell persisted a version-stamped trace document
         # whose root is the cell span with epoch children and kernel
@@ -147,11 +161,17 @@ class TestTracedDrain:
             assert root["duration"] is not None
             epochs = [c for c in root["children"] if c["category"] == "epoch"]
             assert len(epochs) >= 2  # checkpoint_every=2 over 4 iterations
-            kernel_leaves = [
-                leaf for epoch in epochs for leaf in epoch["children"]
-            ]
-            assert kernel_leaves, "epochs must absorb kernel ledger sections"
-            assert all(leaf["args"]["calls"] > 0 for leaf in kernel_leaves)
+
+            # One measurement: per section name, the leaves are exactly
+            # the ledger's calls, and their durations sum to its seconds.
+            ledgers = store.load_shard_ledgers("traced", cell.index)
+            for category in ("kernel", "host"):
+                leaves = _leaf_durations(root, category, {})
+                records = ledgers[category].records
+                assert sorted(leaves) == sorted(records)
+                for name, durations in leaves.items():
+                    assert len(durations) == records[name].calls
+                    assert sum(durations) == records[name].total_seconds
 
         # The CLI merges the per-cell documents into one Perfetto-loadable
         # file nesting campaign -> cell -> epoch -> kernel section.
@@ -183,6 +203,52 @@ class TestTracedDrain:
             results[label] = store.canonical_journal("invariant")
             assert store.has_shard_trace("invariant", 0) is trace
         assert results["on"] == results["off"]
+
+
+class TestTraceTimeline:
+    """Spans sit on real timestamps: nested, disjoint, setup first."""
+
+    def test_spans_nest_within_their_parents(self, store_root):
+        store = RunStore(store_root)
+        grid = campaign(
+            "timeline",
+            targets="1cex(40:51)",
+            configs=SamplingConfig(population_size=16, n_complexes=4, iterations=4),
+            seeds=1,
+            backends="gpu",
+            checkpoint_every=2,
+        )
+        Session(store, workers=1, trace=True).run(grid)
+        (root,) = store.load_shard_trace("timeline", 0)["spans"]
+
+        def end(span):
+            return span["start"] + span["duration"]
+
+        def check(span):
+            for child in span["children"]:
+                assert span["start"] <= child["start"], child["name"]
+                assert end(child) <= end(span), child["name"]
+                check(child)
+
+        check(root)
+
+        # Setup (sampler build + checkpoint load) is the first child and
+        # ends before epoch 0 begins.
+        setup, *epochs = root["children"]
+        assert (setup["name"], setup["category"]) == ("setup", "setup")
+        assert [e["name"] for e in epochs] == ["epoch 0", "epoch 1"]
+        assert end(setup) <= epochs[0]["start"]
+        for before, after in zip(epochs, epochs[1:]):
+            assert end(before) <= after["start"]
+
+        # Leaves of one epoch run one after another, never overlapping,
+        # and the host-side initialisation falls inside epoch 0.
+        for epoch in epochs:
+            leaves = epoch["children"]
+            assert leaves
+            for before, after in zip(leaves, leaves[1:]):
+                assert end(before) <= after["start"]
+        assert "Initialization" in [leaf["name"] for leaf in epochs[0]["children"]]
 
 
 class TestDaemonSummary:

@@ -165,11 +165,14 @@ class TestGPUBackend:
     def test_ledger_mirrors_profiler_kernels(self, small_target, small_multi_score, backend_config, proposals):
         backend = GPUBackend(small_target, small_multi_score, backend_config)
         backend.close_loops(proposals)
-        # Backend ledger uses the stripped kernel name.
+        # Backend ledger uses the stripped kernel name; the profiler reads
+        # the same record, so the two agree exactly.
         assert "CCD" in backend.ledger.records
-        assert backend.ledger.records["CCD"].total_seconds == pytest.approx(
-            backend.profiler.kernel_seconds["[CCD]"], rel=1e-6
+        assert (
+            backend.ledger.records["CCD"].total_seconds
+            == backend.profiler.kernel_seconds["[CCD]"]
         )
+        assert backend.ledger.records["CCD"].calls == backend.profiler.kernel_calls["[CCD]"]
 
 
 class TestBackendAgreement:

@@ -27,7 +27,6 @@ from repro.obs.trace import (
     Span,
     Tracer,
     chrome_trace,
-    ledger_snapshot,
     trace_depth,
 )
 from repro.utils.timing import TimingLedger
@@ -76,7 +75,6 @@ class TestTracer:
         assert tracer.begin("x") is None
         tracer.end()
         tracer.add_leaf("y", 0.0, 1.0)
-        tracer.absorb_ledger(TimingLedger())
         assert tracer.to_dict() == {
             "format_version": TRACE_FORMAT_VERSION,
             "spans": [],
@@ -89,48 +87,64 @@ class TestTracer:
             with tracer.span("outer"):
                 clock.tick(1.0)
                 raise RuntimeError("boom")
-        assert tracer.current is None
         assert tracer.roots[0].duration == 1.0
+        # Nothing is left open: the next span is a root again.
+        tracer.begin("next")
+        assert [root.name for root in tracer.roots] == ["outer", "next"]
 
     def test_finish_closes_every_open_span(self):
         tracer = Tracer(clock=FakeClock())
         tracer.begin("a")
         tracer.begin("b")
         tracer.finish()
-        assert tracer.current is None
         assert tracer.roots[0].duration is not None
         assert tracer.roots[0].children[0].duration is not None
+        tracer.begin("c")
+        assert [root.name for root in tracer.roots] == ["a", "c"]
 
     def test_to_dict_from_dict_round_trip(self):
         clock = FakeClock()
         tracer = Tracer(clock=clock)
         with tracer.span("cell", category="cell", target="t"):
             clock.tick(0.25)
-            tracer.add_leaf("pairwise", 0.0, 0.25, category="section", calls=3)
+            tracer.add_leaf("pairwise", clock.now - 0.25, 0.25, category="section")
         document = tracer.to_dict()
+        # The leaf's clock reading became an offset from the origin.
+        assert document["spans"][0]["children"][0]["start"] == 0.0
         rebuilt = Tracer.from_dict(document)
         assert rebuilt.to_dict() == document
 
-    def test_absorb_ledger_delta_since_snapshot(self):
+    def test_ledger_hands_each_section_to_the_tracer(self):
+        tracer = Tracer()
         ledger = TimingLedger()
-        ledger.add("pairwise", 2.0, calls=4)
-        ledger.add("ccd", 1.0, calls=2)
-        before = ledger_snapshot(ledger)
-        ledger.add("pairwise", 0.5, calls=1)
-        ledger.add("scoring", 0.25, calls=1)
+        ledger.attach(tracer, "kernel")
+        with tracer.span("epoch 0", category="epoch"):
+            for name in ("CCD", "EvalVDW", "CCD"):
+                with ledger.section(name):
+                    sum(range(1000))
+        (epoch,) = tracer.roots
+        leaves = epoch.children
+        assert [leaf.name for leaf in leaves] == ["CCD", "EvalVDW", "CCD"]
+        assert {leaf.category for leaf in leaves} == {"kernel"}
+        # One measurement: the leaves carry exactly the ledger's seconds.
+        for name, rec in ledger.records.items():
+            durations = [leaf.duration for leaf in leaves if leaf.name == name]
+            assert len(durations) == rec.calls
+            assert sum(durations) == rec.total_seconds
+        # On real timestamps: inside the open span, in order, disjoint.
+        assert epoch.start <= leaves[0].start
+        assert leaves[-1].end <= epoch.end
+        for before, after in zip(leaves, leaves[1:]):
+            assert before.end <= after.start
 
-        clock = FakeClock()
-        tracer = Tracer(clock=clock)
-        tracer.begin("epoch 0", category="epoch")
-        tracer.absorb_ledger(ledger, since=before, start=0.0)
-        tracer.end()
-
-        leaves = tracer.roots[0].children
-        # "ccd" did not advance since the snapshot, so it is absent; the
-        # rest lie consecutively in sorted-name order with call deltas.
-        assert [leaf.name for leaf in leaves] == ["pairwise", "scoring"]
-        assert leaves[0].duration == 0.5 and leaves[0].args == {"calls": 1}
-        assert leaves[1].start == 0.5 and leaves[1].duration == 0.25
+    def test_unattached_ledger_forwards_nothing(self):
+        tracer = Tracer()
+        ledger = TimingLedger()
+        with tracer.span("epoch 0", category="epoch"):
+            with ledger.section("CCD"):
+                pass
+        assert tracer.roots[0].children == []
+        assert ledger.records["CCD"].calls == 1
 
     def test_trace_document_is_byte_deterministic(self):
         def build():
@@ -139,7 +153,7 @@ class TestTracer:
             with tracer.span("cell", category="cell"):
                 with tracer.span("epoch 0", category="epoch"):
                     clock.tick(1.5)
-                    tracer.add_leaf("pairwise", 0.0, 1.5, calls=2)
+                    tracer.add_leaf("pairwise", clock.now - 1.5, 1.5)
             return json.dumps(tracer.to_dict(), sort_keys=True)
 
         assert build() == build()
@@ -156,7 +170,7 @@ def _cell_document():
     with tracer.span("cell x", category="cell"):
         with tracer.span("epoch 0", category="epoch"):
             clock.tick(2.0)
-            tracer.add_leaf("pairwise", 0.0, 2.0, category="section", calls=5)
+            tracer.add_leaf("pairwise", clock.now - 2.0, 2.0, category="section")
     return tracer.to_dict()
 
 

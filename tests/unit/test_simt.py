@@ -6,10 +6,11 @@ import pytest
 
 from repro.simt.device import GTX280, DeviceSpec
 from repro.simt.engine import SIMTEngine
-from repro.simt.kernel import PAPER_KERNELS, KernelLaunch, KernelSpec
+from repro.simt.kernel import KERNELS_BY_SECTION, PAPER_KERNELS, KernelLaunch, KernelSpec
 from repro.simt.memory import MemcpyKind, MemorySpace, TransferRecord
 from repro.simt.occupancy import occupancy
 from repro.simt.profiler import KernelProfiler
+from repro.utils.timing import TimingLedger
 
 
 class TestDeviceSpec:
@@ -78,10 +79,13 @@ class TestKernelSpec:
             KernelSpec("bad", registers_per_thread=8, threads_per_block=0)
 
     def test_launch_thread_count(self):
-        launch = KernelLaunch(
-            spec=PAPER_KERNELS["CCD"], population_size=200, elapsed_seconds=0.1, blocks=2
-        )
+        launch = KernelLaunch(spec=PAPER_KERNELS["CCD"], population_size=200, blocks=2)
         assert launch.threads == 256
+
+    def test_section_names_map_to_specs(self):
+        spec = PAPER_KERNELS["FitAssgComplex"]
+        assert spec.section == "FitAssg within Complex"
+        assert all(KERNELS_BY_SECTION[s.section] is s for s in PAPER_KERNELS.values())
 
 
 class TestOccupancy:
@@ -156,16 +160,9 @@ class TestTransferRecord:
 
 
 class TestKernelProfiler:
-    def _launch(self, profiler, key, seconds, population=128):
-        spec = PAPER_KERNELS[key]
-        profiler.record_kernel(
-            KernelLaunch(
-                spec=spec,
-                population_size=population,
-                elapsed_seconds=seconds,
-                blocks=1,
-            )
-        )
+    def _launch(self, profiler, key, seconds):
+        """Book one kernel call the way the engine does: into the ledger."""
+        profiler.ledger.add(PAPER_KERNELS[key].section, seconds)
 
     def test_kernel_accumulation(self):
         profiler = KernelProfiler()
@@ -175,6 +172,13 @@ class TestKernelProfiler:
         assert profiler.kernel_seconds["[CCD]"] == pytest.approx(3.0)
         assert profiler.kernel_calls["[CCD]"] == 2
         assert profiler.total_kernel_seconds() == pytest.approx(4.0)
+
+    def test_views_read_a_shared_ledger(self):
+        ledger = TimingLedger()
+        profiler = KernelProfiler(ledger=ledger)
+        ledger.add("FitAssg within Complex", 0.5, calls=3)
+        assert profiler.kernel_seconds == {"[FitAssg] within Complex": 0.5}
+        assert profiler.kernel_calls == {"[FitAssg] within Complex": 3}
 
     def test_memcpy_accumulation(self):
         profiler = KernelProfiler()
@@ -201,16 +205,6 @@ class TestKernelProfiler:
         assert profiler.kernel_fraction("[CCD]") == pytest.approx(0.75)
         assert profiler.kernel_fraction("[EvalTRIP]") == 0.0
 
-    def test_merge(self):
-        a = KernelProfiler()
-        b = KernelProfiler()
-        self._launch(a, "CCD", 1.0)
-        self._launch(b, "CCD", 2.0)
-        b.record_memcpy(MemcpyKind.HOST_TO_DEVICE, 10, 0.1)
-        a.merge(b)
-        assert a.kernel_seconds["[CCD]"] == pytest.approx(3.0)
-        assert a.transfers[MemcpyKind.HOST_TO_DEVICE].calls == 1
-
     def test_render_contains_table_ii_vocabulary(self):
         profiler = KernelProfiler()
         self._launch(profiler, "CCD", 1.0)
@@ -221,11 +215,12 @@ class TestKernelProfiler:
         assert "Mem sync" in text
 
     def test_keep_launches_flag(self):
+        launch = KernelLaunch(spec=PAPER_KERNELS["CCD"], population_size=128, blocks=1)
         profiler = KernelProfiler(keep_launches=True)
-        self._launch(profiler, "CCD", 1.0)
-        assert len(profiler.launches) == 1
+        profiler.record_launch(launch)
+        assert profiler.launches == [launch]
         default_profiler = KernelProfiler()
-        self._launch(default_profiler, "CCD", 1.0)
+        default_profiler.record_launch(launch)
         assert default_profiler.launches == []
 
 
@@ -238,6 +233,10 @@ class TestSIMTEngine:
         np.testing.assert_array_equal(result, [0, 2, 4, 6])
         assert engine.profiler.kernel_calls["[EvalVDW]"] == 1
         assert engine.profiler.kernel_seconds["[EvalVDW]"] > 0.0
+        # The launch was timed once, as a section of the profiler's ledger.
+        record = engine.profiler.ledger.records["EvalVDW"]
+        assert record.calls == 1
+        assert record.total_seconds == engine.profiler.kernel_seconds["[EvalVDW]"]
 
     def test_launch_rejects_empty_population(self):
         engine = SIMTEngine()

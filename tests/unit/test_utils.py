@@ -8,7 +8,7 @@ import pytest
 
 from repro.utils.logging import configure_logging, get_logger
 from repro.utils.rng import RandomStreams, spawn_rng
-from repro.utils.timing import Stopwatch, TimingLedger
+from repro.utils.timing import TimingLedger
 from repro.utils.validation import (
     check_angle_array,
     check_positive,
@@ -73,39 +73,6 @@ class TestRandomStreams:
     def test_seed_property(self):
         assert RandomStreams(seed=9).seed == 9
         assert RandomStreams().seed is None
-
-
-class TestStopwatch:
-    def test_accumulates_time(self):
-        watch = Stopwatch()
-        watch.start()
-        time.sleep(0.01)
-        elapsed = watch.stop()
-        assert elapsed >= 0.009
-        assert not watch.running
-
-    def test_resume_accumulates(self):
-        watch = Stopwatch()
-        watch.start()
-        time.sleep(0.005)
-        first = watch.stop()
-        watch.start()
-        time.sleep(0.005)
-        second = watch.stop()
-        assert second > first
-
-    def test_reset(self):
-        watch = Stopwatch()
-        watch.start()
-        watch.stop()
-        watch.reset()
-        assert watch.elapsed == 0.0
-
-    def test_elapsed_while_running(self):
-        watch = Stopwatch().start()
-        time.sleep(0.005)
-        assert watch.elapsed > 0.0
-        assert watch.running
 
 
 class TestTimingLedger:
