@@ -195,9 +195,11 @@ def test_kernel_tiers_paper_scale():
     # The facade's dispatch layer must be invisible at paper scale: the
     # bundle route re-runs the identical numpy kernels, so anything past
     # a modest margin is overhead the facade itself introduced.  CCD's
-    # bundle route intentionally trades the subset optimisation for a
-    # masked full-population kernel (the jit-compatible formulation), so
-    # it carries a wider but still bounded allowance.
+    # bundle route is a different formulation, not the same kernel
+    # re-dispatched: a masked sweep of every member (in blocks) over the
+    # member-major chain (the jit-compatible shape), where the direct
+    # route sweeps atom-major planes and only the members a pivot may
+    # move.  It carries a wider but still bounded allowance.
     for name, direct in numpy_direct.items():
         bundle = numpy_bundle.get(name)
         if bundle is None:

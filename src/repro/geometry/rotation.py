@@ -4,11 +4,12 @@ The CCD loop-closure kernel repeatedly rotates the downstream part of a loop
 about a pivot bond.  The batched variants build one rotation matrix per
 population member in a single vectorised call.
 
-The hot batched rotation — :func:`rotate_points_about_axes_batch`, the
-innermost operation of the CCD sweep — is a generic :mod:`repro.xp`
-kernel, so the jax backend tier compiles it; the numpy binding performs
-the same operations as the pre-facade implementation and is
-bit-identical.
+The batched rotation :func:`rotate_points_about_axes_batch` is a generic
+:mod:`repro.xp` kernel: the innermost operation of the masked CCD sweep
+that kernel bundles (the ``xp`` and ``jax`` backends) run, so the jax tier
+compiles it.  The default numpy CCD path rotates atom-major coordinate
+planes in place instead, replaying this kernel's Rodrigues expression
+tree op for op, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def _rotate_points_about_axes(xp, points, origins, axes, angles, normalized=Fals
     axis normalisation pass.
     """
     points = xp.asarray(points, dtype=xp.float64)
-    origins = xp.asarray(origins, dtype=xp.float64)[:, None, :]
+    origins = xp.asarray(origins, dtype=xp.float64)
     axes = xp.asarray(axes, dtype=xp.float64)
     if not normalized:
         axes = _normalize_last_axis(xp, axes)
@@ -130,21 +131,26 @@ def _rotate_points_about_axes(xp, points, origins, axes, angles, normalized=Fals
 
     c = xp.cos(angles)[:, None]
     s = xp.sin(angles)[:, None]
-    shifted = points - origins
-    x, y, z = shifted[..., 0], shifted[..., 1], shifted[..., 2]
+    # Per-coordinate ``(P, m)`` arrays, made contiguous by the first
+    # subtraction, so every later op runs on contiguous rows.
+    ox = origins[:, 0, None]
+    oy = origins[:, 1, None]
+    oz = origins[:, 2, None]
+    x = points[..., 0] - ox
+    y = points[..., 1] - oy
+    z = points[..., 2] - oz
     kx = axes[:, 0, None]
     ky = axes[:, 1, None]
     kz = axes[:, 2, None]
     t = (x * kx + y * ky + z * kz) * (1.0 - c)
-    rotated = xp.stack(
+    return xp.stack(
         (
-            x * c + (ky * z - kz * y) * s + kx * t,
-            y * c + (kz * x - kx * z) * s + ky * t,
-            z * c + (kx * y - ky * x) * s + kz * t,
+            x * c + (ky * z - kz * y) * s + kx * t + ox,
+            y * c + (kz * x - kx * z) * s + ky * t + oy,
+            z * c + (kx * y - ky * x) * s + kz * t + oz,
         ),
         axis=-1,
     )
-    return rotated + origins
 
 
 def rotate_points_about_axes_batch(
@@ -180,9 +186,10 @@ def rotate_points_about_axes_batch(
     -----
     Applies the Rodrigues formula to the points directly,
     ``p' = p cos(a) + (k x p) sin(a) + k (k . p)(1 - cos(a))``, rather than
-    building per-member matrices first: this is the innermost operation of
-    the batched CCD kernel (once per pivot per sweep), and skipping the
-    matrix assembly roughly halves its cost on small populations.
+    building per-member matrices first.  It is the innermost operation of
+    the masked CCD sweep (once per pivot per sweep) that kernel bundles
+    run; the default numpy CCD path rotates atom-major planes with the
+    same expression tree instead (see :mod:`repro.closure.ccd`).
     """
     return _rotate_points_about_axes(
         _XP, points, origins, axes, angles, normalized=normalized

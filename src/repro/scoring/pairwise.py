@@ -258,8 +258,21 @@ def rotation_alignment_terms(
         ``(P, 3)`` rotation-axis anchor per member.
     axes:
         ``(P, 3)`` unit rotation axis per member.
+
+    Notes
+    -----
+    ``points``, ``origins`` and ``axes`` are made C-contiguous first: the
+    ``einsum`` reductions pick their summation order from the memory
+    layout, so the same values in a Fortran-ordered or plane-stacked array
+    would otherwise give a different ``a`` in the last bits.
     """
-    return _rotation_alignment_terms(_XP, points, targets, origins, axes)
+    return _rotation_alignment_terms(
+        _XP,
+        np.ascontiguousarray(points),
+        targets,
+        np.ascontiguousarray(origins),
+        np.ascontiguousarray(axes),
+    )
 
 
 def squared_bin_edges(max_value: float, n_bins: int) -> np.ndarray:

@@ -1,0 +1,150 @@
+"""Test-only oracle: the member-major subset-path CCD closure.
+
+This is the ``kernels=None`` path of :func:`repro.closure.ccd.ccd_close_batch`
+as it shipped before the atom-major rewrite, kept verbatim as the
+reference the atom-major sweep must reproduce bit for bit
+(``np.array_equal`` on every :class:`~repro.closure.ccd.CCDResult` field).
+It carries the chain as one ``(P, n*4+3, 3)`` array, gathers the
+still-converging members at every sweep, and rotates only the members
+whose angle survives the exclusions.  The per-pivot math goes through the
+same ``normalize``, ``rotation_alignment_terms`` and
+``rotate_points_about_axes_batch`` wrappers as the production code.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+import numpy as np
+
+from repro.closure.ccd import _ATOMS, _EPS, CCDResult, _pivot_indices
+from repro.geometry.internal import backbone_torsions_batch
+from repro.geometry.rmsd import coordinate_rmsd_batch
+from repro.geometry.rotation import rotate_points_about_axes_batch
+from repro.geometry.vectors import normalize
+from repro.loops.loop import LoopTarget
+from repro.scoring.pairwise import rotation_alignment_terms
+
+
+def ccd_close_batch(
+    torsions: np.ndarray,
+    target: LoopTarget,
+    start_indices: Optional[np.ndarray] = None,
+    max_iterations: int = 30,
+    tolerance: float = 0.25,
+) -> CCDResult:
+    """Close a whole population with CCD in lock-step (subset path).
+
+    Parameters
+    ----------
+    torsions:
+        ``(P, 2n)`` population torsions.
+    target:
+        The loop target supplying anchors and geometry.
+    start_indices:
+        Optional ``(P,)`` integer array: the first torsion index CCD may
+        adjust for each member.  Pivots below a member's start index leave
+        that member unchanged.
+    max_iterations:
+        Maximum number of CCD sweeps.
+    tolerance:
+        Closure RMSD below which a member stops being updated.
+    """
+    torsions = np.asarray(torsions, dtype=np.float64)
+    n = target.n_residues
+    if torsions.ndim != 2 or torsions.shape[1] != 2 * n:
+        raise ValueError(f"torsions must have shape (P, {2 * n})")
+    pop = torsions.shape[0]
+
+    if start_indices is None:
+        start_indices = np.zeros(pop, dtype=np.int64)
+    else:
+        start_indices = np.asarray(start_indices, dtype=np.int64)
+        if start_indices.shape != (pop,):
+            raise ValueError("start_indices must have shape (P,)")
+        if np.any((start_indices < 0) | (start_indices >= 2 * n)):
+            raise ValueError("start_indices out of range")
+
+    coords, closure = target.build_batch(torsions)
+    moving = np.concatenate(
+        [coords.reshape(pop, -1, 3), closure], axis=1
+    )  # (P, n*4+3, 3)
+    anchors = target.c_anchor  # (3, 3)
+
+    errors = coordinate_rmsd_batch(moving[:, -3:, :], anchors)
+    converged_at = np.where(errors <= tolerance, 0, max_iterations).astype(np.int64)
+
+    for sweep in range(max_iterations):
+        active = errors > tolerance
+        if not np.any(active):
+            break
+        # Converged members are excluded from the whole sweep, not just the
+        # rotations: all per-pivot math runs on the active subset only, so
+        # the cost of a sweep shrinks as the population closes (matching
+        # the scalar kernel, whose converged members simply stop sweeping).
+        subset = not np.all(active)
+        if subset:
+            rows = np.where(active)[0]
+            sub = moving[rows]
+            sub_starts = start_indices[rows]
+        else:
+            sub = moving
+            sub_starts = start_indices
+        for j in range(2 * n):
+            b_idx, c_idx, move_start = _pivot_indices(j)
+            origins = sub[:, b_idx, :]
+            raw_axes = sub[:, c_idx, :] - origins
+            axes = normalize(raw_axes)
+
+            # The per-pivot math is the shared pairwise engine's
+            # gather-and-reduce primitive (the same expanded perpendicular
+            # products _optimal_angle evaluates per member).
+            a, b = rotation_alignment_terms(
+                sub[:, -3:, :], anchors, origins, axes
+            )
+            angles = np.arctan2(b, a)
+            # Members whose mutation point is after this pivot keep it
+            # fixed, as do members whose gradient terms are pure noise and
+            # members with a degenerate (zero-length) pivot axis — the
+            # scalar kernel skips the latter with its `norm < _EPS` guard,
+            # and rotating about a near-zero axis would scale the tail.
+            angles = np.where(sub_starts <= j, angles, 0.0)
+            angles = np.where((np.abs(a) < _EPS) & (np.abs(b) < _EPS), 0.0, angles)
+            angles = np.where(
+                np.einsum("pi,pi->p", raw_axes, raw_axes) < _EPS * _EPS, 0.0, angles
+            )
+            rotating = np.abs(angles) > 1e-10
+            if not np.any(rotating):
+                continue
+            if np.all(rotating):
+                sub[:, move_start:, :] = rotate_points_about_axes_batch(
+                    sub[:, move_start:, :], origins, axes, angles, normalized=True
+                )
+            else:
+                # Only rotate the members that actually move instead of
+                # paying for identity rotations.
+                move = np.where(rotating)[0]
+                sub[move, move_start:, :] = rotate_points_about_axes_batch(
+                    sub[move, move_start:, :],
+                    origins[move],
+                    axes[move],
+                    angles[move],
+                    normalized=True,
+                )
+        if subset:
+            moving[rows] = sub
+
+        errors = coordinate_rmsd_batch(moving[:, -3:, :], anchors)
+        newly = (errors <= tolerance) & (converged_at == max_iterations)
+        converged_at[newly] = sweep + 1
+
+    coords = moving[:, : n * _ATOMS, :].reshape(pop, n, _ATOMS, 3)
+    closure = moving[:, n * _ATOMS:, :]
+    closed_torsions = backbone_torsions_batch(coords, target.n_anchor, closure)
+    return CCDResult(
+        torsions=closed_torsions,
+        coords=coords,
+        closure=closure,
+        closure_error=errors,
+        iterations=converged_at,
+    )

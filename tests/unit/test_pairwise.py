@@ -447,3 +447,46 @@ class TestFusedBinnedTableSum:
         batch = score.evaluate_batch(coords, None)
         for member in range(coords.shape[0]):
             assert batch[member] == score.evaluate(coords[member], None)
+
+
+class TestRotationAlignmentLayout:
+    """The CCD alignment terms depend on the values, not the caller's
+    memory layout: a Fortran-ordered or plane-stacked copy of the same
+    ``(P, 3, 3)`` block gives the C-ordered result bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        rng = np.random.default_rng(2026)
+        pop = 4096
+        points = rng.normal(scale=5.0, size=(pop, 3, 3))
+        targets = rng.normal(scale=5.0, size=(3, 3))
+        origins = rng.normal(scale=5.0, size=(pop, 3))
+        axes = rng.normal(size=(pop, 3))
+        axes /= np.sqrt(np.einsum("pi,pi->p", axes, axes))[:, None]
+        return points, targets, origins, axes
+
+    @staticmethod
+    def _relayout(arr, layout):
+        if layout == "C":
+            return np.ascontiguousarray(arr)
+        if layout == "F":
+            return np.asfortranarray(arr)
+        # Plane-stacked: one member-innermost plane per coordinate, then
+        # stacked back to the caller's shape (member axis first).
+        planes = np.ascontiguousarray(np.moveaxis(arr, (0, -1), (-1, 0)))
+        return np.moveaxis(planes, (0, -1), (-1, 0))
+
+    @pytest.mark.parametrize("layout", ["C", "F", "planes"])
+    def test_terms_independent_of_layout(self, problem, layout):
+        from repro.scoring.pairwise import rotation_alignment_terms
+
+        points, targets, origins, axes = problem
+        a_ref, b_ref = rotation_alignment_terms(points, targets, origins, axes)
+        a, b = rotation_alignment_terms(
+            self._relayout(points, layout),
+            targets,
+            self._relayout(origins, layout),
+            self._relayout(axes, layout),
+        )
+        assert np.array_equal(a, a_ref)
+        assert np.array_equal(b, b_ref)
