@@ -23,17 +23,19 @@ The batched kernel has two execution paths that compute the same bits:
   may move are a column prefix, and a member leaves the planes when it
   converges.  Rotations run in place on the planes, a few atom rows at a
   time, through preallocated temporaries; members whose angle is excluded
-  are put back from a saved copy rather than rotated by zero.  The small
-  per-member arrays the alignment and RMSD reductions read are rebuilt
-  member-major, because ``einsum`` picks its summation order from the
-  memory layout.
+  are put back from a saved copy rather than rotated by zero.  The pivot
+  axes are rebuilt member-major before they are normalised, because
+  ``einsum`` picks its summation order from the memory layout
+  (:func:`~repro.scoring.pairwise.rotation_alignment_terms` canonicalises
+  its own inputs for the same reason).
 * **Masked** (a :class:`~repro.xp.dispatch.KernelBundle` is supplied).
-  Each sweep runs the generic :func:`_ccd_sweep` kernel on blocks of the
-  member-major ``(P, n*4+3, 3)`` chain: every member of a block is swept,
-  and excluded members get a ``0.0`` angle and keep their original
+  Each sweep runs the generic :func:`_ccd_sweep` kernel over the
+  member-major ``(P, n*4+3, 3)`` chain: every member is swept, and
+  excluded members get a ``0.0`` angle and keep their original
   coordinates through a ``where`` selection.  Every array shape stays
-  static, which lets the jax tier compile one block sweep as one ``jit``
-  unit.
+  static, which lets the jax tier compile one sweep of the whole
+  population as one ``jit`` unit; an eager namespace (the ``xp``
+  backend's numpy) calls it on blocks of members instead.
 
 The member-major subset path the atom-major one replaced is kept as the
 test-only oracle ``tests/ccd_oracle.py``.
@@ -74,10 +76,12 @@ _ATOMS = constants.BACKBONE_ATOMS_PER_RESIDUE
 #: of this size (three coordinates, five temporaries) are 2 MB, the L2
 #: of the 2-vCPU Xeon host this was tuned on (16K-64K measured alike).
 _CHUNK = 32768
-#: Members per masked-sweep call: at population 15,360 on the same host,
-#: blocks of 256-512 sweep ~1.5x faster than the whole population at
-#: once (128: ~1.3x).
-_MASKED_BLOCK = 512
+#: Members per masked-sweep call on an eager (numpy) namespace.  At
+#: population 15,360 on the same host, 512-member blocks sweep ~1.5x
+#: faster than the whole population at once, whose member-major
+#: temporaries spill the cache; 128-member blocks gain only ~1.3x, as
+#: each block pays the sweep's ~1,000 numpy calls again.
+_EAGER_BLOCK = 512
 #: The closure atoms: the last three rows of the flattened chain.
 _CLOSURE = slice(-3, None)
 
@@ -262,16 +266,6 @@ def _ccd_sweep(xp, moving, anchors, start_indices, active, n_torsions):
     return moving
 
 
-def _member_major(planes: np.ndarray, atom, k: int) -> np.ndarray:
-    """C-ordered ``(k, ..., 3)`` copy of ``planes[:, atom, :k]``.
-
-    The small per-member arrays the alignment and RMSD reductions read
-    are rebuilt member-major so those reductions see the layout (and so
-    the summation order) of the member-major path.
-    """
-    return np.ascontiguousarray(planes[:, atom, :k].T)
-
-
 def _sweep_atom_major(
     planes: np.ndarray,
     starts: np.ndarray,
@@ -292,11 +286,14 @@ def _sweep_atom_major(
         if k == 0:
             continue
         b_idx, c_idx, move_start = _pivot_indices(j)
-        origins = _member_major(planes, b_idx, k)
-        raw_axes = _member_major(planes, c_idx, k) - origins
+        origin = planes[:, b_idx, :k]
+        # ``normalize`` and the degenerate-axis test below reduce with
+        # ``einsum``, which sums in memory-layout order, so the axes are
+        # made member-major as the masked sweep holds them.
+        raw_axes = np.ascontiguousarray((planes[:, c_idx, :k] - origin).T)
         axes = normalize(raw_axes)
         a, b = rotation_alignment_terms(
-            _member_major(planes, _CLOSURE, k), anchors, origins, axes
+            planes[:, _CLOSURE, :k].T, anchors, origin.T, axes
         )
         # The masked sweep's exclusions; the column prefix already applies
         # its start-index and converged masks.
@@ -321,7 +318,6 @@ def _sweep_atom_major(
         # swap operands), on ``(atoms, k)`` planes instead of
         # ``(k, atoms)`` rows, a few atom rows at a time so the
         # temporaries stay cache-resident.
-        origin = planes[:, b_idx, :k]
         kx, ky, kz = np.ascontiguousarray(axes.T)
         c = np.cos(angles)
         s = np.sin(angles)
@@ -382,9 +378,7 @@ def _close_atom_major(
     buffers = np.empty((5, max(_CHUNK, live.size)))
     for sweep in range(max_iterations):
         _sweep_atom_major(planes, starts, anchors, buffers)
-        swept = coordinate_rmsd_batch(
-            _member_major(planes, _CLOSURE, live.size), anchors
-        )
+        swept = coordinate_rmsd_batch(planes[:, _CLOSURE, :].T, anchors)
         errors[live] = swept
         converged_at[live[swept <= tolerance]] = sweep + 1
         going = swept > tolerance
@@ -427,9 +421,9 @@ def ccd_close_batch(
         Closure RMSD below which a member stops being updated.
     kernels:
         Optional :class:`~repro.xp.dispatch.KernelBundle`: sweeps run as
-        the masked :func:`_ccd_sweep` kernel over blocks of members (one
-        jit unit per block shape on a compiling namespace) instead of the
-        atom-major numpy path.  Both paths produce the same bits.
+        the masked :func:`_ccd_sweep` kernel (one jit unit per sweep on a
+        compiling namespace, blocks of members on an eager one) instead
+        of the atom-major numpy path.  Both paths produce the same bits.
     """
     torsions = np.asarray(torsions, dtype=np.float64)
     n = target.n_residues
@@ -461,13 +455,15 @@ def ccd_close_batch(
             max_iterations, tolerance,
         )
     else:
+        # Members sweep independently, so an eager namespace sweeps them
+        # in blocks; a compiling one sweeps the whole population as one
+        # jit unit of one shape.
+        block_size = pop if kernels.namespace.can_jit else _EAGER_BLOCK
         for sweep in range(max_iterations):
             active = errors > tolerance
             if not np.any(active):
                 break
-            # Members sweep independently, so the population runs in
-            # blocks whose member-major temporaries stay cache-resident.
-            for block in population_blocks(pop, _MASKED_BLOCK):
+            for block in population_blocks(pop, block_size):
                 moving[block] = kernels.to_numpy(
                     kernels.ccd_sweep(
                         moving[block],

@@ -123,7 +123,7 @@ def _rotate_points_about_axes(xp, points, origins, axes, angles, normalized=Fals
     axis normalisation pass.
     """
     points = xp.asarray(points, dtype=xp.float64)
-    origins = xp.asarray(origins, dtype=xp.float64)
+    origins = xp.asarray(origins, dtype=xp.float64)[:, None, :]
     axes = xp.asarray(axes, dtype=xp.float64)
     if not normalized:
         axes = _normalize_last_axis(xp, axes)
@@ -131,26 +131,21 @@ def _rotate_points_about_axes(xp, points, origins, axes, angles, normalized=Fals
 
     c = xp.cos(angles)[:, None]
     s = xp.sin(angles)[:, None]
-    # Per-coordinate ``(P, m)`` arrays, made contiguous by the first
-    # subtraction, so every later op runs on contiguous rows.
-    ox = origins[:, 0, None]
-    oy = origins[:, 1, None]
-    oz = origins[:, 2, None]
-    x = points[..., 0] - ox
-    y = points[..., 1] - oy
-    z = points[..., 2] - oz
+    shifted = points - origins
+    x, y, z = shifted[..., 0], shifted[..., 1], shifted[..., 2]
     kx = axes[:, 0, None]
     ky = axes[:, 1, None]
     kz = axes[:, 2, None]
     t = (x * kx + y * ky + z * kz) * (1.0 - c)
-    return xp.stack(
+    rotated = xp.stack(
         (
-            x * c + (ky * z - kz * y) * s + kx * t + ox,
-            y * c + (kz * x - kx * z) * s + ky * t + oy,
-            z * c + (kx * y - ky * x) * s + kz * t + oz,
+            x * c + (ky * z - kz * y) * s + kx * t,
+            y * c + (kz * x - kx * z) * s + ky * t,
+            z * c + (kx * y - ky * x) * s + kz * t,
         ),
         axis=-1,
     )
+    return rotated + origins
 
 
 def rotate_points_about_axes_batch(

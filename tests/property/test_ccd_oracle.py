@@ -14,6 +14,7 @@ budgets, on both the 10- and the 12-residue panel loop.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -145,7 +146,7 @@ def test_random_populations(torsions, starts, max_iterations, tolerance):
 
 
 def test_masked_blocks_equal_oracle():
-    """The kernel-bundle route sweeps the population in blocks; a
+    """The numpy kernel-bundle route sweeps the population in blocks; a
     population spanning several blocks and a short remainder gives the
     oracle's bits too."""
     target = make_target("prop", 1, 5, seed=31)
@@ -160,3 +161,34 @@ def test_masked_blocks_equal_oracle():
         max_iterations=3,
         tolerance=0.2,
     )
+
+
+class _CompilingBundle:
+    """The numpy bundle posing as a jit namespace, counting sweep calls."""
+
+    def __init__(self):
+        self._kernels = numpy_kernels()
+        self.namespace = SimpleNamespace(can_jit=True)
+        self.shapes = []
+
+    def to_numpy(self, array):
+        return self._kernels.to_numpy(array)
+
+    def ccd_sweep(self, moving, *args):
+        self.shapes.append(moving.shape)
+        return self._kernels.ccd_sweep(moving, *args)
+
+
+def test_compiling_namespace_sweeps_whole_population():
+    """A jit namespace gets one sweep call of the whole population per
+    sweep (one compiled shape), and the oracle's bits."""
+    target = make_target("prop", 1, 5, seed=31)
+    rng = np.random.default_rng(5)
+    torsions = rng.uniform(-math.pi, math.pi, size=(1100, 10))
+    bundle = _CompilingBundle()
+    result = assert_same_closure(
+        torsions, target, kernels=bundle, max_iterations=3, tolerance=0.2
+    )
+    sweeps = int(result.iterations.max())
+    assert sweeps > 0
+    assert bundle.shapes == [(1100, 23, 3)] * sweeps
