@@ -27,10 +27,23 @@ placement (:func:`place_atoms_batch`) and the whole chain build
 (:func:`build_backbone_batch`, a functional rewrite whose residue loop
 unrolls at trace time) compile under the jax tier; the numpy bindings
 perform the same operations as the pre-facade code and are bit-identical.
+
+The scalar builder (:func:`build_backbone`, which builds the loop library
+and the targets' native loops) runs each NeRF step on Python floats with
+an explicit cross product; ``np.cross`` forms the same three differences
+of rounded products.  Each norm still goes through ``ndarray.dot``, the
+BLAS ``ddot`` that ``np.linalg.norm`` calls.  BLAS kernels may contract
+their tail into fused multiply-adds, so on an OpenBLAS host
+``x*x + y*y + z*z`` (and ``np.einsum``) round differently for about a
+fifth of random vectors, which would move the library's coordinates and
+with them the knowledge-base bins.  The batched builder normalises
+through ``_normalize_last_axis`` instead and differs from the scalar one
+by up to ~7e-14, so the two are not interchangeable.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 import numpy as np
@@ -54,6 +67,50 @@ __all__ = [
 _EPS = 1e-12
 
 
+def _unit(x: float, y: float, z: float) -> Tuple[float, float, float]:
+    """``v / max(|v|, _EPS)``, with ``|v|`` computed as ``np.linalg.norm`` does."""
+    v = np.array((x, y, z))
+    norm = max(math.sqrt(v.dot(v)), _EPS)
+    return x / norm, y / norm, z / norm
+
+
+def _place(a, b, c, d0: float, s: float, cos_t: float, sin_t: float):
+    """One NeRF step on float triples.
+
+    ``d0 = -bond_length * cos(bond_angle)`` and ``s = bond_length *
+    sin(bond_angle)``; ``cos_t``/``sin_t`` are the torsion's cosine and sine.
+    """
+    ax, ay, az = a
+    bx, by, bz = b
+    cx, cy, cz = c
+    ux, uy, uz = _unit(cx - bx, cy - by, cz - bz)
+    abx, aby, abz = bx - ax, by - ay, bz - az
+    nx, ny, nz = _unit(aby * uz - abz * uy, abz * ux - abx * uz, abx * uy - aby * ux)
+    mx, my, mz = ny * uz - nz * uy, nz * ux - nx * uz, nx * uy - ny * ux
+    d1 = s * cos_t
+    d2 = -s * sin_t
+    return (
+        cx + d0 * ux + d1 * mx + d2 * nx,
+        cy + d0 * uy + d1 * my + d2 * ny,
+        cz + d0 * uz + d1 * mz + d2 * nz,
+    )
+
+
+def _bond_terms(bond_length: float, bond_angle: float) -> Tuple[float, float]:
+    """``(-bond_length * cos(bond_angle), bond_length * sin(bond_angle))``."""
+    return (
+        float(-bond_length * np.cos(bond_angle)),
+        float(bond_length * np.sin(bond_angle)),
+    )
+
+
+#: :func:`_bond_terms` of the four ideal bonds the chain builder places.
+_CA_C = _bond_terms(constants.BOND_CA_C, constants.ANGLE_N_CA_C)
+_C_O = _bond_terms(constants.BOND_C_O, constants.ANGLE_CA_C_O)
+_C_N = _bond_terms(constants.BOND_C_N, constants.ANGLE_CA_C_N)
+_N_CA = _bond_terms(constants.BOND_N_CA, constants.ANGLE_C_N_CA)
+
+
 def place_atom(
     a: np.ndarray,
     b: np.ndarray,
@@ -65,30 +122,19 @@ def place_atom(
     """Place atom D such that |C-D| = ``bond_length``, angle(B,C,D) =
     ``bond_angle`` and dihedral(A,B,C,D) = ``torsion``.
 
-    This is the scalar NeRF step used by the reference CPU backend.
+    This is the scalar NeRF step used by the reference CPU backend.  The
+    sign of the out-of-plane component is chosen so that the dihedral
+    measured by :func:`repro.geometry.vectors.dihedral_angle` on the placed
+    atom equals ``torsion`` exactly (round-trip property).
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-
-    bc = c - b
-    bc /= max(np.linalg.norm(bc), _EPS)
-    ab = b - a
-    n = np.cross(ab, bc)
-    n /= max(np.linalg.norm(n), _EPS)
-    m = np.cross(n, bc)
-
-    # The sign of the out-of-plane component is chosen so that the dihedral
-    # measured by :func:`repro.geometry.vectors.dihedral_angle` on the placed
-    # atom equals ``torsion`` exactly (round-trip property).
-    d_local = np.array(
-        [
-            -bond_length * np.cos(bond_angle),
-            bond_length * np.sin(bond_angle) * np.cos(torsion),
-            -bond_length * np.sin(bond_angle) * np.sin(torsion),
-        ]
+    d0, s = _bond_terms(bond_length, bond_angle)
+    point = _place(
+        np.asarray(a, dtype=np.float64).tolist(),
+        np.asarray(b, dtype=np.float64).tolist(),
+        np.asarray(c, dtype=np.float64).tolist(),
+        d0, s, float(np.cos(torsion)), float(np.sin(torsion)),
     )
-    return c + d_local[0] * bc + d_local[1] * m + d_local[2] * n
+    return np.array(point)
 
 
 @array_kernel("place_atoms", static_argnums=(3, 4))
@@ -183,54 +229,31 @@ def build_backbone(
     if n_anchor.shape != (3, 3):
         raise ValueError("n_anchor must have shape (3, 3): C_prev, N_1, CA_1")
 
-    coords = np.zeros((n, constants.BACKBONE_ATOMS_PER_RESIDUE, 3), dtype=np.float64)
-    c_prev = n_anchor[0]
-    coords[0, 0] = n_anchor[1]  # N_1
-    coords[0, 1] = n_anchor[2]  # CA_1
+    # Cosine and sine of every torsion the chain uses, taken once with
+    # numpy's ufuncs, as place_atom takes them.
+    phi, psi = torsions[0::2], torsions[1::2]
+    angles = np.concatenate([phi, psi + np.pi, psi, [constants.OMEGA_TRANS, end_phi]])
+    cos_t, sin_t = np.cos(angles).tolist(), np.sin(angles).tolist()
+    cos_omega, sin_omega = cos_t[3 * n], sin_t[3 * n]
 
-    prev_c = c_prev  # carbonyl C of the residue before residue i
+    prev_c, n_i, ca_i = n_anchor.tolist()  # prev_c: carbonyl C before residue i
+    atoms = []
     for i in range(n):
-        phi = torsions[2 * i]
-        psi = torsions[2 * i + 1]
-        n_i = coords[i, 0]
-        ca_i = coords[i, 1]
-
         # C_i from phi_i: dihedral(C_{i-1}, N_i, CA_i, C_i)
-        c_i = place_atom(
-            prev_c, n_i, ca_i,
-            constants.BOND_CA_C, constants.ANGLE_N_CA_C, phi,
-        )
-        coords[i, 2] = c_i
-
+        c_i = _place(prev_c, n_i, ca_i, *_CA_C, cos_t[i], sin_t[i])
         # O_i from psi_i: anti-planar to the next nitrogen.
-        coords[i, 3] = place_atom(
-            n_i, ca_i, c_i,
-            constants.BOND_C_O, constants.ANGLE_CA_C_O, psi + np.pi,
-        )
-
+        o_i = _place(n_i, ca_i, c_i, *_C_O, cos_t[n + i], sin_t[n + i])
+        atoms += (n_i, ca_i, c_i, o_i)
         # N_{i+1} from psi_i: dihedral(N_i, CA_i, C_i, N_{i+1})
-        n_next = place_atom(
-            n_i, ca_i, c_i,
-            constants.BOND_C_N, constants.ANGLE_CA_C_N, psi,
-        )
+        n_next = _place(n_i, ca_i, c_i, *_C_N, cos_t[2 * n + i], sin_t[2 * n + i])
         # CA_{i+1} from omega (fixed trans): dihedral(CA_i, C_i, N_{i+1}, CA_{i+1})
-        ca_next = place_atom(
-            ca_i, c_i, n_next,
-            constants.BOND_N_CA, constants.ANGLE_C_N_CA, constants.OMEGA_TRANS,
-        )
-        if i + 1 < n:
-            coords[i + 1, 0] = n_next
-            coords[i + 1, 1] = ca_next
-        else:
-            # Closure atoms: moving copy of the C-terminal anchor backbone.
-            c_end = place_atom(
-                c_i, n_next, ca_next,
-                constants.BOND_CA_C, constants.ANGLE_N_CA_C, end_phi,
-            )
-            closure = np.stack([n_next, ca_next, c_end])
-        prev_c = c_i
+        ca_next = _place(ca_i, c_i, n_next, *_N_CA, cos_omega, sin_omega)
+        prev_c, n_i, ca_i = c_i, n_next, ca_next
 
-    return coords, closure
+    # Closure atoms: moving copy of the C-terminal anchor backbone.
+    c_end = _place(prev_c, n_i, ca_i, *_CA_C, cos_t[-1], sin_t[-1])
+    coords = np.array(atoms).reshape(n, constants.BACKBONE_ATOMS_PER_RESIDUE, 3)
+    return coords, np.array((n_i, ca_i, c_end))
 
 
 def build_backbone_batch(

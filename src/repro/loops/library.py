@@ -18,6 +18,7 @@ from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
+from repro import constants
 from repro.geometry.nerf import build_backbone
 from repro.loops.loop import canonical_n_anchor
 from repro.loops.ramachandran import RamachandranModel
@@ -80,14 +81,23 @@ class LoopLibrary:
         proline therefore appear with realistic ~5% frequency each), a
         torsion vector sampled from the Ramachandran model, and backbone
         coordinates built in the canonical anchor frame.
+
+        Every argument is checked before the first draw: ``n_loops`` must
+        be positive, ``lengths`` non-empty with every length at least one
+        residue, ``alphabet`` a non-empty string of one-letter residue codes
+        and ``smoothness`` in ``[0, 1)``.
         """
         if n_loops <= 0:
             raise ValueError("n_loops must be positive")
-        rng = spawn_rng(seed, 0)
+        lengths = [int(length) for length in lengths]
+        if not lengths or min(lengths) < 1:
+            raise ValueError(f"lengths must be one or more positive loop lengths, got {lengths}")
+        if not alphabet or any(aa not in constants.AA_INDEX for aa in alphabet):
+            raise ValueError(f"alphabet must be one-letter residue codes, got {alphabet!r}")
         model = RamachandranModel(smoothness=smoothness)
+        rng = spawn_rng(seed, 0)
         anchor = canonical_n_anchor()
         records: List[LoopRecord] = []
-        lengths = list(lengths)
         for i in range(n_loops):
             length = int(lengths[i % len(lengths)])
             seq = "".join(rng.choice(list(alphabet), size=length))

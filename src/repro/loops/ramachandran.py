@@ -7,12 +7,23 @@ Used in three places:
 * generating native conformations for the synthetic benchmark targets,
 * biasing the population initialisation and mutation proposals of the
   sampler towards physically plausible torsions.
+
+Each residue type's basin mixture is reduced once to a cumulative weight
+table.  A basin is then drawn as ``cdf.searchsorted(rng.random(),
+side="right")``, which is what ``Generator.choice(len(basins), p=weights)``
+does internally (``cdf = p.cumsum(); cdf /= cdf[-1]``, one ``random()``
+per draw), so every draw, and the generator state after it, equals the
+``choice`` form bit for bit.  Draws stay scalar and sequential, member by
+member and residue by residue, because the basin of one residue conditions
+the next (``smoothness``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from functools import lru_cache
+from typing import Tuple
 
 import numpy as np
 
@@ -22,17 +33,63 @@ from repro.protein.residue import validate_sequence
 
 __all__ = ["RamachandranModel", "sample_basin", "sample_loop_torsions"]
 
+#: ``(cdf, params)`` of one residue type: cumulative basin weights and the
+#: ``(phi_mean, psi_mean, phi_sigma, psi_sigma)`` of each basin.
+_BasinTable = Tuple[np.ndarray, Tuple[Tuple[float, float, float, float], ...]]
+
+
+@lru_cache(maxsize=None)
+def _basin_table(aa: str) -> _BasinTable:
+    """The basin table of residue type ``aa``, normalised as ``Generator.choice`` does."""
+    basins = constants.ramachandran_basins(aa)
+    weights = np.array([b[4] for b in basins])
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return cdf, tuple((float(b[0]), float(b[1]), float(b[2]), float(b[3])) for b in basins)
+
+
+def _wrap(angle: float) -> float:
+    """:func:`~repro.geometry.vectors.wrap_angle` of one finite float, same arithmetic."""
+    wrapped = angle - constants.TWO_PI * math.floor((angle + math.pi) / constants.TWO_PI)
+    return wrapped + constants.TWO_PI if wrapped <= -math.pi else wrapped
+
+
+def _check_smoothness(smoothness: float) -> None:
+    if not (0.0 <= smoothness < 1.0):
+        raise ValueError("smoothness must be in [0, 1)")
+
 
 def sample_basin(aa: str, rng: np.random.Generator) -> Tuple[float, float]:
     """Draw one (phi, psi) pair for residue type ``aa`` from its basin mixture."""
-    basins = constants.ramachandran_basins(aa)
-    weights = np.array([b[4] for b in basins])
-    weights = weights / weights.sum()
-    idx = rng.choice(len(basins), p=weights)
-    phi_mean, psi_mean, phi_sigma, psi_sigma, _w = basins[idx]
-    phi = wrap_angle(rng.normal(phi_mean, phi_sigma))
-    psi = wrap_angle(rng.normal(psi_mean, psi_sigma))
-    return float(phi), float(psi)
+    cdf, params = _basin_table(aa)
+    phi_mean, psi_mean, phi_sigma, psi_sigma = params[cdf.searchsorted(rng.random(), side="right")]
+    return _wrap(rng.normal(phi_mean, phi_sigma)), _wrap(rng.normal(psi_mean, psi_sigma))
+
+
+def _sample_rows(
+    sequence: str, rows: int, rng: np.random.Generator, smoothness: float
+) -> np.ndarray:
+    """``(rows, 2n)`` torsion vectors, drawn one row after another."""
+    seq = validate_sequence(sequence)
+    _check_smoothness(smoothness)
+    tables = [_basin_table(aa) for aa in seq]
+    random, normal = rng.random, rng.normal
+    out = np.empty((rows, 2 * len(seq)), dtype=np.float64)
+    for row in out:
+        prev = -1
+        k = 0
+        for cdf, params in tables:
+            if 0 <= prev < len(params) and random() < smoothness:
+                idx = prev
+            else:
+                idx = int(cdf.searchsorted(random(), side="right"))
+            phi_mean, psi_mean, phi_sigma, psi_sigma = params[idx]
+            row[k] = _wrap(normal(phi_mean, phi_sigma))
+            row[k + 1] = _wrap(normal(psi_mean, psi_sigma))
+            k += 2
+            prev = idx
+    return out
 
 
 def sample_loop_torsions(
@@ -53,31 +110,21 @@ def sample_loop_torsions(
         predecessor, which produces runs of similar local structure (as real
         loops do) instead of independent per-residue draws.
     """
-    seq = validate_sequence(sequence)
-    if not (0.0 <= smoothness < 1.0):
-        raise ValueError("smoothness must be in [0, 1)")
-    torsions = np.zeros(2 * len(seq), dtype=np.float64)
-    prev_basin: Optional[int] = None
-    for i, aa in enumerate(seq):
-        basins = constants.ramachandran_basins(aa)
-        weights = np.array([b[4] for b in basins])
-        weights = weights / weights.sum()
-        if prev_basin is not None and prev_basin < len(basins) and rng.random() < smoothness:
-            idx = prev_basin
-        else:
-            idx = int(rng.choice(len(basins), p=weights))
-        phi_mean, psi_mean, phi_sigma, psi_sigma, _w = basins[idx]
-        torsions[2 * i] = wrap_angle(rng.normal(phi_mean, phi_sigma))
-        torsions[2 * i + 1] = wrap_angle(rng.normal(psi_mean, psi_sigma))
-        prev_basin = idx
-    return torsions
+    return _sample_rows(sequence, 1, rng, smoothness)[0]
 
 
 @dataclass
 class RamachandranModel:
-    """Callable wrapper bundling the basin tables with convenience methods."""
+    """Callable wrapper bundling the basin tables with convenience methods.
+
+    ``smoothness`` (see :func:`sample_loop_torsions`) is checked at
+    construction, so an invalid model fails before its first draw.
+    """
 
     smoothness: float = 0.3
+
+    def __post_init__(self) -> None:
+        _check_smoothness(self.smoothness)
 
     def sample_sequence(self, sequence: str, rng: np.random.Generator) -> np.ndarray:
         """Sample a loop torsion vector for ``sequence``."""
@@ -89,9 +136,7 @@ class RamachandranModel:
         """Sample a ``(P, 2n)`` population torsion matrix for ``sequence``."""
         if population_size <= 0:
             raise ValueError("population_size must be positive")
-        return np.stack(
-            [self.sample_sequence(sequence, rng) for _ in range(population_size)]
-        )
+        return _sample_rows(sequence, population_size, rng, self.smoothness)
 
     def log_density(self, aa: str, phi: float, psi: float) -> float:
         """Log of the (unnormalised) basin-mixture density at (phi, psi).

@@ -11,19 +11,31 @@ synthetic loop library (:mod:`repro.loops.library`):
 * **Distance tables** — for each backbone atom-type pair (N/CA/C/O, 10
   unordered pairs) and sequence-separation class, a histogram over
   pair-distance bins, normalised by the pooled reference distribution.
+
+Both histograms are filled by one ``np.bincount`` each, over flat
+``(class, phi-bin, psi-bin)`` and ``(atom pair, separation, distance-bin)``
+indices gathered from every record.  Counts are integers held exactly in
+float64, so the tables equal the per-residue, per-pair accumulation they
+replaced bit for bit.  Squared distances are summed over the contiguous
+``xyz`` axis of a ``(pairs, 4, 4, 3)`` difference array, the same
+reduction the per-pair ``(4, 4, 3)`` form took.  Pairs at or beyond
+``DISTANCE_MAX`` fall into no bin.  A non-finite torsion or coordinate
+has no bin either, so a record holding one is rejected with a
+``ValueError`` that names its index.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from repro import constants
-from repro.loops.library import LoopLibrary, default_library
+from repro.loops.library import LoopLibrary, LoopRecord, default_library
 from repro.protein.residue import ResidueType, residue_type
 from repro.scoring.pairwise import bin_squared_distances, squared_bin_edges
 
@@ -70,6 +82,11 @@ for _idx, (_a, _b) in enumerate(_PAIRS):
 
 #: Number of unordered backbone atom-type pairs.
 N_ATOM_PAIRS: int = len(_PAIRS)
+
+#: Unordered pair index of every ordered (a, b) atom-type pair, shape (4, 4).
+_PAIR_INDEX: np.ndarray = np.array(
+    [[_PAIR_LOOKUP[(a, b)] for b in range(_N_ATOM_TYPES)] for a in range(_N_ATOM_TYPES)]
+)
 
 #: Number of residue-type triplet classes (3 types ** 3 positions).
 N_TRIPLET_CLASSES: int = len(ResidueType) ** 3
@@ -165,57 +182,59 @@ class KnowledgeBase:
         return self.triplet_neg_log.nbytes + self.distance_neg_log.nbytes
 
 
+def _record_bins(index: int, record: LoopRecord) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat triplet and distance histogram indices of one library record."""
+    torsions = np.asarray(record.torsions, dtype=np.float64)
+    coords = np.asarray(record.coords, dtype=np.float64)  # (n, 4, 3)
+    if not (np.isfinite(torsions).all() and np.isfinite(coords).all()):
+        raise ValueError(f"library record {index} has non-finite torsions or coordinates")
+
+    # Triplet class of each residue; the chain ends repeat their own type.
+    types = np.array([residue_type(aa).value for aa in record.sequence], dtype=np.int64)
+    prev_t = np.concatenate([types[:1], types[:-1]])
+    next_t = np.concatenate([types[1:], types[-1:]])
+    base = len(ResidueType)
+    cls = (prev_t * base + types) * base + next_t
+    triplet = (cls * TORSION_BINS + torsion_bin(torsions[0::2])) * TORSION_BINS
+    triplet += torsion_bin(torsions[1::2])
+
+    i, j = np.triu_indices(coords.shape[0], 1)
+    diff = coords[i][:, :, None, :] - coords[j][:, None, :, :]  # (pairs, 4, 4, 3)
+    # Bin the squared distances directly so histogram building and the
+    # runtime kernels share one edge-exact binning.
+    bins = distance_bin_sq(np.sum(diff * diff, axis=-1))
+    sep = np.minimum(j - i, SEPARATION_CLASSES) - 1
+    distance = (_PAIR_INDEX * SEPARATION_CLASSES + sep[:, None, None]) * DISTANCE_BINS + bins
+    # Beyond the table edge: no statistics.
+    return triplet, distance[bins < DISTANCE_BINS]
+
+
+def _histogram(indices: Sequence[np.ndarray], shape: Tuple[int, ...]) -> np.ndarray:
+    """Integer counts of flat ``indices`` into an array of ``shape``."""
+    return np.bincount(np.concatenate(indices), minlength=math.prod(shape)).reshape(shape)
+
+
 def build_knowledge_base(library: LoopLibrary) -> KnowledgeBase:
-    """Derive the TRIPLET and DIST tables from a loop library."""
+    """Derive the TRIPLET and DIST tables from a loop library.
+
+    Raises ``ValueError`` for an empty library and for a record with a
+    non-finite torsion or coordinate.
+    """
     if len(library) == 0:
         raise ValueError("cannot build a knowledge base from an empty library")
-
-    # ------------------------------------------------------------------
-    # Triplet torsion histograms.
-    # ------------------------------------------------------------------
-    triplet_counts = np.full(
-        (N_TRIPLET_CLASSES, TORSION_BINS, TORSION_BINS), _PSEUDOCOUNT, dtype=np.float64
+    triplet_bins, distance_bins = zip(
+        *(_record_bins(index, record) for index, record in enumerate(library))
     )
-    for record in library:
-        seq = record.sequence
-        torsions = record.torsions
-        n = len(seq)
-        for i in range(n):
-            prev_aa = seq[i - 1] if i > 0 else seq[i]
-            next_aa = seq[i + 1] if i + 1 < n else seq[i]
-            cls = triplet_class_index(prev_aa, seq[i], next_aa)
-            pb = int(torsion_bin(np.array([torsions[2 * i]]))[0])
-            sb = int(torsion_bin(np.array([torsions[2 * i + 1]]))[0])
-            triplet_counts[cls, pb, sb] += 1.0
 
+    triplet_counts = _PSEUDOCOUNT + _histogram(
+        triplet_bins, (N_TRIPLET_CLASSES, TORSION_BINS, TORSION_BINS)
+    )
     triplet_prob = triplet_counts / triplet_counts.sum(axis=(1, 2), keepdims=True)
     triplet_neg_log = -np.log(triplet_prob)
 
-    # ------------------------------------------------------------------
-    # Pairwise distance histograms.
-    # ------------------------------------------------------------------
-    dist_counts = np.full(
-        (N_ATOM_PAIRS, SEPARATION_CLASSES, DISTANCE_BINS), _PSEUDOCOUNT, dtype=np.float64
-    )
-    reference_counts = np.full(DISTANCE_BINS, _PSEUDOCOUNT, dtype=np.float64)
-
-    for record in library:
-        coords = record.coords  # (n, 4, 3)
-        n = coords.shape[0]
-        for i in range(n):
-            for j in range(i + 1, n):
-                sep_cls = separation_class(j - i)
-                diff = coords[i][:, None, :] - coords[j][None, :, :]
-                # Bin the squared distances directly so histogram building
-                # and the runtime kernels share one edge-exact binning.
-                bins = distance_bin_sq(np.sum(diff * diff, axis=-1))  # (4, 4)
-                for a in range(_N_ATOM_TYPES):
-                    for b in range(_N_ATOM_TYPES):
-                        if bins[a, b] >= DISTANCE_BINS:
-                            continue  # beyond the table edge: no statistics
-                        pair = atom_pair_index(a, b)
-                        dist_counts[pair, sep_cls, bins[a, b]] += 1.0
-                        reference_counts[bins[a, b]] += 1.0
+    distance_hist = _histogram(distance_bins, (N_ATOM_PAIRS, SEPARATION_CLASSES, DISTANCE_BINS))
+    dist_counts = _PSEUDOCOUNT + distance_hist
+    reference_counts = _PSEUDOCOUNT + distance_hist.sum(axis=(0, 1))
 
     dist_prob = dist_counts / dist_counts.sum(axis=2, keepdims=True)
     reference_prob = reference_counts / reference_counts.sum()

@@ -35,6 +35,11 @@ class TestRamachandran:
         with pytest.raises(ValueError):
             sample_loop_torsions("ACD", rng, smoothness=1.0)
 
+    @pytest.mark.parametrize("smoothness", [1.0, 1.5, -0.1, float("nan")])
+    def test_model_validates_smoothness_at_construction(self, smoothness):
+        with pytest.raises(ValueError, match="smoothness"):
+            RamachandranModel(smoothness=smoothness)
+
     def test_generic_residues_prefer_negative_phi(self):
         rng = np.random.default_rng(0)
         phis = np.array([sample_basin("L", rng)[0] for _ in range(300)])
@@ -96,6 +101,25 @@ class TestLoopLibrary:
     def test_rejects_nonpositive_size(self):
         with pytest.raises(ValueError):
             LoopLibrary.generate(n_loops=0)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            (dict(lengths=()), "lengths"),
+            (dict(lengths=(-3,)), "lengths"),
+            (dict(lengths=(8, 0)), "lengths"),
+            (dict(alphabet=""), "alphabet"),
+            (dict(alphabet="AC1"), "alphabet"),
+            (dict(smoothness=1.5), "smoothness"),
+        ],
+    )
+    def test_rejects_bad_arguments_before_any_draw(self, monkeypatch, kwargs, name):
+        def no_draws(*args):
+            raise AssertionError("a generator was created before validation")
+
+        monkeypatch.setattr("repro.loops.library.spawn_rng", no_draws)
+        with pytest.raises(ValueError, match=name):
+            LoopLibrary.generate(n_loops=3, **kwargs)
 
     def test_default_library_cached(self):
         assert default_library(seed=2010, n_loops=50) is default_library(seed=2010, n_loops=50)

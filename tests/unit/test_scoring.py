@@ -1,5 +1,7 @@
 """Unit tests for the scoring functions and the knowledge base."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,16 @@ class TestKnowledgeBase:
     def test_empty_library_rejected(self):
         with pytest.raises(ValueError):
             build_knowledge_base(LoopLibrary(records=[]))
+
+    @pytest.mark.parametrize("field", ["torsions", "coords"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_record_rejected(self, tiny_library, field, value):
+        records = list(tiny_library.records)
+        values = getattr(records[5], field).copy()
+        values.flat[3] = value
+        records[5] = dataclasses.replace(records[5], **{field: values})
+        with pytest.raises(ValueError, match="record 5"):
+            build_knowledge_base(LoopLibrary(records=records))
 
     def test_populated_basins_cheaper_than_empty_bins(self, knowledge_base):
         # The alpha-helical region is heavily populated by the library, so its
