@@ -3,8 +3,9 @@
 
 This example mirrors the paper's Table IV protocol at laptop scale: for a
 selection of benchmark targets of different lengths (plus the named easy and
-hard cases), generate a decoy set by repeating sampling trajectories with
-fresh seeds, then report per-target and aggregate quality.
+hard cases), run one campaign whose seeds axis holds each target's
+trajectories, merge every target's decoy sets up to the decoy budget, then
+report per-target and aggregate quality.
 
 Run with::
 
@@ -17,7 +18,8 @@ from __future__ import annotations
 import argparse
 from typing import List
 
-from repro import DecoyGenerationConfig, MOSCEMSampler, SamplingConfig, get_target
+from repro import SamplingConfig, Session, campaign
+from repro.analysis.aggregation import merge_decoy_sets
 from repro.analysis.decoys import DecoyQualityReport, evaluate_decoy_set
 from repro.loops.targets import BenchmarkTarget, benchmark_registry
 
@@ -49,7 +51,7 @@ def main() -> None:
     parser.add_argument("--population", type=int, default=192, help="population size")
     parser.add_argument("--iterations", type=int, default=12, help="MOSCEM iterations")
     parser.add_argument("--decoys", type=int, default=30, help="decoys per target")
-    parser.add_argument("--trajectories", type=int, default=3, help="max trajectories per target")
+    parser.add_argument("--trajectories", type=int, default=3, help="trajectories per target")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
@@ -57,22 +59,32 @@ def main() -> None:
         population_size=args.population,
         n_complexes=8,
         iterations=args.iterations,
-        seed=args.seed,
     )
-    decoy_config = DecoyGenerationConfig(
-        target_decoys=args.decoys, max_trajectories=args.trajectories
-    )
-
     report = DecoyQualityReport(thresholds=(1.0, 1.5, 2.5, 3.5))
     targets = select_targets(args.all, args.targets)
     print(f"Running {len(targets)} targets "
           f"(population {args.population}, {args.iterations} iterations, "
-          f"{args.decoys} decoys per target)\n")
+          f"{args.trajectories} trajectories and up to {args.decoys} decoys "
+          f"per target)\n")
+
+    grid = campaign(
+        "benchmark-sweep",
+        targets=[entry.name for entry in targets],
+        configs=config,
+        seeds=args.trajectories,
+        base_seed=args.seed,
+        checkpoint_every=0,
+        workers=1,
+    )
+    with Session.ephemeral() as session:
+        result = session.run(grid)
 
     for entry in targets:
-        target = get_target(entry.name)
-        sampler = MOSCEMSampler(target, config=config, backend_kind="gpu")
-        decoys = sampler.generate_decoy_set(decoy_config, base_seed=args.seed)
+        decoys = merge_decoy_sets(
+            [cell.decoys for cell in result.select(target=entry.name)],
+            distinct_only=True,
+            max_size=args.decoys,
+        )
         quality = evaluate_decoy_set(
             decoys, entry.name, entry.length, thresholds=report.thresholds
         )

@@ -18,17 +18,17 @@ Multi-scoring Functions Protein Loop Structure Sampling* (IPDPS Workshops,
 
 Quickstart
 ----------
->>> from repro import MOSCEMSampler, SamplingConfig, get_target
->>> target = get_target("1cex(40:51)")
->>> sampler = MOSCEMSampler(target, SamplingConfig(population_size=128,
-...                                                n_complexes=8,
-...                                                iterations=10))
->>> result = sampler.run()
->>> result.best_rmsd  # doctest: +SKIP
+>>> from repro import SamplingConfig, Session, campaign
+>>> grid = campaign("quickstart", targets="1cex(40:51)",
+...                 configs=SamplingConfig(population_size=128, n_complexes=8,
+...                                        iterations=10))
+>>> with Session.ephemeral() as session:  # doctest: +SKIP
+...     result = session.run(grid)
+>>> result.best_rmsd()  # doctest: +SKIP
 1.7
 """
 
-from repro.config import DecoyGenerationConfig, PaperConfig, SamplingConfig
+from repro.config import PaperConfig, SamplingConfig
 from repro.loops.loop import LoopTarget
 from repro.loops.targets import (
     benchmark_registry,
@@ -74,7 +74,6 @@ __all__ = [
     # Configuration
     "SamplingConfig",
     "PaperConfig",
-    "DecoyGenerationConfig",
     # Targets
     "LoopTarget",
     "get_target",

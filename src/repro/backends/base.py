@@ -111,14 +111,6 @@ class SamplingBackend(abc.ABC):
     def finalize(self, population: Population) -> None:
         """Record the final device-to-host readback at the end of a run."""
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    def kernel_seconds(self) -> float:
-        """Total time spent in this backend's kernels."""
-        return self.ledger.total()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"{self.__class__.__name__}(target={self.target.name!r}, "

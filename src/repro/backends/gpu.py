@@ -15,8 +15,10 @@ heterogeneous design on the simulated SIMT engine: each kernel is launched
 by :class:`~repro.simt.engine.SIMTEngine`, which times it into the same
 ledger section and records its launch geometry, the scoring
 tables and environment atoms are "uploaded" once at construction
-(texture-memory residency in the paper), and the per-iteration host round
-trips are recorded as simulated memcpy events for the Table II rows.
+(texture-memory residency in the paper), and every host round trip is
+filed into the same ledger as a modelled memcpy record under its
+:class:`~repro.simt.memory.MemcpyKind` label.  Table II is therefore a view
+of the kernel ledger alone, live or loaded back from the run store.
 """
 
 from __future__ import annotations
@@ -252,4 +254,5 @@ class GPUBackend(BatchedBackend):
         )
 
     def _transfer(self, kind: MemcpyKind, payload) -> None:
+        """File the modelled transfer into the kernel ledger."""
         self.engine.memcpy(kind, payload)

@@ -51,11 +51,17 @@ The entry points exposed (see ``setup.py``):
         repro-experiments --scale default --all --workers 4 --markdown > results.md
 
 ``repro-sample``
-    Run the MOSCEM sampler on one benchmark target and print a summary of
-    the run, optionally writing the best decoy as a PDB file, e.g.::
+    Run one trajectory on one benchmark target — a one-cell campaign on a
+    throwaway store, its seed derived from ``--seed`` and the cell
+    coordinates like any campaign cell's — and print a summary of the run,
+    optionally writing the best decoy as a PDB file, e.g.::
 
         repro-sample 1cex"(40:51)" --population 256 --iterations 20 \\
             --backend gpu --pdb best.pdb
+
+Every entry point that runs trajectories does so through
+:class:`repro.api.Session`; only the Fig. 5 driver, which snapshots the
+front inside a trajectory, still steps a sampler directly.
 """
 
 from __future__ import annotations
@@ -68,7 +74,6 @@ from repro.config import RuntimeConfig, SamplingConfig
 from repro.experiments import list_experiments, run_experiments
 from repro.experiments.runner import PAPER_EXPERIMENTS
 from repro.loops.targets import benchmark_registry, get_target
-from repro.moscem.sampler import MOSCEMSampler
 from repro.protein.pdb import loop_to_pdb
 from repro.utils.logging import configure_logging
 
@@ -140,7 +145,8 @@ def experiments_main(argv: Optional[Sequence[str]] = None) -> int:
 def _sample_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-sample",
-        description="Run the MOSCEM multi-scoring sampler on one benchmark target.",
+        description="Run one MOSCEM multi-scoring trajectory (a one-cell "
+        "campaign) on one benchmark target.",
     )
     parser.add_argument(
         "target",
@@ -151,7 +157,9 @@ def _sample_parser() -> argparse.ArgumentParser:
     parser.add_argument("--population", type=int, default=256, help="population size")
     parser.add_argument("--complexes", type=int, default=8, help="number of complexes")
     parser.add_argument("--iterations", type=int, default=20, help="MOSCEM iterations")
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
+    parser.add_argument(
+        "--seed", type=int, default=0, help="campaign base seed the cell seed derives from"
+    )
     parser.add_argument(
         "--backend",
         default="gpu",
@@ -184,28 +192,38 @@ def sample_main(argv: Optional[Sequence[str]] = None) -> int:
                   f"{', buried' if entry.buried else ''})")
         return 0
 
+    from repro.api import Session, campaign
+
     target = get_target(args.target)
     config = SamplingConfig(
         population_size=args.population,
         n_complexes=args.complexes,
         iterations=args.iterations,
         kernel_block_size=args.block_size,
-        seed=args.seed,
     )
-    sampler = MOSCEMSampler(target, config=config, backend_kind=args.backend)
-    result = sampler.run()
-    decoys = result.distinct_non_dominated()
+    grid = campaign(
+        "repro-sample",
+        targets=args.target,
+        configs=config,
+        backends=args.backend,
+        base_seed=args.seed,
+        checkpoint_every=0,
+        workers=1,
+    )
+    with Session.ephemeral() as session:
+        (result,) = session.run(grid)
+    decoys = result.decoys
 
     print(f"target              : {target.describe()}")
     print(f"backend             : {result.backend_name}")
     print(f"population x iters  : {config.population_size} x {config.iterations}")
     print(f"wall time           : {result.wall_seconds:.2f} s")
-    print(f"non-dominated       : {result.n_non_dominated()}")
+    print(f"non-dominated       : {result.n_non_dominated}")
     print(f"distinct decoys     : {len(decoys)}")
     print(f"best RMSD           : {result.best_rmsd:.2f} A")
-    print(f"best front RMSD     : {result.best_non_dominated_rmsd:.2f} A")
-    print(f"final acceptance    : "
-          f"{result.acceptance_history[-1]:.2f}" if result.acceptance_history else "")
+    print(f"best front RMSD     : {result.best_front_rmsd:.2f} A")
+    if result.final_acceptance is not None:
+        print(f"final acceptance    : {result.final_acceptance:.2f}")
 
     if args.pdb and len(decoys):
         best = min(decoys, key=lambda d: d.rmsd)
@@ -312,10 +330,13 @@ def _campaign_parser() -> argparse.ArgumentParser:
 
 
 def _print_campaign_result(result) -> None:
+    from repro.simt.profiler import KernelProfiler
+
     print(result.to_table().render())
-    ledgers = result.merged_ledgers()
+    # Kernel ledgers of gpu cells also hold modelled memcpy records.
+    kernels = KernelProfiler(ledger=result.merged_ledgers()["kernel"])
     print(f"total sampler time  : {result.wall_seconds():.2f} s")
-    print(f"total kernel time   : {ledgers['kernel'].total():.2f} s")
+    print(f"total kernel time   : {kernels.total_kernel_seconds():.2f} s")
     if result.migration_ledger:
         accepted = sum(
             len(event.get("accepted", ())) for event in result.migration_ledger

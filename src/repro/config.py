@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional, Tuple
+from typing import Tuple
 
 
 @dataclasses.dataclass(frozen=True)
@@ -187,23 +187,3 @@ class RuntimeConfig:
         if self.poll_seconds <= 0.0:
             raise ValueError("poll_seconds must be positive")
         object.__setattr__(self, "backends", tuple(self.backends))
-
-
-@dataclasses.dataclass(frozen=True)
-class DecoyGenerationConfig:
-    """Parameters controlling decoy-set accumulation across trajectories.
-
-    The paper repeats sampling trajectories with different seeds until the
-    decoy set holds 1,000 structurally distinct decoys (maximum torsion
-    deviation of at least 30 degrees from every decoy already kept).
-    """
-
-    target_decoys: int = 1000
-    max_trajectories: int = 50
-    distinctness_threshold: Optional[float] = None  # None -> constants default
-
-    def __post_init__(self) -> None:
-        if self.target_decoys <= 0:
-            raise ValueError("target_decoys must be positive")
-        if self.max_trajectories <= 0:
-            raise ValueError("max_trajectories must be positive")

@@ -18,6 +18,16 @@
 Each driver runs at three scales: ``smoke`` (seconds; used by tests and
 benches), ``default`` (minutes) and ``paper`` (the paper's own parameters —
 hours on this pure-Python substrate).
+
+Every trajectory workload is a campaign (:meth:`Experiment.run_campaign`)
+and every table a view over its :class:`~repro.api.results.CampaignResult`:
+``fig1`` and ``table2`` read the cells' stored host and kernel ledgers,
+``table4`` and ``fig6`` run each target's trajectories as seed labels
+until its merged decoy set is full (:meth:`Experiment.collect_decoys`).
+Besides the static ``table3``, three drivers run no campaign: ``fig5``
+snapshots the front inside one trajectory, and ``ablation_ccd`` and
+``ablation_batch_kernels`` time kernel implementations against each
+other.
 """
 
 # Importing the driver modules registers them in EXPERIMENT_REGISTRY.

@@ -6,7 +6,8 @@ figures but underpin the evaluation; each gets an ablation driver here:
 * ``ablation_multi_vs_single`` — Section II: sampling multiple scoring
   functions vs globally optimising a single composite score.  The
   multi-scoring sampler is compared against the simulated-annealing baseline
-  on the same target with the same budget.
+  on the same target with the same budget; the sampler side is a
+  one-cell campaign.
 * ``ablation_ccd`` — Section III.C: proposals must be re-closed with CCD;
   without closure the loop end drifts away from the C-terminal anchor and
   the conformations stop being valid loop models.
@@ -35,7 +36,6 @@ from repro.experiments.base import (
 from repro.loops.ramachandran import RamachandranModel
 from repro.loops.targets import get_target
 from repro.moscem.baseline import SimulatedAnnealingBaseline
-from repro.moscem.sampler import MOSCEMSampler
 from repro.scoring import default_multi_score
 from repro.utils.rng import spawn_rng
 
@@ -81,9 +81,7 @@ class MultiVsSingleObjectiveExperiment(Experiment):
         config = self.config_for_scale(scale)
         target = get_target(self.target_name)
 
-        sampler = MOSCEMSampler(target, config=config, backend_kind="gpu")
-        moscem_run = sampler.run()
-        moscem_decoys = moscem_run.distinct_non_dominated()
+        (moscem,) = self.run_campaign(scale, self.target_name, config)
 
         baseline = SimulatedAnnealingBaseline(target, config=config)
         baseline_run = baseline.run()
@@ -103,9 +101,9 @@ class MultiVsSingleObjectiveExperiment(Experiment):
         table.add_row(
             "MOSCEM multi-scoring sampling",
             "whole non-dominated decoy set",
-            moscem_run.best_rmsd,
-            moscem_run.best_non_dominated_rmsd,
-            len(moscem_decoys),
+            moscem.best_rmsd,
+            moscem.best_front_rmsd,
+            moscem.n_decoys,
         )
         table.add_row(
             "simulated annealing on composite score",
@@ -122,9 +120,9 @@ class MultiVsSingleObjectiveExperiment(Experiment):
             scale=scale,
             tables=[table],
             data={
-                "moscem_best_rmsd": moscem_run.best_rmsd,
-                "moscem_front_best_rmsd": moscem_run.best_non_dominated_rmsd,
-                "moscem_distinct": len(moscem_decoys),
+                "moscem_best_rmsd": moscem.best_rmsd,
+                "moscem_front_best_rmsd": moscem.best_front_rmsd,
+                "moscem_distinct": moscem.n_decoys,
                 "baseline_best_rmsd": baseline_run.best_rmsd,
                 "baseline_committed_rmsd": baseline_run.best_score_rmsd,
             },

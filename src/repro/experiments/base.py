@@ -9,6 +9,13 @@ class in this package.  A driver knows
   driver also defines scaled-down presets for benches and smoke tests),
 * how to render its result as text tables comparable with the paper.
 
+Trajectory workloads are declared as a campaign grid and run through
+:meth:`Experiment.run_campaign` (or, for decoy sets collected until a
+budget is full, :meth:`Experiment.collect_decoys`), so every cell gets a
+coordinate-derived seed and the driver's tables are views over the typed
+:class:`~repro.api.results.CampaignResult` (its decoy sets and its stored
+kernel and host ledgers).
+
 Drivers register themselves in :data:`EXPERIMENT_REGISTRY` so the runner and
 the command-line interface can enumerate them.
 """
@@ -18,10 +25,14 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Sequence, Type
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Sequence, Type, Union
 
 from repro.analysis.reporting import TextTable
 from repro.config import SamplingConfig
+
+if TYPE_CHECKING:  # the campaign layer is imported lazily, on first run
+    from repro.api.results import CampaignResult
+    from repro.moscem.decoys import DecoySet
 
 __all__ = [
     "Scale",
@@ -136,6 +147,81 @@ class Experiment(abc.ABC):
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+
+    def _grid(self, name, targets, configs, seeds, backends=("gpu",)):
+        """The driver's campaign: coordinate-derived seeds, inline cells."""
+        from repro.api import campaign
+
+        return campaign(
+            name,
+            targets=targets,
+            configs=configs,
+            seeds=seeds,
+            backends=backends,
+            base_seed=self.seed,
+            checkpoint_every=0,
+            workers=1,
+        )
+
+    def run_campaign(
+        self,
+        scale: Scale,
+        targets: Union[str, Sequence[str]],
+        configs: Union[SamplingConfig, Mapping[str, SamplingConfig]],
+        seeds: Union[int, Sequence[int]] = 1,
+        backends: Sequence[str] = ("gpu",),
+    ) -> "CampaignResult":
+        """Run the driver's trajectory grid as a campaign on a throwaway store.
+
+        Cell seeds derive from :attr:`seed` and the cell coordinates
+        (target, config name, seed label); independent trajectories belong
+        on the ``seeds`` axis.  Cells run inline, without checkpoints.
+        """
+        from repro.api import Session
+
+        grid = self._grid(
+            f"{self.experiment_id}-{scale}", targets, configs, seeds, backends
+        )
+        with Session.ephemeral() as session:
+            return session.run(grid)
+
+    def collect_decoys(
+        self,
+        scale: Scale,
+        targets: Sequence[str],
+        config: SamplingConfig,
+        trajectories: int,
+        max_decoys: int,
+    ) -> Dict[str, "DecoySet"]:
+        """Each target's decoy set, its trajectories run until the set is full.
+
+        As in the paper, trajectories are repeated until ``max_decoys``
+        distinct decoys are collected or ``trajectories`` have run.  Round
+        ``k`` runs seed label ``k`` of every target whose set is not yet
+        full, so cell seeds stay coordinate-derived and each set equals
+        ``merge_decoy_sets(..., distinct_only=True, max_size=max_decoys)``
+        over all ``trajectories`` cells of its target.
+        """
+        from repro.analysis.aggregation import merge_decoy_sets
+        from repro.api import Session
+
+        cells: Dict[str, List["DecoySet"]] = {name: [] for name in targets}
+        merged: Dict[str, "DecoySet"] = {}
+        with Session.ephemeral() as session:
+            for label in range(trajectories):
+                pending = [n for n in targets if n not in merged or not merged[n].full]
+                if not pending:
+                    break
+                grid = self._grid(
+                    f"{self.experiment_id}-{scale}-{label}", pending, config, [label]
+                )
+                result = session.run(grid)
+                for name in pending:
+                    cells[name].extend(t.decoys for t in result.select(target=name))
+                    merged[name] = merge_decoy_sets(
+                        cells[name], distinct_only=True, max_size=max_decoys
+                    )
+        return merged
 
     @abc.abstractmethod
     def execute(self, scale: Scale) -> ExperimentResult:

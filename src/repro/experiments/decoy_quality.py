@@ -8,10 +8,12 @@ counts how many targets obtained at least one decoy within 1.0 A and within
 down by loop length (10, 11, 12 residues).
 
 This driver runs the same protocol on the synthetic benchmark registry at
-reduced decoy budgets and reports the Table IV layout plus the per-target
-detail.  The shape that transfers: most targets are solved at 1.5 A, fewer
-at 1.0 A, longer loops are harder, and the buried target (1xyz(813:824))
-remains the worst case.
+reduced decoy budgets: each target's trajectories are seed labels of a
+campaign, run in rounds until its merged decoy set (30-degree distinctness
+rule) is full (:meth:`Experiment.collect_decoys`).  It reports the Table IV
+layout plus the per-target detail.  The shape that transfers: most targets
+are solved at 1.5 A, fewer at 1.0 A, longer loops are harder, and the
+buried target (1xyz(813:824)) remains the worst case.
 """
 
 from __future__ import annotations
@@ -19,21 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence
 
-from repro.analysis.decoys import (
-    DecoyQualityReport,
-    TargetQuality,
-    evaluate_decoy_set,
-)
+from repro.analysis.decoys import DecoyQualityReport, evaluate_decoy_set
 from repro.analysis.reporting import TextTable
-from repro.config import DecoyGenerationConfig, SamplingConfig
+from repro.config import SamplingConfig
 from repro.experiments.base import (
     Experiment,
     ExperimentResult,
     Scale,
     register_experiment,
 )
-from repro.loops.targets import BenchmarkTarget, benchmark_registry, get_target
-from repro.moscem.sampler import MOSCEMSampler
+from repro.loops.targets import BenchmarkTarget, benchmark_registry
 
 __all__ = ["DecoyQualityExperiment", "DecoyQualityProtocol", "PAPER_TABLE4"]
 
@@ -121,33 +118,16 @@ class DecoyQualityExperiment(Experiment):
                 selected.append(entry)
         return selected[: protocol.n_targets]
 
-    def run_target(
-        self, entry: BenchmarkTarget, protocol: DecoyQualityProtocol
-    ) -> TargetQuality:
-        """Generate a decoy set for one target and summarise its quality."""
-        target = get_target(entry.name)
-        sampler = MOSCEMSampler(
-            target,
-            config=protocol.sampling.with_seed(self.seed),
-            backend_kind="gpu",
-        )
-        decoys = sampler.generate_decoy_set(
-            DecoyGenerationConfig(
-                target_decoys=protocol.decoys_per_target,
-                max_trajectories=protocol.max_trajectories,
-            ),
-            base_seed=self.seed,
-        )
-        return evaluate_decoy_set(
-            decoys,
-            target_name=entry.name,
-            loop_length=entry.length,
-            thresholds=protocol.rmsd_thresholds,
-        )
-
     def execute(self, scale: Scale) -> ExperimentResult:
         protocol = self.protocol_for_scale(scale)
         entries = self.select_targets(protocol)
+        decoy_sets = self.collect_decoys(
+            scale,
+            [entry.name for entry in entries],
+            protocol.sampling,
+            protocol.max_trajectories,
+            protocol.decoys_per_target,
+        )
 
         report = DecoyQualityReport(
             thresholds=tuple(float(t) for t in protocol.rmsd_thresholds)
@@ -158,7 +138,12 @@ class DecoyQualityExperiment(Experiment):
             float_digits=2,
         )
         for entry in entries:
-            quality = self.run_target(entry, protocol)
+            quality = evaluate_decoy_set(
+                decoy_sets[entry.name],
+                target_name=entry.name,
+                loop_length=entry.length,
+                thresholds=protocol.rmsd_thresholds,
+            )
             report.add(quality)
             detail.add_row(
                 quality.target_name,

@@ -9,8 +9,9 @@ The headline observations:
   (14.3%) and EvalVDW (8.4%); EvalTRIP (a pure table lookup) is negligible;
 * host/device memory synchronisation stays below ~0.7% of GPU time.
 
-This driver runs the simulated-GPU backend with its kernel profiler active
-and renders the same table from the recorded launches and transfers.
+This driver runs one simulated-GPU campaign cell and renders the same table
+as a view of the cell's stored kernel ledger, which holds the measured
+kernel sections and the modelled memcpy records side by side.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.experiments.base import (
     register_experiment,
 )
 from repro.loops.targets import get_target
-from repro.moscem.sampler import MOSCEMSampler
+from repro.simt.profiler import KernelProfiler
 
 __all__ = ["GPUTaskBreakdownExperiment", "PAPER_TABLE2_FRACTIONS"]
 
@@ -60,9 +61,8 @@ class GPUTaskBreakdownExperiment(Experiment):
     def execute(self, scale: Scale) -> ExperimentResult:
         config = self.config_for_scale(scale)
         target = get_target(self.target_name)
-        sampler = MOSCEMSampler(target, config=config, backend_kind="gpu")
-        run = sampler.run()
-        profiler = sampler.backend.profiler
+        (cell,) = self.run_campaign(scale, self.target_name, config)
+        profiler = KernelProfiler(ledger=cell.kernel_ledger)
 
         table = TextTable(
             headers=["category", "method", "#calls", "GPU time", "% GPU time"],
@@ -111,7 +111,7 @@ class GPUTaskBreakdownExperiment(Experiment):
                 "dominant_kernel": dominant,
                 "total_gpu_seconds": profiler.total_gpu_seconds(),
                 "kernel_calls": dict(profiler.kernel_calls),
-                "wall_seconds": run.wall_seconds,
+                "wall_seconds": cell.wall_seconds,
             },
         )
         result.notes.append(

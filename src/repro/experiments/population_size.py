@@ -81,11 +81,9 @@ class PopulationSizeExperiment(Experiment):
             raise KeyError(f"{self.experiment_id} has no scale {scale!r}")
         return self.scale_settings[scale]
 
-    def _grid_campaign(self, scale: Scale, settings: Sequence[PopulationSizeSetting]):
-        """The sweep as a declarative campaign: one config per population
+    def _run_grid(self, scale: Scale, settings: Sequence[PopulationSizeSetting]):
+        """Run the sweep as one campaign: one config per population
         setting, with the independent trajectories as the seeds axis."""
-        from repro.api import campaign
-
         configs = {
             f"pop{setting.population_size}": SamplingConfig(
                 population_size=setting.population_size,
@@ -96,15 +94,8 @@ class PopulationSizeExperiment(Experiment):
         }
         trajectories = {setting.trajectories for setting in settings}
         assert len(trajectories) == 1, "settings of one scale share a trajectory count"
-        return campaign(
-            f"fig3-{scale}",
-            targets=self.target_name,
-            configs=configs,
-            seeds=trajectories.pop(),
-            backends=("gpu",),
-            base_seed=self.seed,
-            checkpoint_every=0,
-            workers=1,
+        return self.run_campaign(
+            scale, self.target_name, configs, seeds=trajectories.pop()
         )
 
     def _setting_stats(
@@ -120,11 +111,8 @@ class PopulationSizeExperiment(Experiment):
         return summarize_rmsd_trajectories(best_rmsds, distinct_counts)
 
     def execute(self, scale: Scale) -> ExperimentResult:
-        from repro.api import Session
-
         settings = self.settings_for_scale(scale)
-        with Session.ephemeral() as session:
-            campaign_result = session.run(self._grid_campaign(scale, settings))
+        campaign_result = self._run_grid(scale, settings)
 
         table = TextTable(
             headers=[

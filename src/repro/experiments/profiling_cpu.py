@@ -6,9 +6,9 @@ closure and the scoring-function evaluations together account for roughly
 99% of the wall-clock time (84.15% + 14.79%), which is the argument for
 migrating exactly those components to the GPU.
 
-This driver runs the CPU backend at a scaled-down population, collects the
-per-section timing ledger, and reports the same breakdown: closure fraction,
-scoring fraction, and everything else.
+This driver runs one CPU-backend campaign cell at a scaled-down
+population and reports the same breakdown from the cell's stored kernel and
+host ledgers: closure fraction, scoring fraction, and everything else.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from repro.experiments.base import (
     register_experiment,
 )
 from repro.loops.targets import get_target
-from repro.moscem.sampler import MOSCEMSampler
-from repro.utils.timing import TimingLedger
 
 __all__ = ["CPUProfileExperiment"]
 
@@ -53,14 +51,15 @@ class CPUProfileExperiment(Experiment):
     def execute(self, scale: Scale) -> ExperimentResult:
         config = self.config_for_scale(scale)
         target = get_target(self.target_name)
-        sampler = MOSCEMSampler(target, config=config, backend_kind="cpu")
-        run = sampler.run()
+        campaign_result = self.run_campaign(
+            scale, self.target_name, config, backends=("cpu",)
+        )
 
         # Merge backend-kernel and host-side sections into one ledger so the
         # breakdown covers the whole program, as the paper's Fig. 1 does.
-        ledger = TimingLedger()
-        ledger.merge(run.kernel_ledger)
-        ledger.merge(run.host_ledger)
+        ledgers = campaign_result.merged_ledgers()
+        ledger = ledgers["kernel"]
+        ledger.merge(ledgers["host"])
         grouped = timing_fractions(ledger)
         closure = grouped.get("closure", 0.0)
         scoring = grouped.get("scoring", 0.0)
@@ -111,7 +110,7 @@ class CPUProfileExperiment(Experiment):
                 "other_fraction": other,
                 "heavy_fraction": closure + scoring,
                 "total_seconds": total,
-                "wall_seconds": run.wall_seconds,
+                "wall_seconds": campaign_result.wall_seconds(),
                 "groups": KERNEL_GROUPS,
             },
         )

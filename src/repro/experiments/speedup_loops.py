@@ -6,7 +6,8 @@ The paper's Table I times the CPU-only and CPU-GPU implementations with
 loops from different proteins.
 
 This driver runs the same six targets (their synthetic stand-ins) on both
-backends and reports the per-target speedup table.  The property that
+backends as one campaign (targets x backends, so both backends of a target
+share its coordinate-derived seed) and reports the per-target speedup table.  The property that
 transfers is *consistency*: the batched backend wins on every target and the
 spread of speedups across targets is small relative to their mean.
 """
@@ -24,8 +25,6 @@ from repro.experiments.base import (
     Scale,
     register_experiment,
 )
-from repro.loops.targets import get_target
-from repro.moscem.sampler import MOSCEMSampler
 
 __all__ = ["TwelveResidueSpeedupExperiment", "PAPER_TABLE1"]
 
@@ -56,13 +55,11 @@ class TwelveResidueSpeedupExperiment(Experiment):
         "paper": SamplingConfig(population_size=15360, n_complexes=120, iterations=100),
     }
 
-    def _time_target(self, name: str, config: SamplingConfig, backend_kind: str) -> float:
-        target = get_target(name)
-        sampler = MOSCEMSampler(target, config=config, backend_kind=backend_kind)
-        return sampler.run().wall_seconds
-
     def execute(self, scale: Scale) -> ExperimentResult:
         config = self.config_for_scale(scale)
+        campaign_result = self.run_campaign(
+            scale, self.target_names, config, backends=("cpu", "gpu")
+        )
         table = TextTable(
             headers=[
                 "target",
@@ -78,8 +75,11 @@ class TwelveResidueSpeedupExperiment(Experiment):
 
         records: List[SpeedupRecord] = []
         for name in self.target_names:
-            cpu_seconds = self._time_target(name, config, "cpu")
-            gpu_seconds = self._time_target(name, config, "gpu")
+            seconds = {
+                cell.backend: cell.wall_seconds
+                for cell in campaign_result.select(target=name)
+            }
+            cpu_seconds, gpu_seconds = seconds["cpu"], seconds["gpu"]
             record = compute_speedup(
                 cpu_seconds,
                 gpu_seconds,

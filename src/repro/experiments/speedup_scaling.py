@@ -62,11 +62,9 @@ class SpeedupScalingExperiment(Experiment):
             raise KeyError(f"{self.experiment_id} has no scale {scale!r}")
         return self.scale_populations[scale]
 
-    def _grid_campaign(self, scale: Scale, populations: Sequence[int], iterations: int):
-        """The sweep as a declarative campaign: one config per population,
+    def _run_grid(self, scale: Scale, populations: Sequence[int], iterations: int):
+        """Run the sweep as one campaign: one config per population,
         crossed with both backends."""
-        from repro.api import campaign
-
         configs = {
             f"pop{population}": SamplingConfig(
                 population_size=population,
@@ -76,27 +74,14 @@ class SpeedupScalingExperiment(Experiment):
             )
             for population in populations
         }
-        return campaign(
-            f"fig4-{scale}",
-            targets=self.target_name,
-            configs=configs,
-            seeds=(self.seed,),
-            backends=("cpu", "gpu"),
-            base_seed=self.seed,
-            checkpoint_every=0,
-            workers=1,
+        return self.run_campaign(
+            scale, self.target_name, configs, seeds=(self.seed,), backends=("cpu", "gpu")
         )
 
     def execute(self, scale: Scale) -> ExperimentResult:
-        from repro.api import Session
-
         populations = self.populations_for_scale(scale)
         iterations = self.scale_iterations[scale]
-
-        with Session.ephemeral() as session:
-            campaign_result = session.run(
-                self._grid_campaign(scale, populations, iterations)
-            )
+        campaign_result = self._run_grid(scale, populations, iterations)
 
         records: List[SpeedupRecord] = []
         table = TextTable(

@@ -24,12 +24,11 @@ REP010    durable writes out of blobs -> summaries -> markers order
 REP011    stale ``# repro-lint: disable`` suppression comments
 ========  ====================================================
 
-Use :func:`run_lint` (or :func:`lint_project` for cache accounting)
+Use :func:`run_lint` (or :func:`lint_paths` with an explicit policy)
 programmatically, the ``repro-lint`` console script from a shell or CI
-(``--format sarif`` emits SARIF 2.1.0 for code-scanning upload; warm
-runs are served from ``.repro-lint-cache/``), and ``# repro-lint:
-disable=REPxxx`` comments (with a justification) to suppress a finding
-at a specific line — REP011 reports any such comment that outlives its
+(``--format sarif`` emits SARIF 2.1.0 for code-scanning upload), and
+``# repro-lint: disable=REPxxx`` comments (with a justification) to
+suppress a finding at a specific line — REP011 reports any such comment that outlives its
 finding.  See ``CONTRIBUTING.md`` for the rationale behind each rule.
 """
 
@@ -37,10 +36,7 @@ from repro.lint.config import LintConfig, load_config
 from repro.lint.engine import (
     Finding,
     LintError,
-    LintResult,
-    LintStats,
     lint_paths,
-    lint_project,
     lint_source,
     run_lint,
 )
@@ -50,14 +46,11 @@ __all__ = [
     "Finding",
     "LintConfig",
     "LintError",
-    "LintResult",
-    "LintStats",
     "PROJECT_RULES",
     "RULES",
     "get_project_rules",
     "get_rules",
     "lint_paths",
-    "lint_project",
     "lint_source",
     "load_config",
     "run_lint",

@@ -6,12 +6,7 @@ Exit codes follow the usual linter convention:
 * ``1`` — at least one unsuppressed finding;
 * ``2`` — the run itself failed (unreadable file, syntax error, bad args).
 
-The CLI runs with the analysis cache on by default (``.repro-lint-cache/``
-next to the working directory): a warm run re-parses only edited files
-and re-runs just the whole-program rules over the cached summaries.
-``--no-cache`` forces a cold run; ``--stats`` prints the cache
-accounting (``N files, M analyzed, K cached``) on stderr, which is what
-CI asserts on.
+Every run parses the whole tree; ``repro-lint src`` takes a few seconds.
 """
 
 from __future__ import annotations
@@ -19,12 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from typing import List, Optional, Sequence
 
-from repro.lint.cache import DEFAULT_CACHE_DIR, AnalysisCache
 from repro.lint.config import load_config
-from repro.lint.engine import Finding, LintError, LintStats, lint_project
+from repro.lint.engine import Finding, LintError, lint_paths
 from repro.lint.rules import get_project_rules, get_rules
 
 __all__ = ["main"]
@@ -68,21 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="pyproject.toml",
         help="pyproject.toml holding [tool.repro-lint] overrides",
     )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not write the per-file analysis cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help=f"analysis cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="print cache accounting (files/analyzed/cached) to stderr",
-    )
     return parser
 
 
@@ -117,14 +95,6 @@ def _report(findings: List[Finding], fmt: str, show_suppressed: bool) -> None:
         print(finding.render())
 
 
-def _print_stats(stats: LintStats) -> None:
-    print(
-        f"repro-lint: {stats.files} files, {stats.analyzed} analyzed, "
-        f"{stats.cached} cached",
-        file=sys.stderr,
-    )
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
 
@@ -138,23 +108,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{code}  {name}: {summary}{tag}")
         return 0
 
-    cache: Optional[AnalysisCache] = None
-    if not args.no_cache:
-        cache = AnalysisCache(args.cache_dir)
-
     try:
-        config = load_config(args.pyproject)
-        result = lint_project(args.paths, config, cache=cache)
+        findings = lint_paths(args.paths, load_config(args.pyproject))
     except LintError as exc:
         print(f"repro-lint: error: {exc}", file=sys.stderr)
         return 2
 
-    if cache is not None:
-        cache.sweep(time.time())
-    if args.stats:
-        _print_stats(result.stats)
-
-    findings = result.findings
     _report(findings, args.format, args.show_suppressed)
     unsuppressed = [f for f in findings if not f.suppressed]
     if unsuppressed:

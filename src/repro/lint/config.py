@@ -276,34 +276,6 @@ class LintConfig:
         """The policy of rule ``code`` (default-enabled if unlisted)."""
         return self.rules.get(code, RuleConfig())
 
-    def policy_digest(self) -> str:
-        """Stable hash of everything that influences findings.
-
-        Part of the analysis-cache key (:mod:`repro.lint.cache`): any
-        policy change — a rescoped rule, a new allowlist entry, an edited
-        layer map — invalidates every cached per-file result at once.
-        """
-        import hashlib
-        import json
-
-        payload = {
-            "rules": {
-                code: dataclasses.astuple(rule)
-                for code, rule in sorted(self.rules.items())
-            },
-            "wallclock_free": self.wallclock_free,
-            "checkpoint_schema": {
-                key: list(value) if isinstance(value, tuple) else value
-                for key, value in self.checkpoint_schema.items()
-            },
-            "layer_bands": dict(self.layer_bands),
-            "durable_markers": self.durable_markers,
-            "durable_summaries": self.durable_summaries,
-            "protocol_transient": self.protocol_transient,
-        }
-        encoded = json.dumps(payload, sort_keys=True).encode("utf8")
-        return hashlib.sha256(encoded).hexdigest()
-
 
 def package_relpath(path: Union[str, Path]) -> str:
     """Path suffix starting at the ``repro`` package directory.

@@ -8,8 +8,7 @@ tree into a :class:`~repro.lint.graph.ModuleAnalysis` for the project
 rules.  A lint run is then a five-stage pipeline:
 
 1. **analyze** every file — per-file findings + module analysis +
-   suppression comments (cacheable per file, see
-   :mod:`repro.lint.cache`);
+   suppression comments;
 2. **assemble** the :class:`~repro.lint.graph.ProjectGraph` from the
    module analyses;
 3. run the **project rules** (REP008 layering, REP009 kernel purity,
@@ -49,8 +48,6 @@ import re
 import tokenize
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING,
-    Any,
     Dict,
     Iterable,
     Iterator,
@@ -65,15 +62,9 @@ from typing import (
 from repro.lint.config import LintConfig, load_config, package_relpath
 from repro.lint.graph import ModuleAnalysis, ProjectGraph, analyze_module
 
-if TYPE_CHECKING:
-    from repro.lint.cache import AnalysisCache
-
 __all__ = [
     "Finding",
     "LintError",
-    "LintResult",
-    "LintStats",
-    "lint_project",
     "lint_source",
     "lint_paths",
     "run_lint",
@@ -102,23 +93,6 @@ class Finding:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}{mark}"
 
 
-@dataclasses.dataclass
-class LintStats:
-    """How a lint run was served (cache accounting for the CLI/CI gate)."""
-
-    files: int = 0  #: files linted
-    analyzed: int = 0  #: files parsed and analysed this run (cache misses)
-    cached: int = 0  #: files served from the analysis cache
-
-
-@dataclasses.dataclass
-class LintResult:
-    """Findings plus run accounting."""
-
-    findings: List[Finding]
-    stats: LintStats
-
-
 class _Suppression:
     """One ``# repro-lint: disable`` comment and its usage bookkeeping."""
 
@@ -138,15 +112,6 @@ class _Suppression:
         self.codes = codes  # upper-cased, source order, deduplicated
         self.own_line = own_line
         self.used: Set[str] = set()
-
-    def to_row(self) -> List[Any]:
-        return [self.line, self.col, self.kind, list(self.codes), self.own_line]
-
-    @classmethod
-    def from_row(cls, row: Sequence[Any]) -> "_Suppression":
-        return cls(
-            int(row[0]), int(row[1]), str(row[2]), tuple(row[3]), bool(row[4])
-        )
 
 
 _SUPPRESS_RE = re.compile(
@@ -237,43 +202,19 @@ def call_name(node: ast.Call) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Stage 1: per-file analysis (the cacheable unit)
+# Stage 1: per-file analysis
 # ---------------------------------------------------------------------------
 
 
 @dataclasses.dataclass
 class _FileRecord:
-    """One file's per-file results, either computed or cache-served."""
+    """One file's per-file results."""
 
     display_path: str  #: the path findings report (as the caller gave it)
     relpath: str
     raw: List[Tuple[str, int, int, str]]  #: (rule, line, col, message)
     analysis: ModuleAnalysis
     suppressions: List[_Suppression]
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "raw": [list(row) for row in self.raw],
-            "analysis": self.analysis.to_dict(),
-            "suppressions": [s.to_row() for s in self.suppressions],
-        }
-
-    @classmethod
-    def from_payload(
-        cls, payload: Dict[str, Any], display_path: str, relpath: str
-    ) -> "_FileRecord":
-        return cls(
-            display_path=display_path,
-            relpath=relpath,
-            raw=[
-                (str(r[0]), int(r[1]), int(r[2]), str(r[3]))
-                for r in payload["raw"]
-            ],
-            analysis=ModuleAnalysis.from_dict(payload["analysis"]),
-            suppressions=[
-                _Suppression.from_row(row) for row in payload["suppressions"]
-            ],
-        )
 
 
 def _analyze_file(
@@ -470,61 +411,23 @@ def iter_python_files(paths: Sequence[Union[str, Path]]) -> Iterator[Path]:
                 yield candidate
 
 
-def lint_project(
-    paths: Sequence[Union[str, Path]],
-    config: Optional[LintConfig] = None,
-    cache: Optional["AnalysisCache"] = None,
-) -> LintResult:
-    """Lint every Python file under ``paths`` as one program.
-
-    ``cache`` is an :class:`repro.lint.cache.AnalysisCache` (or anything
-    with its ``key``/``load``/``store`` shape); when given, unchanged
-    files are served from their cached per-file documents and only
-    edited files are re-parsed.  The project rules and suppression
-    bookkeeping always run fresh — they need the whole program.
-    """
-    config = config or LintConfig()
-    policy = config.policy_digest() if cache is not None else ""
-    stats = LintStats()
-    records: List[_FileRecord] = []
-    for path in iter_python_files(paths):
-        try:
-            data = path.read_bytes()
-        except OSError as exc:
-            raise LintError(f"cannot read {path}: {exc}") from exc
-        try:
-            source = data.decode("utf8")
-        except UnicodeDecodeError as exc:
-            raise LintError(f"cannot read {path}: {exc}") from exc
-        relpath = package_relpath(path)
-        stats.files += 1
-        record: Optional[_FileRecord] = None
-        key = ""
-        if cache is not None:
-            key = cache.key(relpath, data, policy)
-            payload = cache.load(key)
-            if payload is not None:
-                try:
-                    record = _FileRecord.from_payload(payload, str(path), relpath)
-                except (KeyError, IndexError, TypeError, ValueError):
-                    record = None
-        if record is None:
-            record = _analyze_file(source, path, relpath, config)
-            stats.analyzed += 1
-            if cache is not None:
-                cache.store(key, record.to_payload())
-        else:
-            stats.cached += 1
-        records.append(record)
-    return LintResult(findings=_assemble(records, config), stats=stats)
-
-
 def lint_paths(
     paths: Sequence[Union[str, Path]],
     config: Optional[LintConfig] = None,
 ) -> List[Finding]:
-    """Lint every Python file under ``paths`` (findings only, no cache)."""
-    return lint_project(paths, config).findings
+    """Lint every Python file under ``paths`` as one program.
+
+    Returns all findings, suppressed ones included.
+    """
+    config = config or LintConfig()
+    records: List[_FileRecord] = []
+    for path in iter_python_files(paths):
+        try:
+            source = path.read_bytes().decode("utf8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise LintError(f"cannot read {path}: {exc}") from exc
+        records.append(_analyze_file(source, path, package_relpath(path), config))
+    return _assemble(records, config)
 
 
 def run_lint(

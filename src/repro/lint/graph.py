@@ -7,7 +7,7 @@ helper three calls below an ``@array_kernel`` that opens a file, an
 import edge that points up the architecture, a marker file written
 before its payload in another method.  This module is the bridge: each
 file's already-parsed AST is distilled — still one parse per file — into
-a small, JSON-serialisable :class:`ModuleAnalysis` (import sites,
+a small :class:`ModuleAnalysis` of plain data (import sites,
 per-function call edges, impurity facts, durable-write sites), and a
 :class:`ProjectGraph` assembles every module's analysis into the
 project-wide import graph and a conservative call graph.
@@ -24,9 +24,7 @@ Conservatism, stated once:
 * **Impurity facts** are recorded for *every* function (the denylists
   below are cheap), but only reported when a jit root's transitive call
   closure actually reaches them.
-* The analyses carry no AST nodes, only plain data — which is what makes
-  the on-disk cache (:mod:`repro.lint.cache`) a per-file JSON document
-  keyed by content hash.
+* The analyses carry no AST nodes, only plain data.
 
 This module imports nothing outside the standard library: the lint
 package is the bottom of the layer order it enforces (REP008 holds it to
@@ -37,10 +35,9 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 __all__ = [
-    "ANALYSIS_VERSION",
     "CallSite",
     "FunctionInfo",
     "ImportSite",
@@ -53,12 +50,6 @@ __all__ = [
     "module_name_of",
     "package_of",
 ]
-
-#: Version of the analysis schema below.  Bumping it invalidates every
-#: cached analysis document at once (the cache key embeds it), so adding
-#: a fact field never resurrects stale summaries.
-ANALYSIS_VERSION: int = 1
-
 
 # ---------------------------------------------------------------------------
 # Impurity denylists (REP009 facts)
@@ -254,7 +245,7 @@ class FunctionInfo:
 
 @dataclasses.dataclass(frozen=True)
 class ModuleAnalysis:
-    """The distilled, serialisable analysis of one module."""
+    """The distilled analysis of one module."""
 
     relpath: str
     module: str
@@ -262,49 +253,6 @@ class ModuleAnalysis:
     functions: Tuple[FunctionInfo, ...]
     #: resolved candidates wrapped by ``maybe_jit`` / ``maybe_vmap`` calls
     jit_roots: Tuple[CallSite, ...]
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable form (the cache document body)."""
-        return {
-            "relpath": self.relpath,
-            "module": self.module,
-            "imports": [dataclasses.astuple(s) for s in self.imports],
-            "functions": [
-                {
-                    "qualname": f.qualname,
-                    "line": f.line,
-                    "col": f.col,
-                    "kernel": f.kernel,
-                    "calls": [dataclasses.astuple(c) for c in f.calls],
-                    "impure": [dataclasses.astuple(i) for i in f.impure],
-                    "writes": [dataclasses.astuple(w) for w in f.writes],
-                }
-                for f in self.functions
-            ],
-            "jit_roots": [dataclasses.astuple(c) for c in self.jit_roots],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "ModuleAnalysis":
-        """Inverse of :meth:`to_dict` (raises on malformed documents)."""
-        return cls(
-            relpath=str(payload["relpath"]),
-            module=str(payload["module"]),
-            imports=tuple(ImportSite(*row) for row in payload["imports"]),
-            functions=tuple(
-                FunctionInfo(
-                    qualname=str(f["qualname"]),
-                    line=int(f["line"]),
-                    col=int(f["col"]),
-                    kernel=bool(f["kernel"]),
-                    calls=tuple(CallSite(*row) for row in f["calls"]),
-                    impure=tuple(ImpureFact(*row) for row in f["impure"]),
-                    writes=tuple(WriteSite(*row) for row in f["writes"]),
-                )
-                for f in payload["functions"]
-            ),
-            jit_roots=tuple(CallSite(*row) for row in payload["jit_roots"]),
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.config import DecoyGenerationConfig, SamplingConfig
+from repro.config import SamplingConfig
 from repro.loops.loop import LoopTarget
 from repro.loops.ramachandran import RamachandranModel
 from repro.moscem.complexes import partition_population
@@ -453,44 +453,3 @@ class MOSCEMSampler:
         return self.finalize_state(
             state, recorder=recorder, host_ledger=host_ledger, wall_seconds=wall
         )
-
-    # ------------------------------------------------------------------
-    # Decoy-set generation across trajectories
-    # ------------------------------------------------------------------
-
-    def generate_decoy_set(
-        self,
-        decoy_config: Optional[DecoyGenerationConfig] = None,
-        base_seed: Optional[int] = None,
-    ) -> DecoySet:
-        """Repeat trajectories with fresh seeds until the decoy set is full.
-
-        Mirrors Section V.C of the paper: each trajectory contributes its
-        structurally distinct non-dominated conformations; trajectories are
-        repeated with a different random seed until the requested number of
-        decoys is collected (or the trajectory budget is exhausted).
-        """
-        decoy_config = decoy_config if decoy_config is not None else DecoyGenerationConfig()
-        threshold = decoy_config.distinctness_threshold
-        kwargs = {} if threshold is None else {"distinctness_threshold": threshold}
-        decoys = DecoySet(max_size=decoy_config.target_decoys, **kwargs)
-        seed0 = self.config.seed if base_seed is None else base_seed
-
-        for trajectory in range(decoy_config.max_trajectories):
-            if decoys.full:
-                break
-            result = self.run(seed=seed0 + trajectory)
-            indices = np.where(result.non_dominated)[0]
-            if result.population.fitness is not None:
-                indices = indices[np.argsort(result.population.fitness[indices])]
-            for i in indices:
-                decoys.add(
-                    torsions=result.population.torsions[i],
-                    coords=result.population.coords[i],
-                    scores=result.population.scores[i],
-                    rmsd=float(result.rmsd[i]),
-                    trajectory=trajectory,
-                )
-                if decoys.full:
-                    break
-        return decoys

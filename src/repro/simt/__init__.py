@@ -12,9 +12,9 @@ substrate with the same *shape*:
   paper reports in Table III;
 * :mod:`~repro.simt.occupancy` — the CUDA compute-capability 1.3 occupancy
   calculation, which reproduces the occupancy column of Table III;
-* :class:`~repro.simt.profiler.KernelProfiler` — kernel times read off a
-  timing ledger plus host/device memory transfers, rendering Table II-style
-  breakdowns;
+* :class:`~repro.simt.profiler.KernelProfiler` — kernel times and modelled
+  host/device memory transfers read off one timing ledger, rendering
+  Table II-style breakdowns;
 * :class:`~repro.simt.engine.SIMTEngine` — executes "kernels" (vectorised
   NumPy batch functions, one logical thread per population member) while
   recording their timing and transfer activity.
@@ -22,7 +22,7 @@ substrate with the same *shape*:
 
 from repro.simt.device import DeviceSpec, GTX280
 from repro.simt.kernel import KernelLaunch, KernelSpec
-from repro.simt.memory import MemcpyKind, TransferRecord
+from repro.simt.memory import MemcpyKind
 from repro.simt.occupancy import OccupancyResult, occupancy
 from repro.simt.profiler import KernelProfiler
 from repro.simt.engine import SIMTEngine
@@ -33,7 +33,6 @@ __all__ = [
     "KernelSpec",
     "KernelLaunch",
     "MemcpyKind",
-    "TransferRecord",
     "OccupancyResult",
     "occupancy",
     "KernelProfiler",

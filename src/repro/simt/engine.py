@@ -8,9 +8,9 @@ thread per population member); the engine
 * executes the callable inside a section of its profiler's timing ledger
   (the one measurement of the kernel's time; the engine reads no clock),
 * records the launch geometry with the profiler, and
-* synthesises host/device transfer events (the real computation happens in
-  host memory, so transfer *times* are modelled from the device's bandwidth
-  and latency figures, while transfer *sizes* are the true array sizes).
+* books host/device transfers into the same ledger (the real computation
+  happens in host memory, so transfer *times* are modelled from the
+  device's bandwidth and latency figures applied to the true array sizes).
 
 This keeps the control flow, instrumentation and reporting of the paper's
 CPU-GPU program intact even though the arithmetic runs on the CPU's vector
@@ -118,7 +118,8 @@ class SIMTEngine:
         ``data`` may be an ndarray (its ``nbytes`` is used) or an integer
         byte count.  The transfer time is synthesised from the device's
         bandwidth/latency model — the arrays themselves already live in host
-        memory.
+        memory — and added to the profiler's ledger under the kind's label.
+        ``ledger.add`` measures nothing, so an attached tracer gets no span.
         """
         if isinstance(data, np.ndarray):
             nbytes = int(data.nbytes)
@@ -127,7 +128,7 @@ class SIMTEngine:
         if nbytes < 0:
             raise ValueError("transfer size must be non-negative")
         seconds = self.device.transfer_latency + nbytes / self.device.transfer_bandwidth
-        self.profiler.record_memcpy(kind, nbytes, seconds)
+        self.profiler.ledger.add(kind.value, seconds)
 
     def upload_tables(self, *arrays: np.ndarray) -> None:
         """Record the one-time upload of pre-computed scoring tables.

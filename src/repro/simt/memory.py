@@ -1,18 +1,17 @@
-"""Memory spaces and host/device transfer records.
+"""Memory spaces and host/device transfer categories.
 
 The paper stresses judicious placement of data across GPU memory spaces:
 pre-computed scoring tables in texture memory, run constants in constant
 memory, torsion/score arrays in coalesced global memory.  The simulated
-engine tracks the logical transfers between host and device memory so the
-profiler can report the memcpy rows of Table II.
+engine files the logical transfers between host and device memory into its
+timing ledger under their :class:`MemcpyKind` label, so the profiler can
+report the memcpy rows of Table II.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-
-__all__ = ["MemorySpace", "MemcpyKind", "TransferRecord"]
+__all__ = ["MemorySpace", "MemcpyKind", "MEMCPY_LABELS"]
 
 
 class MemorySpace(enum.Enum):
@@ -36,24 +35,5 @@ class MemcpyKind(enum.Enum):
     DEVICE_TO_DEVICE = "memcpyDtoD"
 
 
-@dataclass
-class TransferRecord:
-    """Accumulated statistics for one transfer category."""
-
-    kind: MemcpyKind
-    calls: int = 0
-    total_bytes: int = 0
-    total_seconds: float = 0.0
-
-    def add(self, nbytes: int, seconds: float) -> None:
-        """Record one transfer of ``nbytes`` taking ``seconds``."""
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        self.calls += 1
-        self.total_bytes += int(nbytes)
-        self.total_seconds += float(seconds)
-
-    @property
-    def mean_bytes(self) -> float:
-        """Average bytes per transfer."""
-        return self.total_bytes / self.calls if self.calls else 0.0
+#: Ledger labels of the memcpy categories (the ``Mem sync`` rows of Table II).
+MEMCPY_LABELS = frozenset(kind.value for kind in MemcpyKind)

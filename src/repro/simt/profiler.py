@@ -1,10 +1,12 @@
 """Kernel and memcpy profiler (the simulated CUDA Visual Profiler).
 
-Reads per-kernel execution time off the :class:`~repro.utils.timing.
-TimingLedger` the engine times its launches into, accumulates the modelled
-per-category transfer statistics during a GPU-backend run, and renders
-both in the layout of the paper's Table II (category, method, number of
-calls, GPU time, % GPU time).
+A view over the :class:`~repro.utils.timing.TimingLedger` the engine books
+into: kernel launches are measured ledger sections, and each modelled
+host/device transfer is a ledger record under its
+:class:`~repro.simt.memory.MemcpyKind` label.  The profiler renders both in
+the layout of the paper's Table II (category, method, number of calls, GPU
+time, % GPU time), so the same rows come from a live backend or from a
+kernel ledger loaded back from the run store.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.simt.kernel import KERNELS_BY_SECTION, KernelLaunch
-from repro.simt.memory import MemcpyKind, TransferRecord
-from repro.utils.timing import TimingLedger
+from repro.simt.memory import MEMCPY_LABELS
+from repro.utils.timing import TimingLedger, TimingRecord
 
 __all__ = ["KernelProfiler", "ProfileRow"]
 
@@ -38,38 +40,35 @@ def _label(section: str) -> str:
 
 @dataclass
 class KernelProfiler:
-    """Kernel times read off a ledger, plus memory transfers and launches."""
+    """Kernel and memcpy rows read off a ledger, plus kept launch geometry."""
 
     ledger: TimingLedger = field(default_factory=TimingLedger)
     launches: List[KernelLaunch] = field(default_factory=list)
-    transfers: Dict[MemcpyKind, TransferRecord] = field(default_factory=dict)
     keep_launches: bool = False
+
+    def _records(self, memcpy: bool) -> List[TimingRecord]:
+        """Kernel (``memcpy=False``) or transfer records, longest first."""
+        records = [
+            rec
+            for name, rec in self.ledger.records.items()
+            if (name in MEMCPY_LABELS) == memcpy
+        ]
+        return sorted(records, key=lambda rec: rec.total_seconds, reverse=True)
 
     @property
     def kernel_seconds(self) -> Dict[str, float]:
         """Seconds per kernel label, a read-only view of the ledger records."""
-        return {
-            _label(name): rec.total_seconds for name, rec in self.ledger.records.items()
-        }
+        return {_label(rec.name): rec.total_seconds for rec in self._records(False)}
 
     @property
     def kernel_calls(self) -> Dict[str, int]:
         """Calls per kernel label, a read-only view of the ledger records."""
-        return {_label(name): rec.calls for name, rec in self.ledger.records.items()}
-
-    # ------------------------------------------------------------------
-    # Recording
-    # ------------------------------------------------------------------
+        return {_label(rec.name): rec.calls for rec in self._records(False)}
 
     def record_launch(self, launch: KernelLaunch) -> None:
         """Keep one launch's geometry (only with ``keep_launches``)."""
         if self.keep_launches:
             self.launches.append(launch)
-
-    def record_memcpy(self, kind: MemcpyKind, nbytes: int, seconds: float) -> None:
-        """Record one host/device transfer."""
-        record = self.transfers.setdefault(kind, TransferRecord(kind=kind))
-        record.add(nbytes, seconds)
 
     # ------------------------------------------------------------------
     # Reporting
@@ -77,47 +76,30 @@ class KernelProfiler:
 
     def total_kernel_seconds(self) -> float:
         """Total time spent inside kernels."""
-        return self.ledger.total()
+        return sum(rec.total_seconds for rec in self._records(False))
 
     def total_transfer_seconds(self) -> float:
-        """Total time spent in host/device transfers."""
-        return sum(rec.total_seconds for rec in self.transfers.values())
+        """Total modelled time of host/device transfers."""
+        return sum(rec.total_seconds for rec in self._records(True))
 
     def total_gpu_seconds(self) -> float:
         """Total simulated GPU time (kernels + transfers)."""
-        return self.total_kernel_seconds() + self.total_transfer_seconds()
+        return self.ledger.total()
 
     def rows(self) -> List[ProfileRow]:
         """Rows of the Table II-style breakdown, sorted by time within category."""
         total = self.total_gpu_seconds()
-        rows: List[ProfileRow] = []
-        kernel_records = sorted(
-            self.ledger.records.values(), key=lambda rec: rec.total_seconds, reverse=True
-        )
-        for rec in kernel_records:
-            rows.append(
-                ProfileRow(
-                    category="Kernel",
-                    method=_label(rec.name),
-                    calls=rec.calls,
-                    gpu_seconds=rec.total_seconds,
-                    fraction=rec.total_seconds / total if total > 0 else 0.0,
-                )
+        return [
+            ProfileRow(
+                category=category,
+                method=_label(rec.name),
+                calls=rec.calls,
+                gpu_seconds=rec.total_seconds,
+                fraction=rec.total_seconds / total if total > 0 else 0.0,
             )
-        transfer_items = sorted(
-            self.transfers.values(), key=lambda rec: rec.total_seconds, reverse=True
-        )
-        for rec in transfer_items:
-            rows.append(
-                ProfileRow(
-                    category="Mem sync",
-                    method=rec.kind.value,
-                    calls=rec.calls,
-                    gpu_seconds=rec.total_seconds,
-                    fraction=rec.total_seconds / total if total > 0 else 0.0,
-                )
-            )
-        return rows
+            for category, memcpy in (("Kernel", False), ("Mem sync", True))
+            for rec in self._records(memcpy)
+        ]
 
     def kernel_fraction(self, name: str) -> float:
         """Fraction of total simulated GPU time spent in one kernel."""

@@ -1,20 +1,23 @@
 """Integration tests: the full sampling pipeline on benchmark targets.
 
 These exercise the public API the way the examples and the benches do:
-registry target -> MOSCEM sampler -> decoy set -> analysis, on both
-backends, at very small (but non-trivial) scales.
+registry target -> MOSCEM sampler (or a campaign of trajectories) ->
+decoy set -> analysis, on both backends, at very small (but non-trivial)
+scales.
 """
 
 import numpy as np
 import pytest
 
 from repro import (
-    DecoyGenerationConfig,
     MOSCEMSampler,
     SamplingConfig,
+    Session,
     SimulatedAnnealingBaseline,
+    campaign,
     get_target,
 )
+from repro.analysis.aggregation import merge_decoy_sets
 from repro.analysis.clustering import structure_coverage
 from repro.analysis.decoys import evaluate_decoy_set
 from repro.analysis.pareto import front_statistics
@@ -69,12 +72,25 @@ class TestFullPipelineGPU:
 
 class TestDecoyGenerationPipeline:
     def test_decoy_set_and_quality_report(self, target):
-        config = SamplingConfig(population_size=32, n_complexes=4, iterations=4, seed=3)
-        sampler = MOSCEMSampler(target, config=config, backend_kind="gpu")
-        decoys = sampler.generate_decoy_set(
-            DecoyGenerationConfig(target_decoys=15, max_trajectories=2)
+        # Two trajectories on the seeds axis; the 15-decoy budget is
+        # applied when their decoy sets are merged.
+        grid = campaign(
+            "decoy-pipeline",
+            targets=target.name,
+            configs=SamplingConfig(population_size=32, n_complexes=4, iterations=4),
+            seeds=2,
+            base_seed=3,
+            checkpoint_every=0,
+            workers=1,
+        )
+        with Session.ephemeral() as session:
+            result = session.run(grid)
+        assert [cell.seed_index for cell in result] == [0, 1]
+        decoys = merge_decoy_sets(
+            [cell.decoys for cell in result], distinct_only=True, max_size=15
         )
         assert 1 <= len(decoys) <= 15
+        assert {d.trajectory for d in decoys} <= {0, 1}
         quality = evaluate_decoy_set(decoys, target.name, target.n_residues)
         assert quality.n_decoys == len(decoys)
         assert quality.best_rmsd == pytest.approx(decoys.best_rmsd())

@@ -8,7 +8,12 @@ check the shape claims the paper makes.
 
 import pytest
 
+from repro.api import Session, campaign
+from repro.config import SamplingConfig
 from repro.experiments import run_experiment
+from repro.loops.targets import get_target
+from repro.moscem.sampler import MOSCEMSampler
+from repro.simt.profiler import KernelProfiler
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +52,43 @@ class TestGPUTaskBreakdown:
     def test_tables_rendered(self, table2_result):
         assert len(table2_result.tables) == 2
         assert "[CCD]" in table2_result.tables[0].render()
+
+
+class TestTableIIFromStoredLedger:
+    """Oracle: Table II rows read from a stored gpu cell equal the rows of
+    the same trajectory's backend profiled in-process."""
+
+    def test_stored_rows_match_in_process_profiler(self):
+        grid = campaign(
+            "table2-oracle",
+            targets="1cex(40:51)",
+            configs=SamplingConfig(population_size=16, n_complexes=4, iterations=2),
+            checkpoint_every=0,
+            workers=1,
+        )
+        with Session.ephemeral() as session:
+            (stored_cell,) = session.run(grid)
+        stored = KernelProfiler(ledger=stored_cell.kernel_ledger)
+
+        cell = grid.cell(0)
+        sampler = MOSCEMSampler(get_target(cell.target), config=cell.config)
+        sampler.run(seed=cell.seed)
+        live = sampler.backend.profiler
+
+        assert stored.kernel_calls == live.kernel_calls
+
+        def memcpy_rows(profiler):
+            return [
+                (row.method, row.calls, row.gpu_seconds)
+                for row in profiler.rows()
+                if row.category == "Mem sync"
+            ]
+
+        assert memcpy_rows(stored) == memcpy_rows(live)
+        assert {method for method, _, _ in memcpy_rows(stored)} == {
+            "memcpyHtoA", "memcpyHtoD", "memcpyDtoH", "memcpyDtoA"
+        }
+        assert stored.total_transfer_seconds() == live.total_transfer_seconds()
 
 
 class TestFrontEvolution:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.config import DecoyGenerationConfig, PaperConfig, SamplingConfig
+from repro.config import PaperConfig, SamplingConfig
 
 
 class TestSamplingConfig:
@@ -88,20 +88,3 @@ class TestPaperConfig:
         assert isinstance(config, SamplingConfig)
         assert config.population_size == 15360
         assert config.seed == 5
-
-
-class TestDecoyGenerationConfig:
-    def test_defaults_match_paper(self):
-        config = DecoyGenerationConfig()
-        assert config.target_decoys == 1000
-
-    @pytest.mark.parametrize(
-        "kwargs", [{"target_decoys": 0}, {"max_trajectories": 0}]
-    )
-    def test_invalid_values_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            DecoyGenerationConfig(**kwargs)
-
-    def test_custom_threshold_passthrough(self):
-        config = DecoyGenerationConfig(distinctness_threshold=0.1)
-        assert config.distinctness_threshold == pytest.approx(0.1)

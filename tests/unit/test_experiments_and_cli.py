@@ -6,8 +6,13 @@ result rendering), the static Table III driver, and the command-line
 interfaces on their cheap paths.
 """
 
+import ast
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+from repro.analysis.aggregation import merge_decoy_sets
 from repro.analysis.reporting import TextTable
 from repro.cli import experiments_main, sample_main
 from repro.config import SamplingConfig
@@ -24,6 +29,7 @@ from repro.experiments.decoy_quality import DecoyQualityExperiment, PAPER_TABLE4
 from repro.experiments.occupancy_table import PAPER_TABLE3
 from repro.experiments.runner import PAPER_EXPERIMENTS, run_experiments
 from repro.experiments.speedup_loops import PAPER_TABLE1
+from repro.runtime.spec import campaign_cell_seed
 
 
 class TestRegistry:
@@ -154,6 +160,61 @@ class TestDecoyQualityProtocol:
             DecoyQualityExperiment().protocol_for_scale("huge")
 
 
+class TestCollectDecoys:
+    TARGETS = ("1cex(40:51)", "3pte(91:101)")
+    CONFIG = SamplingConfig(population_size=16, n_complexes=2, iterations=2)
+
+    @staticmethod
+    def _spy_rounds(monkeypatch):
+        from repro.api import Session
+
+        grids = []
+        run = Session.run
+
+        def _spy(session, grid):
+            grids.append(grid)
+            return run(session, grid)
+
+        monkeypatch.setattr(Session, "run", _spy)
+        return grids
+
+    def test_rounds_equal_the_merge_over_every_trajectory(self, monkeypatch):
+        driver = DecoyQualityExperiment(seed=3)
+        full = driver.run_campaign("smoke", self.TARGETS, self.CONFIG, seeds=3)
+        grids = self._spy_rounds(monkeypatch)
+        sets = driver.collect_decoys("smoke", self.TARGETS, self.CONFIG, 3, 1000)
+        # Budget never fills: one round per seed label, coordinate-derived
+        # seeds exactly as in the one-campaign grid.
+        assert [grid.seeds for grid in grids] == [(0,), (1,), (2,)]
+        for label, grid in enumerate(grids):
+            for cell in grid.cells():
+                assert cell.seed == campaign_cell_seed(3, cell.target, "default", label)
+        for name in self.TARGETS:
+            expected = merge_decoy_sets(
+                [cell.decoys for cell in full.select(target=name)],
+                distinct_only=True,
+                max_size=1000,
+            )
+            got = sets[name]
+            assert len(got) == len(expected) < 1000
+            for a, b in zip(got, expected):
+                assert np.array_equal(a.torsions, b.torsions)
+                assert a.rmsd == b.rmsd
+
+    def test_a_full_target_runs_no_further_trajectory(self, monkeypatch):
+        driver = DecoyQualityExperiment(seed=3)
+        first = driver.run_campaign("smoke", self.TARGETS, self.CONFIG, seeds=1)
+        grids = self._spy_rounds(monkeypatch)
+        sets = driver.collect_decoys("smoke", self.TARGETS, self.CONFIG, 3, 1)
+        # Every trajectory harvests at least one decoy, so round 0 fills
+        # both budgets of one and rounds 1 and 2 never run.
+        assert len(grids) == 1
+        for name in self.TARGETS:
+            (decoy,) = sets[name]
+            (cell,) = first.select(target=name)
+            assert np.array_equal(decoy.torsions, next(iter(cell.decoys)).torsions)
+
+
 class TestCLI:
     def test_experiments_list(self, capsys):
         assert experiments_main(["--list"]) == 0
@@ -191,6 +252,44 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "best RMSD" in out
         assert pdb_path.exists()
+
+
+    def test_sample_runs_a_one_cell_campaign(self, capsys, monkeypatch):
+        from repro.api import Session
+
+        ran = []
+        run = Session.run
+
+        def _spy(session, grid):
+            ran.append(grid)
+            return run(session, grid)
+
+        monkeypatch.setattr(Session, "run", _spy)
+        argv = ["1cex(40:51)", "--population", "8", "--complexes", "2",
+                "--iterations", "1", "--seed", "4"]
+        assert sample_main(argv) == 0
+        (grid,) = ran
+        assert grid.n_trajectories == 1
+        assert grid.base_seed == 4
+        assert grid.cell(0).seed == campaign_cell_seed(4, "1cex(40:51)", "default", 0)
+        assert "distinct decoys" in capsys.readouterr().out
+
+
+class TestSingleTrajectoryOrchestrator:
+    def test_sampler_is_built_only_by_the_executor_and_fig5(self):
+        # Every trajectory runs as a campaign cell; Fig. 5 alone steps a
+        # sampler itself, to snapshot the front inside one trajectory.
+        src = Path(__file__).resolve().parents[2] / "src" / "repro"
+        sites = set()
+        for path in sorted(src.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                if name == "MOSCEMSampler":
+                    sites.add(path.relative_to(src).as_posix())
+        assert sites == {"runtime/executor.py", "experiments/front_evolution.py"}
 
 
 class TestParallelRunner:

@@ -2,8 +2,7 @@
 
 Covers the graph builder (`lint/graph.py`), the four whole-program rule
 families (REP008 layering, REP009 kernel purity, REP010 write protocol,
-REP011 suppression hygiene), the on-disk analysis cache, and the SARIF
-emitter.  Multi-file fixtures are written under ``tmp_path/repro/...``
+REP011 suppression hygiene) and the SARIF emitter.  Multi-file fixtures are written under ``tmp_path/repro/...``
 so `package_relpath` resolves them exactly like tree files.
 """
 
@@ -13,8 +12,7 @@ import json
 import textwrap
 from pathlib import Path
 
-from repro.lint import lint_paths, lint_project, lint_source
-from repro.lint.cache import AnalysisCache
+from repro.lint import lint_paths, lint_source
 from repro.lint.cli import main as lint_main
 from repro.lint.config import LAYER_BANDS, LintConfig
 from repro.lint.graph import (
@@ -675,88 +673,6 @@ class TestSuppressionHygiene:
 
 
 # ---------------------------------------------------------------------------
-# Analysis cache
-# ---------------------------------------------------------------------------
-
-
-class TestAnalysisCache:
-    FILES = {
-        "repro/serve/bad.py": (
-            """
-            from repro.io import write_json_atomic, write_npz_atomic
-
-            def publish(root, arrays, entry):
-                write_json_atomic(root / "entry.json", entry)
-                write_npz_atomic(root / "decoys.npz", arrays)
-            """
-        ),
-        "repro/geometry/ok.py": (
-            """
-            def apply(x):
-                return x
-            """
-        ),
-    }
-
-    def test_warm_run_serves_from_cache_identically(self, tmp_path):
-        root = _write_tree(tmp_path / "tree", self.FILES)
-        cache = AnalysisCache(tmp_path / "cache")
-        cold = lint_project([root], cache=cache)
-        assert cold.stats.analyzed == 2 and cold.stats.cached == 0
-        warm = lint_project([root], cache=cache)
-        assert warm.stats.analyzed == 0 and warm.stats.cached == 2
-        assert warm.findings == cold.findings
-        assert [f.rule for f in warm.findings] == ["REP010"]
-
-    def test_editing_one_file_recomputes_only_it(self, tmp_path):
-        root = _write_tree(tmp_path / "tree", self.FILES)
-        cache = AnalysisCache(tmp_path / "cache")
-        lint_project([root], cache=cache)
-        edited = root / "repro/geometry/ok.py"
-        edited.write_text("def apply(x):\n    return x + 1\n")
-        result = lint_project([root], cache=cache)
-        assert result.stats.analyzed == 1
-        assert result.stats.cached == 1
-
-    def test_policy_change_invalidates_everything(self, tmp_path):
-        import dataclasses
-
-        from repro.lint.config import RuleConfig
-
-        root = _write_tree(tmp_path / "tree", self.FILES)
-        cache = AnalysisCache(tmp_path / "cache")
-        lint_project([root], cache=cache)
-        rules = dict(LintConfig().rules)
-        rules["REP010"] = dataclasses.replace(
-            rules["REP010"], allow=("repro/serve/bad.py",)
-        )
-        relaxed = LintConfig(rules=rules)
-        result = lint_project([root], config=relaxed, cache=cache)
-        assert result.stats.analyzed == 2  # different policy digest
-        assert [f.rule for f in result.findings] == []
-
-    def test_corrupt_entry_degrades_to_miss(self, tmp_path):
-        root = _write_tree(tmp_path / "tree", self.FILES)
-        cache = AnalysisCache(tmp_path / "cache")
-        cold = lint_project([root], cache=cache)
-        for entry in sorted((tmp_path / "cache").glob("*.json")):
-            entry.write_text("{not json")
-        result = lint_project([root], cache=cache)
-        assert result.stats.analyzed == 2
-        assert result.findings == cold.findings
-
-    def test_sweep_removes_old_entries(self, tmp_path):
-        root = _write_tree(tmp_path / "tree", self.FILES)
-        cache = AnalysisCache(tmp_path / "cache")
-        lint_project([root], cache=cache)
-        entries = sorted((tmp_path / "cache").glob("*.json"))
-        assert len(entries) == 2
-        newest = max(e.stat().st_mtime for e in entries)
-        assert cache.sweep(newest + 8 * 24 * 3600) == 2
-        assert sorted((tmp_path / "cache").glob("*.json")) == []
-
-
-# ---------------------------------------------------------------------------
 # SARIF emission
 # ---------------------------------------------------------------------------
 
@@ -827,57 +743,18 @@ class TestSarif:
 
 
 class TestCli:
-    def test_sarif_format_and_cache_flags(self, tmp_path, capsys):
+    def test_sarif_format(self, tmp_path, capsys):
         root = _write_tree(
             tmp_path / "tree",
             {
                 "repro/analysis/ok.py": "def f():\n    return 1\n",
             },
         )
-        cache_dir = tmp_path / "cache"
-        code = lint_main(
-            [
-                str(root),
-                "--format",
-                "sarif",
-                "--cache-dir",
-                str(cache_dir),
-                "--stats",
-            ]
-        )
+        code = lint_main([str(root), "--format", "sarif"])
         captured = capsys.readouterr()
         assert code == 0
         doc = json.loads(captured.out)
         assert doc["version"] == "2.1.0"
-        assert "1 analyzed, 0 cached" in captured.err
-        # Warm run: served entirely from the cache.
-        code = lint_main(
-            [str(root), "--cache-dir", str(cache_dir), "--stats"]
-        )
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "0 analyzed, 1 cached" in captured.err
-
-    def test_no_cache_flag_forces_cold(self, tmp_path, capsys):
-        root = _write_tree(
-            tmp_path / "tree",
-            {"repro/analysis/ok.py": "def f():\n    return 1\n"},
-        )
-        cache_dir = tmp_path / "cache"
-        lint_main([str(root), "--cache-dir", str(cache_dir)])
-        capsys.readouterr()
-        code = lint_main(
-            [
-                str(root),
-                "--no-cache",
-                "--cache-dir",
-                str(cache_dir),
-                "--stats",
-            ]
-        )
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "1 analyzed, 0 cached" in captured.err
 
 
 # ---------------------------------------------------------------------------

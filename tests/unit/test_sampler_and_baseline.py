@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.config import DecoyGenerationConfig, SamplingConfig
+from repro.analysis.aggregation import merge_decoy_sets
+from repro.config import SamplingConfig
 from repro.moscem.baseline import SimulatedAnnealingBaseline
+from repro.moscem.decoys import DecoySet
 from repro.moscem.sampler import MOSCEMSampler
 
 
@@ -119,30 +121,71 @@ class TestMOSCEMSampler:
         assert result.acceptance_history == []
 
 
+def _shard(rows, trajectory):
+    """A decoy set holding one decoy per torsion row, tagged ``trajectory``."""
+    decoys = DecoySet()
+    for k, row in enumerate(rows):
+        assert decoys.add(
+            torsions=np.asarray(row, dtype=np.float64),
+            coords=np.zeros((1, 4, 3)),
+            scores=np.full(3, float(k)),
+            rmsd=1.0 + k,
+            trajectory=trajectory,
+        )
+    return decoys
+
+
 class TestDecoyGeneration:
-    def test_generate_decoy_set_accumulates_across_trajectories(
+    """Decoy budgets across trajectories are :func:`merge_decoy_sets` views."""
+
+    # a and b are distinct; c lies within 30 degrees of a; d is far from all.
+    A, B, C, D = (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.1, 0.0, 0.0), (0.0, 2.0, 0.0)
+
+    def _shards(self):
+        return [_shard([self.A, self.B], 0), _shard([self.C, self.D], 1)]
+
+    @staticmethod
+    def _rows(decoys):
+        return [tuple(d.torsions) for d in decoys]
+
+    def test_union_keeps_shard_order(self):
+        merged = merge_decoy_sets(self._shards())
+        # Cross-shard near-duplicates survive a union merge.
+        assert self._rows(merged) == [self.A, self.B, self.C, self.D]
+
+    def test_distinct_only_drops_cross_shard_duplicates(self):
+        merged = merge_decoy_sets(self._shards(), distinct_only=True)
+        assert self._rows(merged) == [self.A, self.B, self.D]
+
+    def test_decoy_cap_respected(self):
+        capped = merge_decoy_sets(self._shards(), distinct_only=True, max_size=2)
+        assert self._rows(capped) == [self.A, self.B]
+        assert capped.full
+        # The cap belongs to the distinct merge; a union keeps every decoy.
+        assert len(merge_decoy_sets(self._shards(), max_size=2)) == 4
+
+    def test_trajectory_provenance_survives_merge(self):
+        union = merge_decoy_sets(self._shards())
+        assert [d.trajectory for d in union] == [0, 0, 1, 1]
+        distinct = merge_decoy_sets(self._shards(), distinct_only=True)
+        assert [d.trajectory for d in distinct] == [0, 0, 1]
+        assert [d.rmsd for d in distinct] == [1.0, 2.0, 2.0]
+
+    def test_merge_accumulates_trajectories(
         self, small_target, small_multi_score
     ):
-        config = SamplingConfig(population_size=12, n_complexes=4, iterations=2, seed=2)
+        config = SamplingConfig(population_size=12, n_complexes=4, iterations=2)
         sampler = MOSCEMSampler(
             small_target, config=config, multi_score=small_multi_score
         )
-        decoys = sampler.generate_decoy_set(
-            DecoyGenerationConfig(target_decoys=10, max_trajectories=3)
-        )
+        shards = [
+            sampler.run(seed=2 + k).distinct_non_dominated(trajectory=k)
+            for k in range(3)
+        ]
+        decoys = merge_decoy_sets(shards, distinct_only=True, max_size=10)
         assert 1 <= len(decoys) <= 10
         assert np.all(decoys.rmsds() > 0.0)
         assert max(d.trajectory for d in decoys) <= 2
-
-    def test_decoy_cap_respected(self, small_target, small_multi_score):
-        config = SamplingConfig(population_size=12, n_complexes=4, iterations=2, seed=2)
-        sampler = MOSCEMSampler(
-            small_target, config=config, multi_score=small_multi_score
-        )
-        decoys = sampler.generate_decoy_set(
-            DecoyGenerationConfig(target_decoys=3, max_trajectories=5)
-        )
-        assert len(decoys) <= 3
 
 
 class TestSimulatedAnnealingBaseline:

@@ -7,7 +7,7 @@ import pytest
 from repro.simt.device import GTX280, DeviceSpec
 from repro.simt.engine import SIMTEngine
 from repro.simt.kernel import KERNELS_BY_SECTION, PAPER_KERNELS, KernelLaunch, KernelSpec
-from repro.simt.memory import MemcpyKind, MemorySpace, TransferRecord
+from repro.simt.memory import MemcpyKind, MemorySpace
 from repro.simt.occupancy import occupancy
 from repro.simt.profiler import KernelProfiler
 from repro.utils.timing import TimingLedger
@@ -134,19 +134,27 @@ class TestOccupancy:
         assert result.occupancy == pytest.approx(1.0)
 
 
+def _modelled(nbytes):
+    """Modelled seconds of one transfer on the GTX 280."""
+    return GTX280.transfer_latency + nbytes / GTX280.transfer_bandwidth
+
+
 class TestTransferRecord:
+    """A transfer record is the kernel-ledger record under a memcpy label."""
+
     def test_accumulates(self):
-        record = TransferRecord(kind=MemcpyKind.HOST_TO_DEVICE)
-        record.add(100, 0.5)
-        record.add(300, 0.5)
+        engine = SIMTEngine()
+        engine.memcpy(MemcpyKind.HOST_TO_DEVICE, 100)
+        engine.memcpy(MemcpyKind.HOST_TO_DEVICE, 300)
+        record = engine.profiler.ledger.records["memcpyHtoD"]
         assert record.calls == 2
-        assert record.total_bytes == 400
-        assert record.mean_bytes == pytest.approx(200.0)
+        assert record.total_seconds == _modelled(100) + _modelled(300)
 
     def test_negative_bytes_rejected(self):
-        record = TransferRecord(kind=MemcpyKind.DEVICE_TO_HOST)
+        engine = SIMTEngine()
         with pytest.raises(ValueError):
-            record.add(-1, 0.1)
+            engine.memcpy(MemcpyKind.DEVICE_TO_HOST, -1)
+        assert engine.profiler.ledger.records == {}
 
     def test_memory_space_enum_covers_paper_spaces(self):
         names = {space.value for space in MemorySpace}
@@ -182,17 +190,23 @@ class TestKernelProfiler:
 
     def test_memcpy_accumulation(self):
         profiler = KernelProfiler()
-        profiler.record_memcpy(MemcpyKind.HOST_TO_DEVICE, 1000, 0.01)
-        profiler.record_memcpy(MemcpyKind.HOST_TO_DEVICE, 1000, 0.01)
-        profiler.record_memcpy(MemcpyKind.DEVICE_TO_HOST, 500, 0.005)
+        profiler.ledger.add("memcpyHtoD", 0.01)
+        profiler.ledger.add("memcpyHtoD", 0.01)
+        profiler.ledger.add("memcpyDtoH", 0.005)
+        self._launch(profiler, "CCD", 1.0)
         assert profiler.total_transfer_seconds() == pytest.approx(0.025)
-        assert profiler.transfers[MemcpyKind.HOST_TO_DEVICE].calls == 2
+        assert profiler.total_kernel_seconds() == pytest.approx(1.0)
+        # Memcpy labels are rows of their own, never kernel columns.
+        assert profiler.kernel_calls == {"[CCD]": 1}
+        rows = {row.method: row for row in profiler.rows()}
+        assert rows["memcpyHtoD"].category == "Mem sync"
+        assert rows["memcpyHtoD"].calls == 2
 
     def test_rows_sorted_and_fractions_sum_to_one(self):
         profiler = KernelProfiler()
         self._launch(profiler, "CCD", 3.0)
         self._launch(profiler, "EvalVDW", 1.0)
-        profiler.record_memcpy(MemcpyKind.DEVICE_TO_HOST, 100, 0.5)
+        profiler.ledger.add(MemcpyKind.DEVICE_TO_HOST.value, 0.5)
         rows = profiler.rows()
         assert rows[0].method == "[CCD]"
         assert rows[0].category == "Kernel"
@@ -208,7 +222,7 @@ class TestKernelProfiler:
     def test_render_contains_table_ii_vocabulary(self):
         profiler = KernelProfiler()
         self._launch(profiler, "CCD", 1.0)
-        profiler.record_memcpy(MemcpyKind.DEVICE_TO_ARRAY, 10, 0.1)
+        profiler.ledger.add(MemcpyKind.DEVICE_TO_ARRAY.value, 0.1)
         text = profiler.render()
         assert "[CCD]" in text
         assert "memcpyDtoA" in text
@@ -247,25 +261,29 @@ class TestSIMTEngine:
         engine = SIMTEngine()
         engine.memcpy(MemcpyKind.HOST_TO_DEVICE, np.zeros(1000))
         engine.memcpy(MemcpyKind.DEVICE_TO_HOST, 4096)
-        assert engine.profiler.transfers[MemcpyKind.HOST_TO_DEVICE].total_bytes == 8000
-        assert engine.profiler.transfers[MemcpyKind.DEVICE_TO_HOST].total_bytes == 4096
+        records = engine.profiler.ledger.records
+        assert records["memcpyHtoD"].total_seconds == _modelled(8000)
+        assert records["memcpyDtoH"].total_seconds == _modelled(4096)
         with pytest.raises(ValueError):
             engine.memcpy(MemcpyKind.DEVICE_TO_HOST, -1)
 
     def test_transfer_time_scales_with_size(self):
         engine = SIMTEngine()
         engine.memcpy(MemcpyKind.HOST_TO_DEVICE, 10)
-        small = engine.profiler.transfers[MemcpyKind.HOST_TO_DEVICE].total_seconds
+        small = engine.profiler.ledger.records["memcpyHtoD"].total_seconds
         engine.memcpy(MemcpyKind.HOST_TO_DEVICE, 10_000_000)
-        total = engine.profiler.transfers[MemcpyKind.HOST_TO_DEVICE].total_seconds
+        total = engine.profiler.ledger.records["memcpyHtoD"].total_seconds
         assert total - small > small
 
     def test_upload_tables_records_texture_transfers(self, knowledge_base):
         engine = SIMTEngine()
         engine.upload_tables(knowledge_base.triplet_neg_log, knowledge_base.distance_neg_log)
-        record = engine.profiler.transfers[MemcpyKind.HOST_TO_ARRAY]
+        record = engine.profiler.ledger.records["memcpyHtoA"]
         assert record.calls == 2
-        assert record.total_bytes == knowledge_base.nbytes
+        assert record.total_seconds == (
+            _modelled(knowledge_base.triplet_neg_log.nbytes)
+            + _modelled(knowledge_base.distance_neg_log.nbytes)
+        )
 
     def test_upload_constants_respects_capacity(self):
         engine = SIMTEngine()
