@@ -7,8 +7,10 @@ diff serving-regression claims against the tree):
 * **cache hit latency** — wall time for a daemon pass to fill an entire
   identical campaign from the content-addressed cache, per cell, versus
   the execution time it displaced;
-* **drain throughput** — cells/second for a single daemon versus a
-  three-daemon fleet leasing cells out of one store;
+* **drain throughput** — cells/second for one ``repro-daemon --leases
+  --workers 1`` process versus a fleet of three such processes leasing
+  cells out of one store (each started before the campaign is submitted,
+  timed from submit to the last cell), plus the cells each daemon ran;
 * **lease overhead** — raw claim/release round trips per second, plus
   the relative wall-time cost of running a drain with leasing enabled.
 
@@ -18,12 +20,17 @@ Run with ``pytest -m benchmarks benchmarks/test_serve_bench.py -s``.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
-import threading
+import signal
+import subprocess
+import sys
 import time
 
+import repro
 from repro.api import Session, campaign, drain_once
 from repro.config import SamplingConfig
+from repro.obs.fleet import heartbeat_path
 from repro.runtime import RunStore
 from repro.serve.cache import ResultCache
 from repro.serve.leases import LeaseManager
@@ -55,25 +62,43 @@ def _grid(campaign_id: str, config: SamplingConfig):
     )
 
 
-def _drain_fleet(store, handle, n_daemons: int, cache=None) -> float:
-    """Wall time for ``n_daemons`` leased threads to drain the store."""
-
-    def run(daemon_id):
-        manager = LeaseManager(store, daemon_id=daemon_id, ttl_seconds=30.0)
+def _drain_fleet(root: pathlib.Path, grid, n_daemons: int):
+    """Seconds for ``n_daemons`` daemon processes to drain ``grid`` from
+    submit to completion, and the cells each of them executed."""
+    store = RunStore(str(root))
+    ids = [f"bench-{slot}" for slot in range(n_daemons)]
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    procs = []
+    for daemon_id in ids:
+        argv = ["--store", str(root), "--workers", "1", "--leases",
+                "--daemon-id", daemon_id, "--interval", "0.1"]
+        code = f"from repro.cli import daemon_main; raise SystemExit(daemon_main({argv!r}))"
+        procs.append(subprocess.Popen(
+            [sys.executable, "-c", code],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
+        ))
+    try:
+        deadline = time.monotonic() + 600
+        while not all(heartbeat_path(store, i).is_file() for i in ids):
+            assert time.monotonic() < deadline, "daemon start-up timed out"
+            time.sleep(0.05)
+        start = time.perf_counter()
+        handle = Session(store).submit(grid)
         while not handle.status().complete:
-            drain_once(store, workers=1, progress=QUIET, leases=manager, cache=cache)
-            time.sleep(0.005)
-
-    threads = [
-        threading.Thread(target=run, args=(f"bench-{i}",), daemon=True)
-        for i in range(n_daemons)
-    ]
-    start = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=600)
-    return time.perf_counter() - start
+            assert time.monotonic() < deadline, "fleet drain timed out"
+            time.sleep(0.05)
+        seconds = time.perf_counter() - start
+    finally:
+        for proc in procs:
+            proc.send_signal(signal.SIGINT)
+        for proc in procs:
+            proc.wait(timeout=60)
+    executed = {proc.pid: 0 for proc in procs}
+    for cell in grid.cells():
+        executed[int(store.read_shard_status(grid.run_id, cell.index)["pid"])] += 1
+    return seconds, sorted(executed.values())
 
 
 def test_serve_benchmarks(tmp_path, capsys):
@@ -87,7 +112,7 @@ def test_serve_benchmarks(tmp_path, capsys):
         "n_cells": 4,
     }}
 
-    # --- single-daemon execution (primes the cache) --------------------
+    # --- in-process execution (primes the cache) -----------------------
     store_one = RunStore(str(tmp_path / "one"))
     handle = Session(store_one).submit(_grid("bench-exec", config))
     start = time.perf_counter()
@@ -97,8 +122,8 @@ def test_serve_benchmarks(tmp_path, capsys):
     n_cells = primed.executed
     report["drain"] = {
         "n_cells": n_cells,
-        "single_daemon_seconds": round(exec_seconds, 4),
-        "single_daemon_cells_per_s": round(n_cells / exec_seconds, 3),
+        "in_process_seconds": round(exec_seconds, 4),
+        "in_process_cells_per_s": round(n_cells / exec_seconds, 3),
     }
 
     # --- cache hit latency: an identical campaign fills in O(ms) -------
@@ -118,14 +143,18 @@ def test_serve_benchmarks(tmp_path, capsys):
     # The headline property: a hit costs milliseconds, not sampler time.
     assert hit_seconds < exec_seconds / 5.0
 
-    # --- three-daemon fleet drain over one store -----------------------
-    store_fleet = RunStore(str(tmp_path / "fleet"))
-    fleet_handle = Session(store_fleet).submit(_grid("bench-fleet", config))
-    fleet_seconds = _drain_fleet(store_fleet, fleet_handle, n_daemons=3)
-    assert fleet_handle.status().complete
-    report["drain"]["three_daemon_seconds"] = round(fleet_seconds, 4)
-    report["drain"]["three_daemon_cells_per_s"] = round(
-        n_cells / fleet_seconds, 3
+    # --- daemon processes: one versus a three-daemon fleet ------------
+    for label, n_daemons in (("one_daemon", 1), ("three_daemon", 3)):
+        seconds, executed = _drain_fleet(
+            tmp_path / label, _grid(f"bench-{label}", config), n_daemons
+        )
+        report["drain"][f"{label}_seconds"] = round(seconds, 4)
+        report["drain"][f"{label}_cells_per_s"] = round(n_cells / seconds, 3)
+        report["drain"][f"{label}_cells_per_daemon"] = executed
+    report["drain"]["cores"] = (
+        len(os.sched_getaffinity(0))
+        if hasattr(os, "sched_getaffinity")
+        else os.cpu_count()
     )
 
     # --- lease protocol overhead ---------------------------------------

@@ -71,6 +71,7 @@ from repro.api.session import (
     CampaignHandle,
     CampaignIncomplete,
     CampaignStatus,
+    CampaignTooLarge,
     CellStatus,
     Session,
 )
@@ -93,6 +94,7 @@ __all__ = [
     "CellStatus",
     "CampaignError",
     "CampaignIncomplete",
+    "CampaignTooLarge",
     "DrainReport",
     "DEFAULT_MAX_ATTEMPTS",
     "drain_once",

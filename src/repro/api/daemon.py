@@ -2,12 +2,13 @@
 
 ``Session.submit`` only writes a manifest; this module is what turns
 pending manifests into results.  :func:`drain_once` scans the store for
-cells without results (skipping cancelled campaigns), fans **all** of them
-— across every pending campaign — through one worker pool, and returns a
-report.  Batching across campaigns matters: workers keep process-level
-caches of targets, knowledge bases and assembled scoring stacks (see
-:mod:`repro.runtime.executor`), so draining ten campaigns over the same
-benchmark in one pool builds each target's tables once, not ten times.
+cells without results (skipping cancelled campaigns), dispatches them —
+across every pending campaign — through one worker pool as its slots
+free, and returns a report.  Batching across campaigns matters: workers
+keep process-level caches of targets, knowledge bases and assembled
+scoring stacks (see :mod:`repro.runtime.executor`), so draining ten
+campaigns over the same benchmark in one pool builds each target's tables
+once, not ten times.
 :func:`serve` holds one :class:`~repro.runtime.executor.PersistentPool`
 for its whole lifetime, so those worker caches survive *across* drain
 passes too — the pool is built once per daemon, not once per pass.
@@ -25,12 +26,16 @@ daemon-side coordination.
 Scale-out (see :mod:`repro.serve`) plugs in through two optional
 collaborators, both riding the store rather than any new IPC:
 
-* ``leases`` — a :class:`~repro.serve.leases.LeaseManager`.  Before
-  executing, the pass *claims* each drainable cell through an atomic
-  exclusive-create lease file; cells claimed by other daemons are skipped
-  this pass, heartbeats renew from the worker pool's tick callback, and
-  leases release the moment their cells finish or park.  N daemons
-  pointed at one store thus partition the work instead of duplicating it
+* ``leases`` — a :class:`~repro.serve.leases.LeaseManager`.  The pass
+  *claims on dispatch*: a cell's atomic exclusive-create lease file is
+  claimed only when a worker slot frees for it, so a daemon never holds
+  more claims than it has free slots and its siblings find the rest of
+  the queue unclaimed.  Cells claimed by other daemons are skipped this
+  pass, a cell a sibling finished since the scan is released unexecuted,
+  heartbeats renew from the worker pool's tick callback (during an
+  inline cell too), and leases release the moment their cells finish or
+  park.  N daemons pointed at one store thus partition the work instead
+  of duplicating it
   — and because execution stays idempotent and deterministic, even a
   botched partition (a daemon stalled past its lease TTL) costs duplicate
   compute, never different bytes.
@@ -265,7 +270,7 @@ def drain_once(
     cache: Optional["ResultCache"] = None,
     trace: bool = False,
 ) -> DrainReport:
-    """Execute every drainable cell in the store through one worker pool.
+    """Execute the drainable cells of the store through one worker pool.
 
     Cell failures are recorded in the report (and in the cells' status
     documents) rather than raised — a daemon must outlive a bad campaign.
@@ -280,12 +285,15 @@ def drain_once(
 
     With a ``cache``, cells whose content address is already cached are
     filled in-process before any scheduling (``report.cache_hits``), and
-    freshly completed cells are published back.  With ``leases``, each
-    remaining cell is executed only after this daemon claims its lease;
-    cells held by live sibling daemons count into
-    ``report.skipped_leased``, and waiting islands whose source packets
-    are not on disk are left unclaimed for whichever daemon completes the
-    sources.
+    freshly completed cells are published back.  With ``leases``, the
+    remaining cells are claimed on dispatch: in drain order, each cell's
+    lease is claimed only when a worker slot frees for it (so at most
+    ``workers`` claims are held at once) and released the moment the cell
+    finishes or parks.  Cells held by live sibling daemons count into
+    ``report.skipped_leased``; a cell whose result appeared since the scan
+    (a sibling finished it) is released and skipped; waiting islands whose
+    source packets are not on disk are left unclaimed for whichever daemon
+    completes the sources.
 
     ``trace`` asks each executed cell to record a span trace (telemetry
     only — see :func:`repro.runtime.executor.run_cell`).
@@ -317,7 +325,7 @@ def drain_once(
         pending = remaining
 
     if leases is not None:
-        claimed: List[CellSpec] = []
+        ready: List[CellSpec] = []
         for cell in pending:
             status = store.read_shard_status(cell.run_id, cell.index)
             if not ready_to_resume(store, cell.run_id, status):
@@ -326,26 +334,36 @@ def drain_once(
                 report.waiting += 1
                 _CELLS.inc(outcome="waiting")
                 continue
-            if leases.claim(cell.run_id, cell.index):
-                claimed.append(cell)
-            else:
-                report.skipped_leased += 1
-                _CELLS.inc(outcome="skipped_leased")
-        pending = claimed
+            ready.append(cell)
+        pending = ready
 
     if not pending:
         return report
 
     if progress is not None:
         progress(
-            f"store {store.root}: draining {len(pending)} cell(s) from "
+            f"store {store.root}: {len(pending)} cell(s) to drain from "
             f"{len(campaigns)} campaign(s)"
+            + (", claimed on dispatch" if leases is not None else "")
         )
     payloads = [
         {"store_root": str(store.root), "cell": cell.to_dict(), "trace": trace}
         for cell in pending
     ]
     busy = {"seconds": 0.0}
+
+    def _claim(pos: int) -> bool:
+        """Claim a cell's lease as a worker slot frees (claim on dispatch)."""
+        cell = pending[pos]
+        if not leases.claim(cell.run_id, cell.index):
+            report.skipped_leased += 1
+            _CELLS.inc(outcome="skipped_leased")
+            return False
+        if store.has_shard_result(cell.run_id, cell.index):
+            # A sibling finished the cell since the scan.
+            leases.release(cell.run_id, cell.index)
+            return False
+        return True
 
     def _report(pos: int, summary: Dict) -> None:
         cell = pending[pos]
@@ -396,6 +414,7 @@ def drain_once(
             pool=pool,
             on_tick=tick,
             tick_seconds=tick_seconds,
+            admit=_claim if leases is not None else None,
         )
     finally:
         if leases is not None:

@@ -39,7 +39,9 @@ and the campaign daemon reuse it.
 
 from __future__ import annotations
 
+import itertools
 import os
+import threading
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -49,6 +51,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -148,27 +151,64 @@ class PersistentPool:
         self.close()
 
 
+def _call_ticking(
+    fn: Callable[[_T], _R],
+    item: _T,
+    on_tick: Optional[Callable[[], None]],
+    tick_seconds: float,
+) -> _R:
+    """``fn(item)`` in this thread, with ``on_tick`` fired every
+    ``tick_seconds`` from a helper thread until it returns.
+
+    The ticker lives exactly as long as the call, so the callback never
+    overlaps the caller's own ``admit`` / ``on_result`` callbacks.
+    """
+    if on_tick is None:
+        return fn(item)
+    stop = threading.Event()
+
+    def _beat() -> None:
+        while not stop.wait(tick_seconds):
+            on_tick()
+
+    ticker = threading.Thread(target=_beat, name="parallel-map-tick", daemon=True)
+    ticker.start()
+    try:
+        return fn(item)
+    finally:
+        stop.set()
+        ticker.join()
+
+
 def _submit_and_wait(
     executor: ProcessPoolExecutor,
     fn: Callable[[_T], _R],
     items: List[_T],
+    admitted: Iterator[int],
+    slots: int,
     results: List[Any],
     on_result: Optional[Callable[[int, _R], None]],
     on_tick: Optional[Callable[[], None]],
     tick_seconds: float,
 ) -> None:
-    futures = {executor.submit(fn, item): index for index, item in enumerate(items)}
-    pending = set(futures)
+    in_flight: Dict[Any, int] = {}
+
+    def _fill() -> None:
+        for index in itertools.islice(admitted, slots - len(in_flight)):
+            in_flight[executor.submit(fn, items[index])] = index
+
+    _fill()
     timeout = tick_seconds if on_tick is not None else None
-    while pending:
-        done, pending = wait(pending, timeout=timeout, return_when=FIRST_COMPLETED)
+    while in_flight:
+        done, _ = wait(in_flight, timeout=timeout, return_when=FIRST_COMPLETED)
         if on_tick is not None:
             on_tick()
         for future in done:
-            index = futures[future]
+            index = in_flight.pop(future)
             results[index] = future.result()
             if on_result is not None:
                 on_result(index, results[index])
+        _fill()
 
 
 def parallel_map(
@@ -179,7 +219,8 @@ def parallel_map(
     pool: Optional[PersistentPool] = None,
     on_tick: Optional[Callable[[], None]] = None,
     tick_seconds: float = 5.0,
-) -> List[_R]:
+    admit: Optional[Callable[[int], bool]] = None,
+) -> List[Optional[_R]]:
     """Map ``fn`` over ``items`` across worker processes, in input order.
 
     ``fn`` and every item must be picklable.  With ``workers <= 1`` (or a
@@ -190,21 +231,33 @@ def parallel_map(
     ``pool`` supplies a :class:`PersistentPool` to reuse across calls; by
     default a throwaway pool is built and torn down per call.
 
-    ``on_tick`` is invoked from the submitting process at least every
-    ``tick_seconds`` while items are in flight (and between items on the
-    inline path) — the scale-out daemon hangs its lease-heartbeat renewal
-    here, so long-running cells keep their claims alive without threads.
-    The callback must be cheap and must not raise.
+    At most ``workers`` items are in flight at once, and items are
+    dispatched in input order as slots free.  ``admit`` is called as
+    ``admit(index)`` right before item ``index`` would be dispatched — on
+    the inline path and the pool path alike — and an item it refuses is
+    skipped: ``on_result`` never sees it and its result slot stays
+    ``None``.  The scale-out daemon claims a cell's lease here, so it
+    holds no more claims than it has free worker slots.
+
+    ``on_tick`` is invoked at least every ``tick_seconds`` while items are
+    in flight: from the submitting thread on the pool path, and from a
+    helper thread that lives only as long as each inline call on the
+    inline path.  The scale-out daemon renews its lease heartbeats here,
+    so a cell of any length keeps its claim alive.  The callback must be
+    cheap, must not raise, and must tolerate running alongside ``fn``.
     """
     items = list(items)
     results: List[Any] = [None] * len(items)
+    admitted = (
+        index
+        for index in range(len(items))
+        if admit is None or admit(index)
+    )
     if not items:
         return results
     if workers <= 1 or len(items) == 1:
-        for index, item in enumerate(items):
-            if on_tick is not None:
-                on_tick()
-            results[index] = fn(item)
+        for index in admitted:
+            results[index] = _call_ticking(fn, items[index], on_tick, tick_seconds)
             if on_result is not None:
                 on_result(index, results[index])
         return results
@@ -212,7 +265,8 @@ def parallel_map(
     if pool is not None:
         try:
             _submit_and_wait(
-                pool.executor(), fn, items, results, on_result, on_tick, tick_seconds
+                pool.executor(), fn, items, admitted, workers, results,
+                on_result, on_tick, tick_seconds,
             )
         except BrokenProcessPool:
             # A dead worker poisons the whole executor; drop it so the
@@ -224,7 +278,8 @@ def parallel_map(
     max_workers = min(workers, len(items))
     with ProcessPoolExecutor(max_workers=max_workers) as executor:
         _submit_and_wait(
-            executor, fn, items, results, on_result, on_tick, tick_seconds
+            executor, fn, items, admitted, max_workers, results,
+            on_result, on_tick, tick_seconds,
         )
     return results
 
@@ -684,7 +739,13 @@ class ShardExecutor:
                 }
                 for index in pending
             ]
-            fresh = parallel_map(_cell_task, payloads, workers, on_result=_report)
+            fresh = [
+                summary  # no admit callback, so no slot is left None
+                for summary in parallel_map(
+                    _cell_task, payloads, workers, on_result=_report
+                )
+                if summary is not None
+            ]
             failures = [s for s in fresh if "error" in s]
             if failures:
                 raise ShardFailure(

@@ -13,7 +13,9 @@ Routes (all JSON unless noted)::
     GET  /v1/metrics                          Prometheus text (not JSON)
     GET  /v1/fleet                            aggregated daemon heartbeats
     GET  /v1/campaigns                        ids in the store
-    POST /v1/campaigns                        submit (campaign-file schema)
+    POST /v1/campaigns                        submit (campaign-file schema);
+                                              400 if invalid, 413 if a cell
+                                              is over the memory budget
     GET  /v1/campaigns/<id>/status            per-cell live state
     GET  /v1/campaigns/<id>/result            typed result; 409 if incomplete
     GET  /v1/campaigns/<id>/events?offset=N   journal tail from offset
@@ -194,7 +196,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _post_campaign(self) -> None:
         from repro.api.campaign import campaign_from_dict
-        from repro.api.session import CampaignError
+        from repro.api.session import CampaignError, CampaignTooLarge
 
         payload = self._read_body()
         if payload is None:
@@ -202,6 +204,9 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             grid = campaign_from_dict(payload)
             handle = self.session.submit(grid)
+        except CampaignTooLarge as exc:
+            self._error(413, str(exc))
+            return
         except (ValueError, TypeError, CampaignError, RunStoreError) as exc:
             self._error(400, str(exc))
             return

@@ -10,7 +10,8 @@ filesystem guarantees, all of which hold on local filesystems and NFS:
    cell, exactly one creates the lease and owns the cell.
 2. **Renewal** — the owner periodically rewrites its lease atomically
    (heartbeat timestamp + TTL).  Renewal happens from the drain loop's
-   tick callback, so a live daemon's leases never age past the TTL.
+   tick callback — fired while a cell runs, inline cells included — so a
+   live daemon's leases never age past the TTL, however long its cells.
 3. **Takeover** — a lease whose heartbeat is older than its TTL belongs
    to a dead (or wedged) daemon.  Takeover renames the *specific stale
    file* to a per-daemon tombstone — ``os.replace`` fails with

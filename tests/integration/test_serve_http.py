@@ -139,6 +139,31 @@ class TestErrors:
             client.submit({"campaign": {"id": "x"}})  # no targets/configs
         assert excinfo.value.status == 400
 
+    def test_non_positive_iterations_is_400(self, served):
+        client, store = served
+        with pytest.raises(ServeError) as excinfo:
+            client.submit(_document(campaign_id="zero", iterations=0))
+        assert excinfo.value.status == 400
+        assert "positive integer" in str(excinfo.value)
+        assert store.list_runs() == []
+
+    def test_over_budget_submit_is_413_and_writes_nothing(
+        self, served, monkeypatch
+    ):
+        """Fault injection: a host whose memory budget is one byte short
+        of the cell's estimate refuses the campaign over the wire."""
+        import repro.api.session as session_module
+
+        client, store = served
+        peak = session_module.cell_peak_bytes(16, 12)
+        monkeypatch.setattr(session_module, "_memory_budget", lambda: peak - 1)
+        with pytest.raises(ServeError) as excinfo:
+            client.submit(_document(campaign_id="too-big"))
+        assert excinfo.value.status == 413
+        assert "physical memory" in str(excinfo.value)
+        assert store.list_runs() == []
+        assert not any(path.is_file() for path in store.root.rglob("*"))
+
     def test_unknown_route_is_404(self, served):
         client, _store = served
         with pytest.raises(ServeError) as excinfo:

@@ -29,6 +29,7 @@ import uuid
 import numpy as np
 import pytest
 
+import repro.api.daemon as daemon_module
 import repro.runtime.executor as executor_module
 from repro.api import Session, campaign, drain_once
 from repro.api.daemon import _pending_cells
@@ -173,6 +174,102 @@ class TestThreeDaemonDrain:
         assert report.skipped_leased == grid.n_trajectories
         assert not report.idle  # contended work is not "nothing to do"
         winner.release_all()
+
+
+def _cell_done_counts(store, run_id):
+    counts = {}
+    for line in store.canonical_journal(run_id).splitlines():
+        record = json.loads(line)
+        if record.get("type") == "cell-done":
+            counts[record["shard"]] = counts.get(record["shard"], 0) + 1
+    return counts
+
+
+class TestClaimOnDispatch:
+    def test_a_daemon_holds_one_claim_per_worker_slot(self, store_root, monkeypatch):
+        """With one worker, a leased pass holds one lease at a time: the
+        claim comes right before the cell runs and goes as it finishes."""
+        grid = _smoke_campaign(campaign_id="one-slot")
+        store = RunStore(store_root)
+        Session(store).submit(grid)
+        manager = LeaseManager(store, daemon_id="solo", ttl_seconds=10.0)
+        held = []
+        original = daemon_module._cell_task
+
+        def observed(payload):
+            held.append(manager.held)
+            return original(payload)
+
+        monkeypatch.setattr(daemon_module, "_cell_task", observed)
+        report = drain_once(store, workers=1, progress=QUIET, leases=manager)
+        assert report.executed == grid.n_trajectories
+        assert held == [
+            [(grid.campaign_id, cell.index)] for cell in grid.cells()
+        ]
+        assert manager.held == []
+
+    def test_leases_renew_during_an_inline_cell(self, store_root, monkeypatch):
+        """A cell three TTLs long keeps its lease: a sibling that tries to
+        claim it mid-cell loses, and the cell is done exactly once."""
+        grid = _smoke_campaign(campaign_id="long-cell", targets="1cex(40:51)", seeds=1)
+        store = RunStore(store_root)
+        handle = Session(store).submit(grid)
+        owner = LeaseManager(store, daemon_id="owner", ttl_seconds=0.6)
+        sibling = LeaseManager(store, daemon_id="sibling", ttl_seconds=0.6)
+        mid_cell = []
+        original = daemon_module._cell_task
+
+        def long_cell(payload):
+            if not mid_cell:
+                mid_cell.append(None)
+                time.sleep(2.0)  # the cell outlives its lease TTL 3 times
+                mid_cell[0] = drain_once(
+                    store, workers=1, progress=QUIET, leases=sibling
+                )
+            return original(payload)
+
+        monkeypatch.setattr(daemon_module, "_cell_task", long_cell)
+        report = drain_once(store, workers=1, progress=QUIET, leases=owner)
+        assert report.executed == 1
+        assert mid_cell[0].skipped_leased == 1 and mid_cell[0].executed == 0
+        assert handle.status().complete
+        assert _cell_done_counts(store, grid.campaign_id) == {0: 1}
+        assert not store.lease_path(grid.campaign_id, 0).exists()
+
+    def test_a_cell_finished_since_the_scan_is_released_not_executed(
+        self, store_root, monkeypatch
+    ):
+        """A sibling finishes a cell between this daemon's scan and its
+        claim: the claim is released and the cell does not run again."""
+        grid = _smoke_campaign(campaign_id="recheck")
+        store = RunStore(store_root)
+        Session(store).submit(grid)
+        manager = LeaseManager(store, daemon_id="late", ttl_seconds=10.0)
+        raced = grid.cell(1)
+        claim = manager.claim
+
+        def claim_after_sibling(run_id, index):
+            if index == raced.index:
+                executor_module.run_cell(store, raced)  # the sibling's run
+            return claim(run_id, index)
+
+        dispatched = []
+        original = daemon_module._cell_task
+
+        def recording(payload):
+            dispatched.append(payload["cell"]["index"])
+            return original(payload)
+
+        monkeypatch.setattr(manager, "claim", claim_after_sibling)
+        monkeypatch.setattr(daemon_module, "_cell_task", recording)
+        report = drain_once(store, workers=1, progress=QUIET, leases=manager)
+        assert raced.index not in dispatched
+        assert report.executed == grid.n_trajectories - 1
+        assert manager.held == []
+        assert not store.lease_path(grid.campaign_id, raced.index).exists()
+        assert _cell_done_counts(store, grid.campaign_id) == {
+            cell.index: 1 for cell in grid.cells()
+        }
 
 
 class TestDeadDaemonTakeover:

@@ -13,6 +13,8 @@ import pytest
 from repro.api import (
     BACKENDS,
     Campaign,
+    CampaignError,
+    CampaignTooLarge,
     ComponentRegistry,
     RegistryError,
     backend_names,
@@ -22,8 +24,10 @@ from repro.api import (
     expand_grid,
     load_campaign,
     scorer_names,
+    Session,
 )
 from repro.config import SamplingConfig
+from repro.runtime import RunStore
 from repro.runtime.spec import CampaignManifest, CellSpec
 
 SMOKE = SamplingConfig(population_size=16, n_complexes=4, iterations=2)
@@ -335,3 +339,56 @@ class TestExpandGrid:
             {"a": 2, "b": "x"},
             {"a": 2, "b": "y"},
         ]
+
+
+class TestAdmission:
+    """``Session._validate`` refuses cells a worker could only crash on."""
+
+    def _grid(self, **config):
+        fields = dict(population_size=16, n_complexes=4, iterations=2)
+        fields.update(config)
+        return campaign(
+            "admit", "1cex(40:51)", {"c": SamplingConfig(**fields)},
+            seeds=1, backends="gpu",
+        )
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            dict(iterations=0),
+            dict(population_size=16.0),
+            dict(n_complexes=4.0),
+            dict(iterations=2.5),
+            dict(iterations=True),
+        ],
+    )
+    def test_non_integer_or_non_positive_sizes_are_rejected(self, tmp_path, config):
+        store = tmp_path / "store"
+        with pytest.raises(CampaignError, match="positive integer"):
+            Session(str(store)).submit(self._grid(**config))
+        assert RunStore(str(store)).list_runs() == []
+
+    def test_over_budget_cell_is_rejected_before_any_write(self, tmp_path, monkeypatch):
+        import repro.api.session as session_module
+
+        grid = self._grid()
+        peak = session_module.cell_peak_bytes(16, 12)
+        monkeypatch.setattr(session_module, "_memory_budget", lambda: peak - 1)
+        store = tmp_path / "store"
+        with pytest.raises(CampaignTooLarge, match="half of physical memory"):
+            Session(str(store)).submit(grid)
+        with pytest.raises(CampaignTooLarge):
+            Session(str(store)).run(grid)
+        assert RunStore(str(store)).list_runs() == []
+        monkeypatch.setattr(session_module, "_memory_budget", lambda: peak)
+        assert Session(str(store)).submit(grid).campaign_id == "admit"
+
+    def test_budget_is_half_of_physical_memory(self):
+        import os
+
+        import repro.api.session as session_module
+
+        total = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        assert session_module._memory_budget() == total // 2
+        # A paper-scale cell (15,360 members, 12 residues) is ~160 MiB.
+        assert session_module.cell_peak_bytes(15360, 12) < 2**28

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -224,6 +226,11 @@ def _square(x):
     return x * x
 
 
+def _slow_square(x):
+    time.sleep(0.05)
+    return x * x
+
+
 class TestParallelMap:
     def test_inline_preserves_order(self):
         events = []
@@ -241,3 +248,54 @@ class TestParallelMap:
 
     def test_empty(self):
         assert parallel_map(_square, [], workers=4) == []
+
+    def test_inline_admits_each_item_right_before_it_runs(self):
+        events = []
+
+        def admit(index):
+            events.append(("admit", index))
+            return index != 1
+
+        out = parallel_map(
+            _square, [3, 1, 2], workers=1, admit=admit,
+            on_result=lambda i, r: events.append(("result", i)),
+        )
+        # A refused item is skipped: no result, no on_result call.
+        assert out == [9, None, 4]
+        assert events == [
+            ("admit", 0), ("result", 0),
+            ("admit", 1),
+            ("admit", 2), ("result", 2),
+        ]
+
+    def test_pool_keeps_at_most_workers_in_flight(self):
+        counts = {"admitted": 0, "finished": 0}
+        in_flight_at_admit = []
+
+        def admit(index):
+            in_flight_at_admit.append(counts["admitted"] - counts["finished"])
+            if index == 4:
+                return False
+            counts["admitted"] += 1
+            return True
+
+        def on_result(_index, _result):
+            counts["finished"] += 1
+
+        out = parallel_map(
+            _slow_square, list(range(7)), workers=2, admit=admit,
+            on_result=on_result,
+        )
+        assert out == [0, 1, 4, 9, None, 25, 36]
+        # Admission asks only when a slot is free, once per item, in order.
+        assert len(in_flight_at_admit) == 7
+        assert max(in_flight_at_admit) < 2
+
+    def test_inline_ticks_during_a_long_item(self):
+        ticks = []
+        parallel_map(
+            time.sleep, [0.3], workers=1,
+            on_tick=lambda: ticks.append(1), tick_seconds=0.05,
+        )
+        # The tick fires while the item runs, not only between items.
+        assert len(ticks) >= 3
