@@ -18,8 +18,15 @@ routes:
   file comes from a CPU-only environment), so diffs of this file on a
   JAX-capable runner fill the column in rather than changing shape.
 
+The numpy and bundle routes run on one member thread.  The three kernels
+that split their members across member threads (the two pair reductions
+and CCD) are also timed on the numpy route at one thread and at the
+count an inline cell gets on this host, back to back per kernel
+(``member_threads``, next to ``cores``).
+
 Results land in ``BENCH_kernels.json`` at the repo root (committed, so
-facade-overhead and jit-speedup claims can be diffed against the tree).
+facade-overhead, jit-speedup and member-thread claims can be diffed
+against the tree).
 
 Run with ``pytest -m benchmarks benchmarks/test_kernel_bench.py -s``.
 """
@@ -27,6 +34,7 @@ Run with ``pytest -m benchmarks benchmarks/test_kernel_bench.py -s``.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import time
 from typing import Callable, Dict, Optional
@@ -40,7 +48,9 @@ from repro.moscem.dominance import strength_fitness
 from repro.scoring.pairwise import (
     binned_table_sum,
     indexed_penalty_sum,
+    member_thread_count,
     squared_bin_edges,
+    using_member_threads,
 )
 from repro.xp import bind_kernels, block_until_ready, has_jax, numpy_kernels
 
@@ -55,6 +65,9 @@ PAPER_POPULATION = 15360
 
 #: Loop length (residues) of the paper's hardest benchmark class.
 LOOP_RESIDUES = 12
+
+#: The kernels that split their members across member threads.
+THREADED = ("binned_table_sum", "ccd_close_batch", "soft_sphere_penalty")
 
 #: Timed repeats per kernel (median taken), by scale preset.
 _REPEATS = {"smoke": 3, "default": 5, "paper": 9}
@@ -164,6 +177,15 @@ def test_kernel_tiers_paper_scale():
         4,
     )
     jax_jit = _time_jax(p, repeats)
+    # Each kernel at one thread and at an inline cell's share of the host,
+    # back to back, so both columns see the same host speed.
+    threads = member_thread_count(1)
+    suite = _kernel_suite(p, None)
+    one_thread, threaded = {}, {}
+    for name in THREADED:
+        for count, column in ((1, one_thread), (threads, threaded)):
+            with using_member_threads(count):
+                column[name] = round(_median_of(suite[name], repeats), 4)
 
     report = {
         "scale": bench_scale(),
@@ -176,6 +198,16 @@ def test_kernel_tiers_paper_scale():
         "numpy_seconds": numpy_direct,
         "numpy_bundle_seconds": numpy_bundle,
         "jax_jit_seconds": jax_jit,
+        "cores": (
+            len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity")
+            else os.cpu_count()
+        ),
+        "member_threads": {
+            "threads": threads,
+            "one_thread_seconds": one_thread,
+            "seconds": threaded,
+        },
     }
     OUTPUT.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
 
@@ -190,6 +222,11 @@ def test_kernel_tiers_paper_scale():
             row += f"  bundle {bundle:8.4f}s"
         row += f"  jit {jit:8.4f}s" if jit is not None else "  jit      n/a"
         print(row)
+    for name in THREADED:
+        print(
+            f"  {name:>22}: 1 thread {one_thread[name]:8.4f}s  "
+            f"{threads} threads {threaded[name]:8.4f}s"
+        )
     print(f"wrote {OUTPUT.name}")
 
     # The facade's dispatch layer must be invisible at paper scale: the

@@ -43,6 +43,15 @@ collaborators, both riding the store rather than any new IPC:
   content address is already cached are *filled* (O(ms)) instead of
   executed, and freshly executed cells are published for future
   campaigns.
+
+Each dispatched cell carries its member-thread count (see
+:func:`~repro.runtime.executor.cell_payload`): the host's cores divided
+by the cells that run on the host at once.  Without leases that is the
+pass's own concurrency; a leased daemon adds the ``workers`` of every
+live sibling heartbeat from its host (:func:`~repro.obs.fleet.host_slots`),
+recomputed each pass, so two one-worker daemons on two cores run one
+thread each.  A sibling counts from its first heartbeat, written after
+its first pass.
 """
 
 from __future__ import annotations
@@ -55,9 +64,14 @@ from concurrent.futures.process import BrokenProcessPool
 
 from repro.config import RuntimeConfig
 from repro.islands.broker import ready_to_resume
-from repro.obs.fleet import default_daemon_id, write_heartbeat
+from repro.obs.fleet import default_daemon_id, host_slots, write_heartbeat
 from repro.obs.metrics import REGISTRY
-from repro.runtime.executor import PersistentPool, _cell_task, parallel_map
+from repro.runtime.executor import (
+    PersistentPool,
+    _cell_task,
+    cell_payload,
+    parallel_map,
+)
 from repro.runtime.spec import CellSpec
 from repro.runtime.store import RunStore, RunStoreError
 
@@ -346,10 +360,13 @@ def drain_once(
             f"{len(campaigns)} campaign(s)"
             + (", claimed on dispatch" if leases is not None else "")
         )
-    payloads = [
-        {"store_root": str(store.root), "cell": cell.to_dict(), "trace": trace}
-        for cell in pending
-    ]
+    effective_workers = workers if workers is not None else _DEFAULTS.workers
+    # The cells of this pass share the host's cores with those of every
+    # live sibling daemon on it (their heartbeats name host and workers).
+    slots = min(effective_workers, len(pending))
+    if leases is not None:
+        slots = host_slots(store, slots)
+    payloads = [cell_payload(store, cell, trace, slots) for cell in pending]
     busy = {"seconds": 0.0}
 
     def _claim(pos: int) -> bool:
@@ -401,7 +418,6 @@ def drain_once(
                     f"{summary.get('n_decoys', 0)} decoys"
                 )
 
-    effective_workers = workers if workers is not None else _DEFAULTS.workers
     tick = leases.renew_all if leases is not None else None
     tick_seconds = leases.ttl_seconds / 3.0 if leases is not None else 5.0
     pass_started = time.perf_counter()

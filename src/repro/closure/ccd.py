@@ -27,7 +27,12 @@ The batched kernel has two execution paths that compute the same bits:
   axes are rebuilt member-major before they are normalised, because
   ``einsum`` picks its summation order from the memory layout
   (:func:`~repro.scoring.pairwise.rotation_alignment_terms` canonicalises
-  its own inputs for the same reason).
+  its own inputs for the same reason).  The live members are split
+  into strided stripes of the start-sorted order, one per member thread
+  (:func:`~repro.scoring.pairwise.map_members`), each swept on its own
+  planes and buffers and written back to its own rows.  A stripe is
+  never smaller than :data:`_MIN_STRIPE` members, below which the
+  GIL-bound numpy call overhead outweighs the second core.
 * **Masked** (a :class:`~repro.xp.dispatch.KernelBundle` is supplied).
   Each sweep runs the generic :func:`_ccd_sweep` kernel over the
   member-major ``(P, n*4+3, 3)`` chain: every member is swept, and
@@ -35,7 +40,11 @@ The batched kernel has two execution paths that compute the same bits:
   coordinates through a ``where`` selection.  Every array shape stays
   static, which lets the jax tier compile one sweep of the whole
   population as one ``jit`` unit; an eager namespace (the ``xp``
-  backend's numpy) calls it on blocks of members instead.
+  backend's numpy) calls it on blocks of members instead.  Its sweeps
+  run on the calling thread.
+
+Both paths re-measure the closed torsions in contiguous blocks over the
+member threads.
 
 The member-major subset path the atom-major one replaced is kept as the
 test-only oracle ``tests/ccd_oracle.py``.
@@ -60,6 +69,9 @@ from repro.geometry.vectors import normalize
 from repro.loops.loop import LoopTarget
 from repro.scoring.pairwise import (
     _rotation_alignment_terms,
+    map_blocks,
+    map_members,
+    member_threads,
     population_blocks,
     rotation_alignment_terms,
 )
@@ -82,6 +94,11 @@ _CHUNK = 32768
 #: temporaries spill the cache; 128-member blocks gain only ~1.3x, as
 #: each block pays the sweep's ~1,000 numpy calls again.
 _EAGER_BLOCK = 512
+#: Fewest live members per stripe of the threaded numpy path.  Every
+#: stripe pays the sweep's ~1,000 numpy calls per sweep under the GIL,
+#: so on the 2-vCPU host above two stripes gain only from ~5,000 live
+#: members on (1.25x at 7,680 and 15,360, 0.85x at 4,096, 0.5x at 512).
+_MIN_STRIPE = 2560
 #: The closure atoms: the last three rows of the flattened chain.
 _CLOSURE = slice(-3, None)
 
@@ -355,22 +372,21 @@ def _sweep_atom_major(
 def _close_atom_major(
     moving: np.ndarray,
     anchors: np.ndarray,
+    live: np.ndarray,
     start_indices: np.ndarray,
     errors: np.ndarray,
     converged_at: np.ndarray,
     max_iterations: int,
     tolerance: float,
 ) -> None:
-    """The numpy CCD sweeps, updating ``moving``, ``errors`` and
-    ``converged_at`` in place.
+    """The numpy CCD sweeps of the members ``live``, updating only their
+    rows of ``moving``, ``errors`` and ``converged_at`` in place.
 
-    The members still converging are carried as atom-major planes,
-    stable-sorted by start index; members leave the planes (and are
-    written back to ``moving``) as soon as they stop converging, since
-    nothing moves them afterwards.
+    ``live`` lists members still converging, stable-sorted by start
+    index; they are carried as atom-major planes and leave them (written
+    back to ``moving``) as soon as they stop converging, since nothing
+    moves them afterwards.
     """
-    order = np.argsort(start_indices, kind="stable")
-    live = order[errors[order] > tolerance]
     if max_iterations <= 0 or live.size == 0:
         return
     planes = np.ascontiguousarray(moving[live].T)  # (3, n*4+3, K)
@@ -389,6 +405,12 @@ def _close_atom_major(
             if live.size == 0:
                 return
     moving[live] = planes.T
+
+
+def _split(members: int) -> int:
+    """Parts to split ``members`` into: one per member thread, but none
+    smaller than :data:`_MIN_STRIPE`."""
+    return max(1, min(member_threads(), members // _MIN_STRIPE))
 
 
 def ccd_close_batch(
@@ -444,15 +466,27 @@ def ccd_close_batch(
     moving = np.concatenate(
         [coords.reshape(pop, -1, 3), closure], axis=1
     )  # (P, n*4+3, 3)
+    # The built arrays are dead now; freed here, they do not add a chain
+    # copy to the sweeps' peak memory.
+    del coords, closure
     anchors = target.c_anchor  # (3, 3)
 
     errors = coordinate_rmsd_batch(moving[:, -3:, :], anchors)
     converged_at = np.where(errors <= tolerance, 0, max_iterations).astype(np.int64)
 
     if kernels is None:
-        _close_atom_major(
-            moving, anchors, start_indices, errors, converged_at,
-            max_iterations, tolerance,
+        # Strided stripes of the start-sorted live set, one per member
+        # thread: each stripe is start-sorted itself, gets an even share
+        # of the converging members and sweeps its own planes.
+        order = np.argsort(start_indices, kind="stable")
+        live = order[errors[order] > tolerance]
+        stripes = _split(live.size)
+        map_members(
+            lambda stripe: _close_atom_major(
+                moving, anchors, live[stripe::stripes], start_indices,
+                errors, converged_at, max_iterations, tolerance,
+            ),
+            stripes,
         )
     else:
         # Members sweep independently, so an eager namespace sweeps them
@@ -479,7 +513,14 @@ def ccd_close_batch(
 
     coords = moving[:, : n * _ATOMS, :].reshape(pop, n, _ATOMS, 3)
     closure = moving[:, n * _ATOMS:, :]
-    closed_torsions = backbone_torsions_batch(coords, target.n_anchor, closure)
+    closed_torsions = np.empty((pop, 2 * n))
+
+    def _measure(block: slice) -> None:
+        closed_torsions[block] = backbone_torsions_batch(
+            coords[block], target.n_anchor, closure[block]
+        )
+
+    map_blocks(_measure, pop, -(-pop // _split(pop)))
     return CCDResult(
         torsions=closed_torsions,
         coords=coords,

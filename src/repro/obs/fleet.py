@@ -45,6 +45,7 @@ __all__ = [
     "default_daemon_id",
     "fleet_snapshot",
     "heartbeat_path",
+    "host_slots",
     "read_heartbeats",
     "write_heartbeat",
 ]
@@ -172,6 +173,21 @@ def read_heartbeats(
         if isinstance(document, dict) and "heartbeat" in document:
             heartbeats.append(document)
     return heartbeats
+
+
+def host_slots(store: Union["RunStore", str, Path], workers: int) -> int:
+    """Cells running at once on this host: this process's ``workers``
+    plus the ``workers`` of every live sibling heartbeat from the same
+    host (this process's own heartbeat is the ``workers`` term).  The
+    member-thread share of a leased daemon's cells is cut from this."""
+    now, host, pid = time.time(), socket.gethostname(), os.getpid()
+    slots = int(workers)
+    for document in read_heartbeats(store):
+        if document.get("host") != host or document.get("pid") == pid:
+            continue
+        if now - float(document.get("heartbeat", 0.0)) < DEFAULT_STALE_SECONDS:
+            slots += int(document.get("workers") or 0)
+    return slots
 
 
 def _sum_counts(totals: Dict[str, float], series: Dict[str, Any]) -> None:

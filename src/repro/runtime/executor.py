@@ -68,6 +68,7 @@ from repro.runtime.checkpoint import (
 )
 from repro.runtime.spec import Campaign, CellSpec, shard_name
 from repro.runtime.store import RunStore
+from repro.scoring.pairwise import member_thread_count, using_member_threads
 from repro.utils.logging import get_logger
 from repro.utils.timing import TimingLedger
 
@@ -78,6 +79,7 @@ __all__ = [
     "PersistentPool",
     "ShardExecutor",
     "ShardFailure",
+    "cell_payload",
     "parallel_map",
     "run_cell",
 ]
@@ -602,16 +604,38 @@ def run_cell(
     return summary
 
 
+def cell_payload(
+    store: RunStore, cell: CellSpec, trace: bool, slots: int
+) -> Dict[str, Any]:
+    """The picklable work item of one cell, as :func:`_cell_task` takes it.
+
+    ``slots`` is the number of cells running at once on the host; the
+    item carries the cell's member threads, its share of the host's
+    cores (:func:`~repro.scoring.pairwise.member_thread_count`).  The
+    count lives only here: it changes no output bit, so it is never part
+    of a cell spec, a journal or a stored result.
+    """
+    return {
+        "store_root": str(store.root),
+        "cell": cell.to_dict(),
+        "trace": bool(trace),
+        "threads": member_thread_count(slots),
+    }
+
+
 def _cell_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Picklable worker entry point: run one cell, never raise.
 
     Exceptions are folded into an ``{"error": ...}`` summary (and the
-    cell's status document) so one bad cell cannot poison the pool.
+    cell's status document) so one bad cell cannot poison the pool.  The
+    cell's kernels run on the payload's ``threads`` member threads (see
+    :func:`cell_payload`).
     """
     store = RunStore(payload["store_root"])
     cell = CellSpec.from_dict(payload["cell"])
     try:
-        return run_cell(store, cell, trace=bool(payload.get("trace", False)))
+        with using_member_threads(payload["threads"]):
+            return run_cell(store, cell, trace=payload["trace"])
     except Exception as exc:  # noqa: BLE001 - reported via the summary
         detail = traceback.format_exc(limit=20)
         try:
@@ -731,12 +755,10 @@ class ShardExecutor:
 
         previous_signature = None
         while pending:
+            # parallel_map runs min(workers, items) cells at once.
+            slots = min(workers, len(pending))
             payloads = [
-                {
-                    "store_root": str(self.store.root),
-                    "cell": spec.cell(index).to_dict(),
-                    "trace": self.trace,
-                }
+                cell_payload(self.store, spec.cell(index), self.trace, slots)
                 for index in pending
             ]
             fresh = [

@@ -20,11 +20,20 @@ paths are built on:
   into blocks of a tunable size so the pair temporaries stay cache-resident
   at paper-scale populations (15,360 members).  The default block of 128
   members deliberately matches the paper's 128 threads per block.
+* **Member threads** — the blocks of every block loop are mapped over one
+  process-wide thread pool (:func:`map_blocks`), each block writing only
+  its own rows of the totals; CCD maps its member stripes over the same
+  pool (:func:`map_members`).  The thread count is the running cell's
+  share of the host (:func:`member_thread_count`), set around each cell
+  by the runtime (:func:`using_member_threads`); it is never part of a
+  cell spec, a journal or any other replay surface, because it changes
+  no computed bit.
 
 Every helper is deterministic per member: evaluating a one-member
 population yields bit-identical numbers to evaluating the same member
 inside a larger chunked batch, which is what makes the scalar scoring
-paths exact special cases of the batched ones.
+paths exact special cases of the batched ones — and what lets blocks run
+on any thread in any order.
 
 The per-pair math lives in *generic kernels* registered with the
 :mod:`repro.xp` facade (functions taking an array namespace ``xp`` as
@@ -39,7 +48,12 @@ stays numpy: it is control flow, not array math.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Optional, Tuple
+import contextlib
+import itertools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -56,6 +70,11 @@ __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "resolve_block_size",
     "population_blocks",
+    "member_thread_count",
+    "member_threads",
+    "using_member_threads",
+    "map_members",
+    "map_blocks",
     "soft_sphere_penalty_sq",
     "indexed_sq_distances",
     "indexed_penalty_sum",
@@ -100,6 +119,116 @@ def population_blocks(
     step = resolve_block_size(block_size, population_size)
     for start in range(0, population_size, step):
         yield slice(start, min(start + step, population_size))
+
+
+#: Threads the population kernels split their members across; set around
+#: each cell by :func:`using_member_threads`, one outside any cell.
+_MEMBER_THREADS: int = 1
+#: The helper threads of :func:`map_members` (the calling thread is the
+#: last member thread), built on first use and grown on demand.
+_POOL: Optional[ThreadPoolExecutor] = None
+_POOL_SIZE: int = 0
+#: Marks the threads running a member task, whose nested maps run inline.
+_TASK = threading.local()
+
+
+def _forget_pool() -> None:
+    """Drop the pool in a forked child: its threads did not survive the
+    fork, so a task submitted to it would never run."""
+    global _POOL, _POOL_SIZE
+    _POOL, _POOL_SIZE = None, 0
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def member_thread_count(slots: int) -> int:
+    """A cell's member threads: its share of the cores this process may
+    run on, ``max(1, cores // slots)``, where ``slots`` is the number of
+    cells running at once on the host."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API
+        cores = os.cpu_count() or 1
+    return max(1, cores // max(1, int(slots)))
+
+
+def member_threads() -> int:
+    """The member threads the population kernels run on right now."""
+    return _MEMBER_THREADS
+
+
+@contextlib.contextmanager
+def using_member_threads(count: int) -> Iterator[None]:
+    """Run the enclosed kernels on ``count`` member threads (process-wide).
+
+    Outputs do not depend on the count: every kernel that maps over the
+    member threads computes each member's bits as one thread would.
+    """
+    global _MEMBER_THREADS
+    previous = _MEMBER_THREADS
+    _MEMBER_THREADS = max(1, int(count))
+    try:
+        yield
+    finally:
+        _MEMBER_THREADS = previous
+
+
+def _helpers(count: int) -> ThreadPoolExecutor:
+    global _POOL, _POOL_SIZE
+    if _POOL is None or _POOL_SIZE < count:
+        if _POOL is not None:
+            _POOL.shutdown(wait=False)
+        _POOL = ThreadPoolExecutor(count, thread_name_prefix="member")
+        _POOL_SIZE = count
+    return _POOL
+
+
+def map_members(fn: Callable[[int], None], count: int) -> None:
+    """Call ``fn(i)`` for every ``i`` in ``range(count)`` across the
+    member threads, the calling thread included; returns when all are done.
+
+    Tasks are handed out in index order to whichever thread is free, so
+    each ``fn(i)`` must write only its own rows.  Ledger sections and
+    spans stay with the caller, around the whole map.  A map inside a
+    task runs inline.
+    """
+    threads = min(_MEMBER_THREADS, count)
+    if threads <= 1 or getattr(_TASK, "running", False):
+        for index in range(count):
+            fn(index)
+        return
+    tasks = itertools.count()
+
+    def _drain() -> None:
+        _TASK.running = True
+        try:
+            index = next(tasks)
+            while index < count:
+                fn(index)
+                index = next(tasks)
+        finally:
+            _TASK.running = False
+
+    pool = _helpers(threads - 1)
+    futures = [pool.submit(_drain) for _ in range(threads - 1)]
+    try:
+        _drain()
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
+def map_blocks(
+    fn: Callable[[slice], None],
+    population_size: int,
+    block_size: Optional[int] = None,
+) -> None:
+    """:func:`map_members` over the :func:`population_blocks` slices."""
+    blocks: List[slice] = list(population_blocks(population_size, block_size))
+    map_members(lambda index: fn(blocks[index]), len(blocks))
 
 
 @array_kernel("soft_sphere_penalty_sq")
@@ -194,18 +323,20 @@ def indexed_penalty_sum(
     if first.size == 0:
         return totals
     sq_contacts = sq_contacts[None, :]
-    for block in population_blocks(pop, block_size):
+
+    def _block(block: slice) -> None:
         if kernels is None:
-            part = _indexed_penalty_block(
+            totals[block] = _indexed_penalty_block(
                 _XP, points_a[block], points_b[block], first, second, sq_contacts
             )
         else:
-            part = kernels.to_numpy(
+            totals[block] = kernels.to_numpy(
                 kernels.indexed_penalty_block(
                     points_a[block], points_b[block], first, second, sq_contacts
                 )
             )
-        totals[block] = part
+
+    map_blocks(_block, pop, block_size)
     return totals
 
 
@@ -372,20 +503,22 @@ def binned_table_sum(
     n_cols = pair_tables.shape[1]
     flat_tables = np.ascontiguousarray(pair_tables, dtype=np.float64).ravel()
     row_offsets = np.arange(first.size, dtype=np.intp) * n_cols
-    for block in population_blocks(pop, block_size):
+
+    def _block(block: slice) -> None:
         if kernels is None:
-            part = _binned_gather_sum(
+            totals[block] = _binned_gather_sum(
                 _XP, points[block], first, second,
                 flat_tables, sq_edges, row_offsets, n_cols,
             )
         else:
-            part = kernels.to_numpy(
+            totals[block] = kernels.to_numpy(
                 kernels.binned_gather_sum(
                     points[block], first, second,
                     flat_tables, sq_edges, row_offsets, n_cols,
                 )
             )
-        totals[block] = part
+
+    map_blocks(_block, pop, block_size)
     return totals
 
 
@@ -575,7 +708,8 @@ class EnvironmentGrid:
         totals = np.zeros(pop, dtype=np.float64)
         if self.n_atoms == 0 or slots == 0:
             return totals
-        for block in population_blocks(pop, block_size):
+
+        def _block(block: slice) -> None:
             chunk = probes[block]
             members = chunk.shape[0]
             flat = chunk.reshape(members * slots, 3)
@@ -584,7 +718,7 @@ class EnvironmentGrid:
             else:
                 probe_ids, positions = self.dense_pairs(members * slots)
             if probe_ids.size == 0:
-                continue
+                return
             diff = flat[probe_ids] - self._sorted_coords[positions]
             sq_d = np.einsum("ij,ij->i", diff, diff)
             sq_c = sq_contacts[probe_ids % slots, self._sorted_atoms[positions]]
@@ -592,4 +726,6 @@ class EnvironmentGrid:
             totals[block] = np.bincount(
                 probe_ids // slots, weights=penalties, minlength=members
             )
+
+        map_blocks(_block, pop, block_size)
         return totals

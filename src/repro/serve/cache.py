@@ -71,6 +71,11 @@ _PUBLISHES = REGISTRY.counter(
 #: re-derived from the destination cell when an entry fills one, so a hit
 #: is indistinguishable from a local execution of that cell.
 _IDENTITY_FIELDS = ("run_id", "shard", "config_name", "seed_index")
+#: Summary fields that measure one execution: its wall time and timing
+#: ledgers.  They stay out of the cache too, so every publisher of a cell
+#: writes the same entry bytes; a fill reports ``wall_seconds`` as 0.0
+#: and no ledger records (nothing was executed).
+_RUN_FIELDS = ("wall_seconds", "host_ledger", "kernel_ledger")
 
 
 def is_cacheable(cell: CellSpec) -> bool:
@@ -171,7 +176,7 @@ class ResultCache:
             summary = json.loads((shard_dir / self.RESULT_NAME).read_text())
         except (OSError, ValueError):
             return False
-        for field in _IDENTITY_FIELDS:
+        for field in _IDENTITY_FIELDS + _RUN_FIELDS:
             summary.pop(field, None)
         write_bytes_atomic(entry / self.DECOYS_NAME, blob)
         write_json_atomic(entry / self.RESULT_NAME, summary)
@@ -355,6 +360,7 @@ class ResultCache:
         summary["shard"] = cell.index
         summary["config_name"] = cell.config_name
         summary["seed_index"] = cell.seed_index
+        summary["wall_seconds"] = 0.0
         shard_dir = store.shard_dir(cell.run_id, cell.index)
         write_bytes_atomic(shard_dir / self.DECOYS_NAME, payload["blob"])
         write_json_atomic(shard_dir / self.RESULT_NAME, summary)

@@ -142,12 +142,13 @@ def _files(drain: dict) -> list:
         (store.shard_dir(GRID.run_id, cell.index) / "decoys.npz").read_bytes()
         for cell in GRID.cells()
     ]
-    # A cache entry's result.json carries the cell's wall time; its
-    # marker and decoys are the content-addressed bytes.
+    # Every file of a cache entry is content-addressed: no wall time.
     cached = [
         (entry / name).read_bytes()
         for entry in drain["entries"]
-        for name in (ResultCache.ENTRY_NAME, ResultCache.DECOYS_NAME)
+        for name in (
+            ResultCache.ENTRY_NAME, ResultCache.DECOYS_NAME, ResultCache.RESULT_NAME
+        )
     ]
     return [store.canonical_journal(GRID.run_id), *shards, *cached]
 

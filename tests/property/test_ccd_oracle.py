@@ -8,7 +8,8 @@ two must agree bit for bit (``np.array_equal``) on every
 coordinates, closure atoms, closure error and sweep counts — for a single
 member, every start-index pattern the sampler produces, degenerate pivot
 axes, members closed before the first sweep and the smallest sweep
-budgets, on both the 10- and the 12-residue panel loop.
+budgets, on both the 10- and the 12-residue panel loop — and at 1, 2
+and 3 member threads, which split the live members into stripes.
 """
 
 from __future__ import annotations
@@ -23,10 +24,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import ccd_oracle as oracle
+import repro.closure.ccd as ccd_module
 from repro.closure.ccd import ccd_close_batch
 from repro.loops.ramachandran import RamachandranModel
 from repro.loops.targets import get_target, make_target
 from repro.moscem.mutation import mutate_population
+from repro.scoring.pairwise import using_member_threads
 from repro.xp import numpy_kernels
 
 #: The fleet panel's 10-residue loop and the paper cell's 12-residue loop.
@@ -192,3 +195,52 @@ def test_compiling_namespace_sweeps_whole_population():
     sweeps = int(result.iterations.max())
     assert sweeps > 0
     assert bundle.shapes == [(1100, 23, 3)] * sweeps
+
+
+@pytest.fixture()
+def small_stripes(monkeypatch):
+    """Stripes of any size, so small populations split across threads."""
+    monkeypatch.setattr(ccd_module, "_MIN_STRIPE", 1)
+
+
+class TestMemberThreads:
+    """The numpy path at 1, 2 and 3 member threads gives the oracle's bits."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_odd_population(self, target, initial, small_stripes, threads):
+        rng = np.random.default_rng(13)
+        starts = rng.integers(0, 2 * target.n_residues, size=POPULATION - 1)
+        with using_member_threads(threads):
+            assert_same_closure(initial[1:], target, start_indices=starts)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_all_converged_population(self, target, small_stripes, threads):
+        torsions = np.tile(target.native_torsions, (5, 1))
+        with using_member_threads(threads):
+            result = assert_same_closure(torsions, target)
+        assert np.all(result.iterations == 0)
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_live_set_smaller_than_stripe_count(
+        self, target, initial, small_stripes, threads
+    ):
+        torsions = np.tile(target.native_torsions, (9, 1))
+        torsions[4] = initial[0]  # the one member still open
+        with using_member_threads(threads):
+            result = assert_same_closure(torsions, target)
+        assert np.count_nonzero(result.iterations) == 1
+
+    def test_default_stripes_split_a_large_population(self):
+        """At the default stripe size a population over two stripes long
+        really splits, and still gives the oracle's bits."""
+        target = make_target("prop", 1, 5, seed=31)
+        rng = np.random.default_rng(17)
+        pop = 2 * ccd_module._MIN_STRIPE + 3
+        torsions = rng.uniform(-math.pi, math.pi, size=(pop, 10))
+        starts = rng.integers(0, 10, size=pop)
+        with using_member_threads(2):
+            assert ccd_module._split(pop) == 2
+            assert_same_closure(
+                torsions, target, start_indices=starts, max_iterations=2,
+                tolerance=0.2,
+            )

@@ -207,6 +207,38 @@ class TestRoundTrip:
         fresh.create_run(other, exist_ok=True)
         assert cache.fill(fresh, other.cell(0)) is None
 
+    def test_entry_bytes_do_not_depend_on_timings(self, tmp_path, cache):
+        """Two executions of one cell publish the same entry bytes; a fill
+        keeps the ``wall_seconds`` key, at 0.0, and has empty ledgers."""
+        grid, store, _result = self._run(tmp_path, cache, "wall", "store-w")
+        cell = grid.cell(0)
+        entry = cache.entry_dir(cell_cache_key(cell))
+        first = {p.name: p.read_bytes() for p in sorted(entry.iterdir())}
+        cached = json.loads(first["result.json"])
+        for field in ("wall_seconds", "host_ledger", "kernel_ledger"):
+            assert field not in cached
+
+        # A slower second execution of the same cell.
+        result_path = store.shard_dir("wall", 0) / "result.json"
+        summary = json.loads(result_path.read_text())
+        summary["wall_seconds"] += 12.5
+        for ledger in ("host_ledger", "kernel_ledger"):
+            for record in summary[ledger].values():
+                record["total_seconds"] += 1.5
+        result_path.write_text(json.dumps(summary))
+        for path in sorted(entry.iterdir()):
+            path.unlink()
+        assert cache.publish(store, cell)
+        assert {p.name: p.read_bytes() for p in sorted(entry.iterdir())} == first
+
+        fresh = RunStore(str(tmp_path / "store-x"))
+        other = campaign("wall2", TARGETS[0], {"x": TINY}, base_seed=3)
+        fresh.create_run(other, exist_ok=True)
+        assert cache.fill(fresh, other.cell(0))["wall_seconds"] == 0.0
+        assert fresh.load_shard_summary("wall2", 0)["wall_seconds"] == 0.0
+        ledgers = fresh.load_shard_ledgers("wall2", 0)
+        assert not ledgers["host"].records and not ledgers["kernel"].records
+
     def test_publish_is_first_writer_wins(self, tmp_path, cache):
         grid, store, _result = self._run(tmp_path, cache, "dup", "store-d")
         cell = grid.cell(0)

@@ -176,6 +176,38 @@ _FAULTS_SCRIPT = textwrap.dedent(
 )
 
 
+_ARENA_SCRIPT = textwrap.dedent(
+    """
+    import resource
+    import numpy as np
+    from repro.closure.ccd import ccd_close_batch
+    from repro.loops.library import LoopLibrary
+    from repro.loops.ramachandran import RamachandranModel
+    from repro.loops.targets import get_target
+    from repro.scoring.distance import DistanceScore
+    from repro.scoring.knowledge import build_knowledge_base
+    from repro.scoring.pairwise import using_member_threads
+    from repro.scoring.vdw import SoftSphereVDW
+
+    # A cell's heap: a closed paper_trajectory-sized population.
+    target = get_target("1cex(40:51)")
+    kb = build_knowledge_base(LoopLibrary.generate(n_loops=40, lengths=(6, 12), seed=7))
+    scorers = [SoftSphereVDW(target), DistanceScore(target, kb)]
+    torsions = RamachandranModel().sample_population(
+        target.sequence, 7680, np.random.default_rng(5)
+    )
+    closed = ccd_close_batch(torsions, target, max_iterations=2)
+    peaks = []
+    for threads in (1, 2):
+        with using_member_threads(threads):
+            for scorer in scorers:
+                scorer.evaluate_batch(closed.coords, closed.torsions)
+        peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    print(*peaks)
+    """
+)
+
+
 def _has_mallopt() -> bool:
     try:
         return hasattr(ctypes.CDLL(None), "mallopt")
@@ -197,6 +229,20 @@ class TestMallocThresholds:
             env=env, capture_output=True, text=True, check=True, timeout=120,
         )
         assert int(out.stdout.strip()) < 1000
+
+    def test_member_threads_share_one_heap(self):
+        # A 2-thread VDW + DIST pass after a 1-thread one: with one arena
+        # the second thread's block temporaries reuse the heap pages the
+        # first pass freed.  With an arena per thread the helper's arena
+        # keeps its own pages (+13% peak RSS here).
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", _ARENA_SCRIPT],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
+        )
+        one, two = (int(field) for field in out.stdout.split())
+        assert two <= 1.05 * one, (one, two)
 
 
 @pytest.mark.skipif(not has_jax(), reason="jax wheel not installed")
