@@ -22,7 +22,10 @@ The numpy and bundle routes run on one member thread.  The three kernels
 that split their members across member threads (the two pair reductions
 and CCD) are also timed on the numpy route at one thread and at the
 count an inline cell gets on this host, back to back per kernel
-(``member_threads``, next to ``cores``).
+(``member_threads``, next to ``cores``).  CCD is timed there in a second
+shape too, ``ccd_close_batch_step``: a MOSCEM step's call, mutation
+proposals with their start indices, so most pivots move a column prefix
+of the members.
 
 Results land in ``BENCH_kernels.json`` at the repo root (committed, so
 facade-overhead, jit-speedup and member-thread claims can be diffed
@@ -45,6 +48,7 @@ from repro.closure.ccd import ccd_close_batch
 from repro.geometry.nerf import build_backbone_batch
 from repro.loops.targets import make_target
 from repro.moscem.dominance import strength_fitness
+from repro.moscem.mutation import mutate_population
 from repro.scoring.pairwise import (
     binned_table_sum,
     indexed_penalty_sum,
@@ -66,8 +70,14 @@ PAPER_POPULATION = 15360
 #: Loop length (residues) of the paper's hardest benchmark class.
 LOOP_RESIDUES = 12
 
-#: The kernels that split their members across member threads.
-THREADED = ("binned_table_sum", "ccd_close_batch", "soft_sphere_penalty")
+#: The kernels that split their members across member threads (CCD in
+#: the initial-population and the step shape).
+THREADED = (
+    "binned_table_sum",
+    "ccd_close_batch",
+    "ccd_close_batch_step",
+    "soft_sphere_penalty",
+)
 
 #: Timed repeats per kernel (median taken), by scale preset.
 _REPEATS = {"smoke": 3, "default": 5, "paper": 9}
@@ -97,6 +107,7 @@ def _problem():
     scores = rng.normal(size=(PAPER_POPULATION, 3))
     target = make_target("bench", 1, LOOP_RESIDUES, seed=5)
     torsions = rng.uniform(-np.pi, np.pi, size=(PAPER_POPULATION, 2 * LOOP_RESIDUES))
+    proposals, starts = mutate_population(torsions, target.sequence, rng)
     return {
         "coords": coords,
         "first": first,
@@ -107,6 +118,8 @@ def _problem():
         "scores": scores,
         "target": target,
         "torsions": torsions,
+        "proposals": proposals,
+        "starts": starts,
     }
 
 
@@ -181,6 +194,10 @@ def test_kernel_tiers_paper_scale():
     # back to back, so both columns see the same host speed.
     threads = member_thread_count(1)
     suite = _kernel_suite(p, None)
+    suite["ccd_close_batch_step"] = lambda: ccd_close_batch(
+        p["proposals"], p["target"], start_indices=p["starts"],
+        max_iterations=2, tolerance=0.25,
+    )
     one_thread, threaded = {}, {}
     for name in THREADED:
         for count, column in ((1, one_thread), (threads, threaded)):

@@ -4,11 +4,15 @@ Drains the same campaign with tracing off and tracing on (N back-to-back
 pairs, fresh stores every time so no run resumes another's checkpoints)
 and writes the median per-pair relative overhead to ``BENCH_obs.json`` at
 the repo root (committed, so reviewers can diff tracing-cost claims
-against the tree).  The acceptance gate is the tentpole's promise:
-**a traced drain stays within 3% of an untraced one** — epoch spans
-follow the checkpoint cadence and leaf spans are the measurements the
-timing ledgers take anyway, so tracing adds bookkeeping, not
-measurement.
+against the tree).  The cells are mid-scale (population 1,024, as the
+repository benchmark's fleet drain runs), so a drain times the sampler's
+kernels as real runs do rather than per-cell fixed costs; on a shared
+2-vCPU host single pairs still differ by 10% or more either way, so the
+median of the pairs is the reading.  The acceptance gate is the
+tentpole's promise: **a traced drain stays within 3% of an untraced
+one** — epoch spans follow the checkpoint cadence and leaf spans are
+the measurements the timing ledgers take anyway, so tracing adds
+bookkeeping, not measurement.
 
 Also measured, because they are the other always-on costs: metric
 increments per second (the counters stay on unconditionally) and the
@@ -35,10 +39,12 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 OUTPUT = REPO_ROOT / "BENCH_obs.json"
 
 _SCALED = {
-    "smoke": SamplingConfig(population_size=16, n_complexes=4, iterations=6),
-    "default": SamplingConfig(population_size=32, n_complexes=8, iterations=12),
-    "paper": SamplingConfig(population_size=64, n_complexes=16, iterations=30),
+    "smoke": SamplingConfig(population_size=1024, n_complexes=8, iterations=2),
+    "default": SamplingConfig(population_size=1024, n_complexes=8, iterations=4),
+    "paper": SamplingConfig(population_size=2048, n_complexes=16, iterations=6),
 }
+#: Cells per drain: one target, two seeds.
+_CELLS = 2
 
 #: Back-to-back drain pairs; odd, so the median is one pair's ratio.
 _REPEATS = {"smoke": 11, "default": 11, "paper": 7}
@@ -52,12 +58,12 @@ QUIET = lambda _line: None  # noqa: E731
 def _grid(campaign_id: str, config: SamplingConfig):
     return campaign(
         campaign_id,
-        ["1cex(40:51)", "1akz(181:192)"],
+        ["1cex(40:51)"],
         {"bench": config},
-        seeds=2,
+        seeds=_CELLS,
         backends="gpu",
         base_seed=43,
-        checkpoint_every=2,
+        checkpoint_every=1,
         workers=1,
     )
 
@@ -69,7 +75,7 @@ def _drain_seconds(root: pathlib.Path, campaign_id: str, config, trace: bool) ->
     start = time.perf_counter()
     report = drain_once(store, workers=1, progress=QUIET, trace=trace)
     seconds = time.perf_counter() - start
-    assert report.executed == 4 and report.failed == 0
+    assert report.executed == _CELLS and report.failed == 0
     if trace:
         assert store.has_shard_trace(campaign_id, 0)
     return seconds
@@ -85,7 +91,7 @@ def test_obs_benchmarks(tmp_path, capsys):
             "population_size": config.population_size,
             "n_complexes": config.n_complexes,
             "iterations": config.iterations,
-            "n_cells": 4,
+            "n_cells": _CELLS,
             "repeats": repeats,
         },
     }
@@ -124,7 +130,8 @@ def test_obs_benchmarks(tmp_path, capsys):
     # --- trace document size (what the status channel carries) ---------
     store = RunStore(str(tmp_path / "traced-0"))
     sizes = [
-        store.trace_path("bench-traced", index).stat().st_size for index in range(4)
+        store.trace_path("bench-traced", index).stat().st_size
+        for index in range(_CELLS)
     ]
     report["tracing"]["trace_bytes_per_cell"] = round(sum(sizes) / len(sizes))
 

@@ -58,11 +58,17 @@ class SamplingBackend(abc.ABC):
         """Run CCD loop closure over the whole population ([CCD])."""
 
     @abc.abstractmethod
-    def evaluate_scores(self, coords: np.ndarray, torsions: np.ndarray) -> np.ndarray:
+    def evaluate_scores(
+        self,
+        coords: np.ndarray,
+        torsions: np.ndarray,
+        members: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         """Evaluate every scoring function over the population.
 
         Returns a ``(P, K)`` score matrix ([EvalVDW] / [EvalDIST] /
-        [EvalTRIP]).
+        [EvalTRIP]).  ``members``, a ``(P,)`` boolean mask, restricts the
+        rows that must be scored; the others may hold anything.
         """
 
     @abc.abstractmethod
@@ -75,12 +81,15 @@ class SamplingBackend(abc.ABC):
         population_scores: np.ndarray,
         proposal_scores: np.ndarray,
         complex_indices: List[np.ndarray],
+        members: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Fitness of current members and proposals against their complexes.
 
         Returns ``(current_fitness, proposal_fitness)``, both of shape
         ``(P,)``, where each member/proposal is evaluated against the
         members of the complex it was dealt to ([FitAssg] within Complex).
+        ``members``, a ``(P,)`` boolean mask, restricts the proposals that
+        must be evaluated; the others get a finite fitness.
         """
 
     # ------------------------------------------------------------------

@@ -107,6 +107,8 @@ class BatchedBackend(SamplingBackend):
         )
 
     def _score(self, fn, coords: np.ndarray, torsions: np.ndarray) -> np.ndarray:
+        if coords.shape[0] == 0:  # a step whose closure gate admitted none
+            return np.empty(0)
         return fn.evaluate_batch(coords, torsions)
 
     # ------------------------------------------------------------------
@@ -125,14 +127,37 @@ class BatchedBackend(SamplingBackend):
             "CCD", torsions.shape[0], self._close, torsions, start_indices
         )
 
-    def evaluate_scores(self, coords: np.ndarray, torsions: np.ndarray) -> np.ndarray:
-        """Evaluate every scoring function with one kernel each."""
+    def _subset(self, members: Optional[np.ndarray]) -> Optional[np.ndarray]:
+        """The ``members`` mask a kernel honours (``None``: every row).  A
+        compiling namespace computes every row, so it compiles one shape
+        per kernel, not one per subset size."""
+        if self.kernels is not None and self.kernels.namespace.can_jit:
+            return None
+        return members
+
+    def evaluate_scores(
+        self,
+        coords: np.ndarray,
+        torsions: np.ndarray,
+        members: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Evaluate every scoring function with one kernel each.
+
+        ``members`` (a ``(P,)`` boolean mask) scores only those rows and
+        leaves the others NaN.  The launches and transfers still model the
+        whole population, one launch per scorer however few rows are
+        scored, so Table II does not depend on the mask.
+        """
         coords = np.asarray(coords, dtype=np.float64)
         torsions = np.asarray(torsions, dtype=np.float64)
         pop = coords.shape[0]
+        members = self._subset(members)
+        rows = None if members is None else np.flatnonzero(members)
         # Fresh conformations are copied into texture memory for the scoring
         # kernels (device-to-array in the paper's scheme).
         self._transfer(MemcpyKind.DEVICE_TO_ARRAY, coords)
+        if rows is not None:
+            coords, torsions = coords[rows], torsions[rows]
         columns = [
             self._launch(
                 fn.kernel_name, pop, self._score, fn, coords, torsions,
@@ -140,7 +165,11 @@ class BatchedBackend(SamplingBackend):
             )
             for fn in self.multi_score
         ]
-        scores = np.stack(columns, axis=1)
+        if rows is None:
+            scores = np.stack(columns, axis=1)
+        else:
+            scores = np.full((pop, len(columns)), np.nan)
+            scores[rows] = np.stack(columns, axis=1)
         # Scores are copied to texture memory for the fitness kernels.
         self._transfer(MemcpyKind.DEVICE_TO_ARRAY, scores)
         return scores
@@ -165,11 +194,19 @@ class BatchedBackend(SamplingBackend):
         population_scores: np.ndarray,
         proposal_scores: np.ndarray,
         complex_indices: List[np.ndarray],
+        members: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Complex-wise fitness, run as a single kernel per iteration."""
+        """Complex-wise fitness, run as a single kernel per iteration.
+
+        ``members`` (a ``(P,)`` boolean mask) queries only those
+        proposals; every other proposal gets its current member's fitness
+        (a Metropolis delta of 0).  Each query is scored independently, so
+        the queried rows keep their bits.
+        """
         population_scores = np.asarray(population_scores, dtype=np.float64)
         proposal_scores = np.asarray(proposal_scores, dtype=np.float64)
         pop = population_scores.shape[0]
+        members = self._subset(members)
         # The complex assignment (a permutation) is produced on the host.
         self._transfer(MemcpyKind.HOST_TO_DEVICE, np.concatenate(complex_indices))
 
@@ -182,13 +219,17 @@ class BatchedBackend(SamplingBackend):
                 # One reference pass per complex: current members and
                 # proposals are scored as one stack of independent queries.
                 ref = population_scores[indices]
-                queries = np.concatenate([ref, proposal_scores[indices]])
-                current[indices], proposed[indices] = np.split(
-                    fitness_against(
-                        ref, queries, block_size=chunk, kernels=self.kernels
-                    ),
-                    2,
+                asked = indices if members is None else indices[members[indices]]
+                fitness = fitness_against(
+                    ref,
+                    np.concatenate([ref, proposal_scores[asked]]),
+                    block_size=chunk,
+                    kernels=self.kernels,
                 )
+                current[indices] = fitness[: indices.size]
+                proposed[asked] = fitness[indices.size:]
+            if members is not None:
+                proposed[~members] = current[~members]
             return current, proposed
 
         return self._launch(

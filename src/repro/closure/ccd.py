@@ -23,11 +23,15 @@ The batched kernel has two execution paths that compute the same bits:
   may move are a column prefix, and a member leaves the planes when it
   converges.  Rotations run in place on the planes, a few atom rows at a
   time, through preallocated temporaries; members whose angle is excluded
-  are put back from a saved copy rather than rotated by zero.  The pivot
-  axes are rebuilt member-major before they are normalised, because
-  ``einsum`` picks its summation order from the memory layout
-  (:func:`~repro.scoring.pairwise.rotation_alignment_terms` canonicalises
-  its own inputs for the same reason).  The live members are split
+  are put back from a saved copy rather than rotated by zero.  Each
+  pivot's axis, norm, exclusion tests and alignment terms ``(a, b)`` are
+  computed on the ``(3, k)`` / ``(3, 3, k)`` plane slices themselves,
+  member axis innermost; the alignment terms by the generic kernel's own
+  :func:`~repro.scoring.pairwise._alignment_sums`.  Every small sum is
+  spelled out in the order numpy's ``einsum`` and ``.sum`` add a
+  contiguous row (:func:`~repro.geometry.vectors.einsum_sum3` and its
+  siblings), so both paths agree by construction rather than by memory
+  layout.  The live members are split
   into strided stripes of the start-sorted order, one per member thread
   (:func:`~repro.scoring.pairwise.map_members`), each swept on its own
   planes and buffers and written back to its own rows.  A stripe is
@@ -65,15 +69,15 @@ from repro.geometry.rotation import (
     _rotate_points_about_axes,
     rotate_about_axis,
 )
-from repro.geometry.vectors import normalize
+from repro.geometry.vectors import einsum_sum3
 from repro.loops.loop import LoopTarget
 from repro.scoring.pairwise import (
+    _alignment_sums,
     _rotation_alignment_terms,
     map_blocks,
     map_members,
     member_threads,
     population_blocks,
-    rotation_alignment_terms,
 )
 from repro.xp.dispatch import array_kernel
 
@@ -97,7 +101,19 @@ _EAGER_BLOCK = 512
 #: Fewest live members per stripe of the threaded numpy path.  Every
 #: stripe pays the sweep's ~1,000 numpy calls per sweep under the GIL,
 #: so on the 2-vCPU host above two stripes gain only from ~5,000 live
-#: members on (1.25x at 7,680 and 15,360, 0.85x at 4,096, 0.5x at 512).
+#: members on.  Step-shaped calls (1cex(40:51) mutation proposals, median
+#: of 5 alternating runs), 1 vs 2 threads:
+#:
+#: ===========  ========  =========  =====
+#: live         1 thread  2 threads  ratio
+#: ===========  ========  =========  =====
+#: 512          0.183 s   0.509 s    0.36x
+#: 2,047        0.375 s   0.618 s    0.61x
+#: 4,095        0.621 s   0.720 s    0.86x
+#: 5,118        0.778 s   0.762 s    1.02x
+#: 7,675        1.078 s   0.965 s    1.12x
+#: 15,351       1.863 s   1.415 s    1.32x
+#: ===========  ========  =========  =====
 _MIN_STRIPE = 2560
 #: The closure atoms: the last three rows of the flattened chain.
 _CLOSURE = slice(-3, None)
@@ -263,9 +279,12 @@ def _ccd_sweep(xp, moving, anchors, start_indices, active, n_torsions):
         # terms, degenerate axes, converged members, sub-threshold angles.
         angles = xp.where(start_indices <= j, angles, 0.0)
         angles = xp.where((xp.abs(a) < _EPS) & (xp.abs(b) < _EPS), 0.0, angles)
-        angles = xp.where(
-            xp.einsum("pi,pi->p", raw_axes, raw_axes) < _EPS * _EPS, 0.0, angles
+        squared = einsum_sum3(
+            raw_axes[:, 0] * raw_axes[:, 0],
+            raw_axes[:, 1] * raw_axes[:, 1],
+            raw_axes[:, 2] * raw_axes[:, 2],
         )
+        angles = xp.where(squared < _EPS * _EPS, 0.0, angles)
         angles = xp.where(active, angles, 0.0)
 
         # Rotations below the angle threshold are discarded by selection,
@@ -304,21 +323,21 @@ def _sweep_atom_major(
             continue
         b_idx, c_idx, move_start = _pivot_indices(j)
         origin = planes[:, b_idx, :k]
-        # ``normalize`` and the degenerate-axis test below reduce with
-        # ``einsum``, which sums in memory-layout order, so the axes are
-        # made member-major as the masked sweep holds them.
-        raw_axes = np.ascontiguousarray((planes[:, c_idx, :k] - origin).T)
-        axes = normalize(raw_axes)
-        a, b = rotation_alignment_terms(
-            planes[:, _CLOSURE, :k].T, anchors, origin.T, axes
+        # The masked sweep's ``_normalize_last_axis`` and degenerate-axis
+        # test, on ``(3, k)`` rows: one squared norm serves both.
+        raw = planes[:, c_idx, :k] - origin
+        squared = einsum_sum3(raw[0] * raw[0], raw[1] * raw[1], raw[2] * raw[2])
+        norm = np.sqrt(squared)
+        axes = raw / np.where(norm < _EPS, 1.0, norm)
+        a, b = _alignment_sums(
+            planes[:, _CLOSURE, :k] - origin[:, None, :],
+            anchors.T[:, :, None] - origin[:, None, :],
+            axes,
         )
         # The masked sweep's exclusions; the column prefix already applies
         # its start-index and converged masks.
         angles = np.arctan2(b, a)
-        angles = np.where((np.abs(a) < _EPS) & (np.abs(b) < _EPS), 0.0, angles)
-        angles = np.where(
-            np.einsum("pi,pi->p", raw_axes, raw_axes) < _EPS * _EPS, 0.0, angles
-        )
+        angles[((np.abs(a) < _EPS) & (np.abs(b) < _EPS)) | (squared < _EPS * _EPS)] = 0.0
         rotating = np.abs(angles) > 1e-10
         if not np.any(rotating):
             continue
@@ -335,7 +354,7 @@ def _sweep_atom_major(
         # swap operands), on ``(atoms, k)`` planes instead of
         # ``(k, atoms)`` rows, a few atom rows at a time so the
         # temporaries stay cache-resident.
-        kx, ky, kz = np.ascontiguousarray(axes.T)
+        kx, ky, kz = axes
         c = np.cos(angles)
         s = np.sin(angles)
         one_minus_c = 1.0 - c

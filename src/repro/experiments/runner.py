@@ -20,6 +20,7 @@ from repro.experiments.base import (
     get_experiment,
     list_experiments,
 )
+from repro.scoring.pairwise import sharing_cores
 from repro.utils.logging import get_logger
 
 __all__ = ["RunnerReport", "run_experiment", "run_experiments", "PAPER_EXPERIMENTS"]
@@ -77,10 +78,16 @@ def run_experiment(
 
 
 def _experiment_task(payload: Dict[str, Any]) -> ExperimentResult:
-    """Picklable worker entry point for one experiment driver run."""
-    return run_experiment(
-        payload["experiment_id"], scale=payload["scale"], seed=payload["seed"]
-    )
+    """Picklable worker entry point for one experiment driver run.
+
+    The ``processes`` experiments running at once share the host's cores,
+    so the driver's inline cells each get ``cores // processes`` member
+    threads (:func:`~repro.scoring.pairwise.member_thread_count`).
+    """
+    with sharing_cores(payload["processes"]):
+        return run_experiment(
+            payload["experiment_id"], scale=payload["scale"], seed=payload["seed"]
+        )
 
 
 def run_experiments(
@@ -116,8 +123,16 @@ def run_experiments(
         )
     from repro.runtime.executor import parallel_map
 
+    # Experiments running at once (``parallel_map`` runs them inline,
+    # one at a time, on one worker or for one item).
+    processes = max(1, min(workers, len(ids)))
     payloads = [
-        {"experiment_id": experiment_id, "scale": scale, "seed": seed}
+        {
+            "experiment_id": experiment_id,
+            "scale": scale,
+            "seed": seed,
+            "processes": processes,
+        }
         for experiment_id in ids
     ]
     logger.info(

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.geometry.vectors import normalize
+from repro.geometry.vectors import einsum_sum3, normalize
 from repro.utils.rng import spawn_rng
 from repro.xp.dispatch import array_kernel
 from repro.xp.xp import numpy_namespace
@@ -104,13 +104,15 @@ def rotate_about_axis(
 
 
 def _normalize_last_axis(xp, v):
-    """Unit-scale along the last axis; zero vectors pass through unchanged.
+    """Unit-scale 3-vectors along the last axis; zero vectors pass through.
 
-    Replays the last-axis fast path of :func:`repro.geometry.vectors.normalize`
-    exactly (same einsum, same epsilon guard), so the numpy binding is
-    bit-identical to calling ``normalize`` directly.
+    Replays the 3-vector fast path of :func:`repro.geometry.vectors.normalize`
+    exactly (the same explicit :func:`~repro.geometry.vectors.einsum_sum3`
+    squared norm, the same epsilon guard), so the numpy binding is
+    bit-identical to calling ``normalize`` directly, in any memory layout.
     """
-    norm = xp.sqrt(xp.einsum("...i,...i->...", v, v))[..., None]
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    norm = xp.sqrt(einsum_sum3(x * x, y * y, z * z))[..., None]
     safe = xp.where(norm < _EPS, 1.0, norm)
     return v / safe
 
@@ -123,7 +125,7 @@ def _rotate_points_about_axes(xp, points, origins, axes, angles, normalized=Fals
     axis normalisation pass.
     """
     points = xp.asarray(points, dtype=xp.float64)
-    origins = xp.asarray(origins, dtype=xp.float64)[:, None, :]
+    origins = xp.asarray(origins, dtype=xp.float64)
     axes = xp.asarray(axes, dtype=xp.float64)
     if not normalized:
         axes = _normalize_last_axis(xp, axes)
@@ -131,21 +133,24 @@ def _rotate_points_about_axes(xp, points, origins, axes, angles, normalized=Fals
 
     c = xp.cos(angles)[:, None]
     s = xp.sin(angles)[:, None]
-    shifted = points - origins
-    x, y, z = shifted[..., 0], shifted[..., 1], shifted[..., 2]
+    # One coordinate at a time, so every temporary is a dense (P, m)
+    # array rather than a stride-3 view.
+    ox, oy, oz = origins[:, 0, None], origins[:, 1, None], origins[:, 2, None]
+    x = points[..., 0] - ox
+    y = points[..., 1] - oy
+    z = points[..., 2] - oz
     kx = axes[:, 0, None]
     ky = axes[:, 1, None]
     kz = axes[:, 2, None]
     t = (x * kx + y * ky + z * kz) * (1.0 - c)
-    rotated = xp.stack(
+    return xp.stack(
         (
-            x * c + (ky * z - kz * y) * s + kx * t,
-            y * c + (kz * x - kx * z) * s + ky * t,
-            z * c + (kx * y - ky * x) * s + kz * t,
+            x * c + (ky * z - kz * y) * s + kx * t + ox,
+            y * c + (kz * x - kx * z) * s + ky * t + oy,
+            z * c + (kx * y - ky * x) * s + kz * t + oz,
         ),
         axis=-1,
     )
-    return rotated + origins
 
 
 def rotate_points_about_axes_batch(

@@ -13,6 +13,9 @@ import numpy as np
 from repro.constants import TWO_PI
 
 __all__ = [
+    "einsum_sum3",
+    "einsum_sum9",
+    "reduce_sum3",
     "normalize",
     "wrap_angle",
     "angle_between",
@@ -24,19 +27,56 @@ __all__ = [
 _EPS = 1e-12
 
 
+def einsum_sum3(t0, t1, t2):
+    """``t0 + t1 + t2`` with the bits of an ``np.einsum`` 3-term product sum.
+
+    ``np.einsum`` sums the products of each C-contiguous row in two
+    zero-started SIMD lanes: blocks of eight terms in reverse pairs
+    (``t6, t4, t2, t0`` into lane 0, ``t7, t5, t3, t1`` into lane 1), then
+    the remaining terms pair by pair, then lane 0 + lane 1.  Three terms
+    (``"pi,pi->p"``, ``"pki,pi->pk"``, ``"pk,pk->p"`` over a 3-long axis)
+    thus sum as ``(t0 + t2) + t1``.  Spelled out with plain elementwise
+    operations, the sum keeps those bits in any memory layout -- an
+    atom-major ``(3, K)`` plane reduces as a member-major ``(K, 3)`` row
+    does -- and on every ``xp`` namespace.  The final ``+ 0.0`` turns an
+    all-``-0.0`` sum into the lanes' ``+0.0``.  Pass the products in row
+    order.  A numpy build whose lanes are wider, or fuse the multiply-add,
+    sums differently: ``tests/unit/test_reduction_order.py`` pins these
+    sums against ``einsum`` and names the one that moved.
+    """
+    return ((t0 + t2) + t1) + 0.0
+
+
+def einsum_sum9(t0, t1, t2, t3, t4, t5, t6, t7, t8):
+    """The 9-term ``np.einsum`` product sum (``"pki,pki->p"`` over
+    ``(P, 3, 3)``), in the lane order of :func:`einsum_sum3`."""
+    return (((((t6 + t4) + t2) + t0) + t8) + (((t7 + t5) + t3) + t1)) + 0.0
+
+
+def reduce_sum3(t0, t1, t2):
+    """``t0 + t1 + t2`` with the bits of ``.sum(axis=1)`` over ``(P, 3)``.
+
+    numpy's add-reduce over a contiguous axis of length 3 adds left to
+    right from a zero start: ``(t0 + t1) + t2``, never ``-0.0``.
+    """
+    return ((t0 + t1) + t2) + 0.0
+
+
 def normalize(v: np.ndarray, axis: int = -1) -> np.ndarray:
     """Return ``v`` scaled to unit length along ``axis``.
 
     Zero-length vectors are returned unchanged (all zeros) rather than
     producing NaNs, which keeps the batched kernels free of invalid-value
     warnings when a degenerate conformation appears in the population.
+    3-vectors along the last axis get the squared norm of
+    :func:`einsum_sum3`, so their bits do not depend on the memory layout
+    of ``v`` and equal the kernels' ``_normalize_last_axis``.
     """
     v = np.asarray(v, dtype=np.float64)
-    if axis == -1 or axis == v.ndim - 1:
-        # Fast path for the ubiquitous last-axis case: one einsum instead
-        # of np.linalg.norm's generic machinery (this sits inside the CCD
-        # sweep, once per pivot).
-        norm = np.sqrt(np.einsum("...i,...i->...", v, v))[..., None]
+    if v.shape[-1:] == (3,) and (axis == -1 or axis == v.ndim - 1):
+        # Fast path for the ubiquitous last-axis 3-vector case.
+        x, y, z = v[..., 0], v[..., 1], v[..., 2]
+        norm = np.sqrt(einsum_sum3(x * x, y * y, z * z))[..., None]
     else:
         norm = np.linalg.norm(v, axis=axis, keepdims=True)
     safe = np.where(norm < _EPS, 1.0, norm)

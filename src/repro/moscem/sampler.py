@@ -294,10 +294,10 @@ class MOSCEMSampler:
         """Advance one MOSCEM iteration in place; returns the acceptance rate.
 
         One iteration is: population-wide fitness assignment, fitness sort
-        and complex partition, mutation proposals, CCD closure and scoring,
-        complex-wise fitness, Metropolis acceptance, assembly, and the
-        temperature update.  The state's iteration counter is incremented
-        after the iteration completes.
+        and complex partition, mutation proposals, CCD closure, scoring and
+        complex-wise fitness of the admissible proposals, Metropolis
+        acceptance, assembly, and the temperature update.  The state's
+        iteration counter is incremented after the iteration completes.
         """
         config = self.config
         population = state.population
@@ -329,22 +329,30 @@ class MOSCEMSampler:
 
         # [CCD] + scoring kernels.
         ccd = self.backend.close_loops(proposals, ccd_starts)
-        proposal_scores = self.backend.evaluate_scores(ccd.coords, ccd.torsions)
+        admissible = None
+        if config.require_closure:
+            # Only proposals satisfying the loop-closure condition are
+            # admissible loop models (Section III.C of the paper).  The
+            # others are rejected whatever they score, so only admissible
+            # proposals are scored and fitness-queried.
+            admissible = ccd.closure_error <= (
+                config.ccd_tolerance * config.closure_tolerance_factor
+            )
+        proposal_scores = self.backend.evaluate_scores(
+            ccd.coords, ccd.torsions, members=admissible
+        )
 
-        # [FitAssg] within complexes + [Metropolis].
+        # [FitAssg] within complexes + [Metropolis].  Every member draws
+        # its uniform whatever its fitness, so skipped proposals leave the
+        # draws of the others, and the Metropolis stream, unchanged.
         current_fit, proposal_fit = self.backend.fitness_within_complexes(
-            population.scores, proposal_scores, complexes
+            population.scores, proposal_scores, complexes, members=admissible
         )
         accept = metropolis_accept(
             current_fit, proposal_fit, schedule.temperature, state.metropolis_rng
         )
-        if config.require_closure:
-            # Only proposals satisfying the loop-closure condition are
-            # admissible loop models (Section III.C of the paper).
-            closed = ccd.closure_error <= (
-                config.ccd_tolerance * config.closure_tolerance_factor
-            )
-            accept &= closed
+        if admissible is not None:
+            accept &= admissible
 
         with host_ledger.section("Assemble"):
             accepted = np.where(accept)[0]

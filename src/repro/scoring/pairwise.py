@@ -57,6 +57,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.geometry.vectors import einsum_sum3, einsum_sum9, reduce_sum3
 from repro.xp.dispatch import array_kernel
 from repro.xp.xp import numpy_namespace
 
@@ -124,6 +125,10 @@ def population_blocks(
 #: Threads the population kernels split their members across; set around
 #: each cell by :func:`using_member_threads`, one outside any cell.
 _MEMBER_THREADS: int = 1
+#: Processes sharing the host's cores with this one, itself included; set
+#: by :func:`sharing_cores` (the experiment processes of
+#: ``repro-experiments --workers N``).
+_PROCESSES: int = 1
 #: The helper threads of :func:`map_members` (the calling thread is the
 #: last member thread), built on first use and grown on demand.
 _POOL: Optional[ThreadPoolExecutor] = None
@@ -146,12 +151,26 @@ if hasattr(os, "register_at_fork"):
 def member_thread_count(slots: int) -> int:
     """A cell's member threads: its share of the cores this process may
     run on, ``max(1, cores // slots)``, where ``slots`` is the number of
-    cells running at once on the host."""
+    cells running at once on the host (times the processes inside
+    :func:`sharing_cores`)."""
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - no affinity API
         cores = os.cpu_count() or 1
-    return max(1, cores // max(1, int(slots)))
+    return max(1, cores // (max(1, int(slots)) * _PROCESSES))
+
+
+@contextlib.contextmanager
+def sharing_cores(processes: int) -> Iterator[None]:
+    """Count ``processes`` processes (this one included) on the host's
+    cores in :func:`member_thread_count` for the enclosed block."""
+    global _PROCESSES
+    previous = _PROCESSES
+    _PROCESSES = max(1, int(processes))
+    try:
+        yield
+    finally:
+        _PROCESSES = previous
 
 
 def member_threads() -> int:
@@ -340,19 +359,41 @@ def indexed_penalty_sum(
     return totals
 
 
+def _alignment_sums(r, f, axes):
+    """The CCD alignment terms ``(a, b)`` from coordinate-major blocks.
+
+    ``r`` and ``f`` are the moving and the fixed closure atoms relative to
+    each member's pivot origin, ``(3, 3, M)`` as coordinate x atom x
+    member; ``axes`` is ``(3, M)``.  Any memory layout gives the same
+    bits: every sum is spelled out in the order ``einsum`` / ``.sum`` add
+    a member-major C-contiguous row.  Plain operators only, so it runs on
+    every ``xp`` namespace; the atom-major CCD sweep calls it on its
+    plane slices, the generic kernel on transposed member-major arrays.
+    """
+    ax, ay, az = axes[0], axes[1], axes[2]
+    r_ax = einsum_sum3(r[0] * ax, r[1] * ay, r[2] * az)
+    f_ax = einsum_sum3(f[0] * ax, f[1] * ay, f[2] * az)
+    rf = r * f
+    # The 9-term r.f in member-major row order: atom-major, then coordinate.
+    rf = einsum_sum9(*(rf[i, k] for k in range(3) for i in range(3)))
+    a = rf - einsum_sum3(r_ax[0] * f_ax[0], r_ax[1] * f_ax[1], r_ax[2] * f_ax[2])
+    cx = r[1] * f[2] - r[2] * f[1]
+    cy = r[2] * f[0] - r[0] * f[2]
+    cz = r[0] * f[1] - r[1] * f[0]
+    b = (
+        ax * reduce_sum3(cx[0], cx[1], cx[2])
+        + ay * reduce_sum3(cy[0], cy[1], cy[2])
+        + az * reduce_sum3(cz[0], cz[1], cz[2])
+    )
+    return a, b
+
+
 @array_kernel("rotation_alignment_terms")
 def _rotation_alignment_terms(xp, points, targets, origins, axes):
     """Generic CCD alignment reduction (see wrapper)."""
     r = points - origins[:, None, :]
     f = targets[None, :, :] - origins[:, None, :]
-    r_ax = xp.einsum("pki,pi->pk", r, axes)
-    f_ax = xp.einsum("pki,pi->pk", f, axes)
-    a = xp.einsum("pki,pki->p", r, f) - xp.einsum("pk,pk->p", r_ax, f_ax)
-    cx = (r[:, :, 1] * f[:, :, 2] - r[:, :, 2] * f[:, :, 1]).sum(axis=1)
-    cy = (r[:, :, 2] * f[:, :, 0] - r[:, :, 0] * f[:, :, 2]).sum(axis=1)
-    cz = (r[:, :, 0] * f[:, :, 1] - r[:, :, 1] * f[:, :, 0]).sum(axis=1)
-    b = axes[:, 0] * cx + axes[:, 1] * cy + axes[:, 2] * cz
-    return a, b
+    return _alignment_sums(r.T, f.T, axes.T)
 
 
 def rotation_alignment_terms(
@@ -365,7 +406,7 @@ def rotation_alignment_terms(
 
     The gather-and-reduce primitive behind CCD's per-pivot update: for each
     member ``p`` with unit rotation axis ``axes[p]`` anchored at
-    ``origins[p]``, the K point pairs (moving ``points[p, k]``, fixed
+    ``origins[p]``, the three point pairs (moving ``points[p, k]``, fixed
     ``targets[k]``) are reduced to
 
     ``a = sum_k  r.f - (r.axis)(f.axis)``  and
@@ -382,9 +423,9 @@ def rotation_alignment_terms(
     Parameters
     ----------
     points:
-        ``(P, K, 3)`` moving points per member.
+        ``(P, 3, 3)`` moving points per member (CCD's three closure atoms).
     targets:
-        ``(K, 3)`` fixed target points shared by all members.
+        ``(3, 3)`` fixed target points shared by all members.
     origins:
         ``(P, 3)`` rotation-axis anchor per member.
     axes:
@@ -392,18 +433,14 @@ def rotation_alignment_terms(
 
     Notes
     -----
-    ``points``, ``origins`` and ``axes`` are made C-contiguous first: the
-    ``einsum`` reductions pick their summation order from the memory
-    layout, so the same values in a Fortran-ordered or plane-stacked array
-    would otherwise give a different ``a`` in the last bits.
+    Every sum is spelled out in the order numpy's ``einsum`` / ``.sum``
+    give it on C-contiguous rows (:func:`~repro.geometry.vectors.einsum_sum3`,
+    :func:`~repro.geometry.vectors.einsum_sum9`,
+    :func:`~repro.geometry.vectors.reduce_sum3`), so the terms do not
+    depend on the memory layout of the inputs; the atom-major CCD sweep
+    computes the same terms on its ``(3, 3, K)`` planes.
     """
-    return _rotation_alignment_terms(
-        _XP,
-        np.ascontiguousarray(points),
-        targets,
-        np.ascontiguousarray(origins),
-        np.ascontiguousarray(axes),
-    )
+    return _rotation_alignment_terms(_XP, points, targets, origins, axes)
 
 
 def squared_bin_edges(max_value: float, n_bins: int) -> np.ndarray:

@@ -6,9 +6,11 @@ reference the atom-major sweep must reproduce bit for bit
 (``np.array_equal`` on every :class:`~repro.closure.ccd.CCDResult` field).
 It carries the chain as one ``(P, n*4+3, 3)`` array, gathers the
 still-converging members at every sweep, and rotates only the members
-whose angle survives the exclusions.  The per-pivot math goes through the
-same ``normalize``, ``rotation_alignment_terms`` and
-``rotate_points_about_axes_batch`` wrappers as the production code.
+whose angle survives the exclusions.  The per-pivot math is the
+``einsum`` normalisation and alignment terms the production kernels used
+before they spelled their sums out (kept here verbatim, so the oracle
+also checks that the explicit sums keep ``einsum``'s bits), and the same
+``rotate_points_about_axes_batch`` wrapper as the production code.
 """
 
 from __future__ import annotations
@@ -21,9 +23,31 @@ from repro.closure.ccd import _ATOMS, _EPS, CCDResult, _pivot_indices
 from repro.geometry.internal import backbone_torsions_batch
 from repro.geometry.rmsd import coordinate_rmsd_batch
 from repro.geometry.rotation import rotate_points_about_axes_batch
-from repro.geometry.vectors import normalize
 from repro.loops.loop import LoopTarget
-from repro.scoring.pairwise import rotation_alignment_terms
+
+
+def normalize(v: np.ndarray) -> np.ndarray:
+    """Unit-scale along the last axis with the ``einsum`` squared norm."""
+    norm = np.sqrt(np.einsum("...i,...i->...", v, v))[..., None]
+    return v / np.where(norm < _EPS, 1.0, norm)
+
+
+def rotation_alignment_terms(points, targets, origins, axes):
+    """The CCD alignment terms ``(a, b)`` as ``einsum`` / ``.sum``
+    reductions over C-contiguous member-major rows."""
+    points = np.ascontiguousarray(points)
+    origins = np.ascontiguousarray(origins)
+    axes = np.ascontiguousarray(axes)
+    r = points - origins[:, None, :]
+    f = targets[None, :, :] - origins[:, None, :]
+    r_ax = np.einsum("pki,pi->pk", r, axes)
+    f_ax = np.einsum("pki,pi->pk", f, axes)
+    a = np.einsum("pki,pki->p", r, f) - np.einsum("pk,pk->p", r_ax, f_ax)
+    cx = (r[:, :, 1] * f[:, :, 2] - r[:, :, 2] * f[:, :, 1]).sum(axis=1)
+    cy = (r[:, :, 2] * f[:, :, 0] - r[:, :, 0] * f[:, :, 2]).sum(axis=1)
+    cz = (r[:, :, 0] * f[:, :, 1] - r[:, :, 1] * f[:, :, 0]).sum(axis=1)
+    b = axes[:, 0] * cx + axes[:, 1] * cy + axes[:, 2] * cz
+    return a, b
 
 
 def ccd_close_batch(

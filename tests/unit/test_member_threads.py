@@ -9,7 +9,9 @@ cores the cell owns, without changing a bit.
   fixed-seed trajectory;
 * the slot rule: a cell's thread count is ``max(1, cores // slots)``,
   where a leased daemon's slots count the workers of live sibling
-  heartbeats on its host, and the count travels with the work item;
+  heartbeats on its host, the experiment processes of
+  ``repro-experiments --workers N`` each count as one, and the count
+  travels with the work item;
 * tracing: ledger records and spans are filed from the cell's thread;
 * fork safety: a process-pool campaign after an inline one completes,
   although the pool's threads do not survive ``fork``.
@@ -33,6 +35,7 @@ import pytest
 import repro
 import repro.api.daemon as daemon_module
 import repro.closure.ccd as ccd_module
+import repro.experiments.runner as runner_module
 import repro.runtime.executor as executor_module
 from repro.api import Session, campaign, drain_once
 from repro.backends import make_backend
@@ -252,6 +255,29 @@ class TestSlotRule:
         report = drain_once(store, workers=1, progress=QUIET, leases=leases)
         assert report.executed == 1
         assert dispatched == [threads]
+
+
+@pytest.mark.parametrize("workers, threads", [(1, 2), (2, 1)])
+def test_experiment_workers_share_the_host(
+    tmp_path, monkeypatch, two_cores, dispatched, workers, threads
+):
+    """``repro-experiments --workers N`` runs N experiment processes at
+    once, so each one's inline cells get ``max(1, cores // N)`` threads."""
+
+    def experiment(experiment_id, scale, seed):
+        grid = campaign(experiment_id, "1cex(40:51)", {"t": TINY}, workers=1)
+        Session(RunStore(str(tmp_path / experiment_id)), workers=1).run(grid)
+        return experiment_id
+
+    def pool_in_process(fn, items, workers, on_result=None):
+        return [fn(item) for item in items]
+
+    monkeypatch.setattr(runner_module, "run_experiment", experiment)
+    monkeypatch.setattr(executor_module, "parallel_map", pool_in_process)
+    report = runner_module.run_experiments(["fig1", "table2"], workers=workers)
+    assert report.results == ["fig1", "table2"]
+    assert dispatched == [threads, threads]
+    assert member_thread_count(1) == 2  # the share ends with the map
 
 
 def test_ledger_records_and_spans_stay_on_the_calling_thread(
