@@ -6,9 +6,12 @@ and writes the median per-pair relative overhead to ``BENCH_obs.json`` at
 the repo root (committed, so reviewers can diff tracing-cost claims
 against the tree).  The cells are mid-scale (population 1,024, as the
 repository benchmark's fleet drain runs), so a drain times the sampler's
-kernels as real runs do rather than per-cell fixed costs; on a shared
-2-vCPU host single pairs still differ by 10% or more either way, so the
-median of the pairs is the reading.  The acceptance gate is the
+kernels as real runs do rather than per-cell fixed costs.  The host is
+a share of a larger machine whose speed drifts within seconds, so each
+drain runs the repository benchmark's host-speed probe
+(``perfbench/pace.py``) and its wall time is scaled to the probe's
+reference speed; the median of the pairs' scaled ratios is the reading.
+The acceptance gate is the
 tentpole's promise: **a traced drain stays within 3% of an untraced
 one** — epoch spans follow the checkpoint cadence and leaf spans are
 the measurements the timing ledgers take anyway, so tracing adds
@@ -23,6 +26,7 @@ Run with ``pytest -m benchmarks benchmarks/test_obs_bench.py -s``.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import pathlib
 import statistics
@@ -37,6 +41,14 @@ from conftest import bench_scale
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 OUTPUT = REPO_ROOT / "BENCH_obs.json"
+
+# The host-speed probe perfbench scales its timings with (a script
+# directory, not a package).
+_PACE_SPEC = importlib.util.spec_from_file_location(
+    "pace", REPO_ROOT / "perfbench" / "pace.py"
+)
+pace = importlib.util.module_from_spec(_PACE_SPEC)
+_PACE_SPEC.loader.exec_module(pace)
 
 _SCALED = {
     "smoke": SamplingConfig(population_size=1024, n_complexes=8, iterations=2),
@@ -69,12 +81,19 @@ def _grid(campaign_id: str, config: SamplingConfig):
 
 
 def _drain_seconds(root: pathlib.Path, campaign_id: str, config, trace: bool) -> float:
-    """Wall time of one full drain of a fresh store."""
+    """Wall time of one full drain of a fresh store, at the reference
+    host speed of the probe sampled during that drain."""
     store = RunStore(str(root))
     Session(store).submit(_grid(campaign_id, config))
-    start = time.perf_counter()
-    report = drain_once(store, workers=1, progress=QUIET, trace=trace)
-    seconds = time.perf_counter() - start
+    probe = pace.Pace()
+    probe.start()
+    try:
+        start = time.perf_counter()
+        report = drain_once(store, workers=1, progress=QUIET, trace=trace)
+        seconds = time.perf_counter() - start
+    finally:
+        probe.stop()
+    seconds *= pace.speed(probe.samples) or 1.0
     assert report.executed == _CELLS and report.failed == 0
     if trace:
         assert store.has_shard_trace(campaign_id, 0)
@@ -97,12 +116,12 @@ def test_obs_benchmarks(tmp_path, capsys):
     }
 
     # --- traced vs untraced drains, paired, median of N ----------------
-    # One drain swings +-10% on a shared 2-vCPU host and the host's speed
-    # (CPU time too) shifts within seconds, so a min over each arm tracks
-    # which arm caught a fast burst.  Each rep runs one drain of each arm
-    # back to back, alternating which goes first: the pair shares the
-    # host's speed of the moment, and the median of the per-pair ratios
-    # drops the few pairs that straddle a change of speed.
+    # The host's speed (CPU time too) shifts within seconds, so a min over
+    # each arm tracks which arm caught a fast burst.  Each rep runs one
+    # drain of each arm back to back, alternating which goes first, and
+    # each drain is scaled by the probe sampled inside it: the pair is
+    # compared at one host speed, and the median of the per-pair ratios
+    # drops the few pairs the probe could not correct.
     plain_times, traced_times = [], []
     for rep in range(repeats):
         for trace in ((False, True) if rep % 2 == 0 else (True, False)):
@@ -114,6 +133,7 @@ def test_obs_benchmarks(tmp_path, capsys):
     pair_overheads = [t / p - 1.0 for p, t in zip(plain_times, traced_times)]
     overhead = statistics.median(pair_overheads)
     report["tracing"] = {
+        "seconds_at": "pace.py reference host speed",
         "untraced_drain_seconds": round(plain, 4),
         "traced_drain_seconds": round(traced, 4),
         "pair_overhead_fractions": [round(x, 4) for x in pair_overheads],

@@ -8,11 +8,14 @@ partial write.  Centralised here so crash-durability improvements (e.g.
 fsync before the rename) apply everywhere at once.
 
 This module is the *only* place in the tree allowed to open files for
-writing inside the runtime, islands and api subsystems: the ``repro-lint``
-rule **REP002** (see :mod:`repro.lint.rules.io`) flags any ``open(...,
-"w")``, ``write_text`` / ``write_bytes`` or direct ``np.save*``-to-path
-call there, which is what keeps kill-at-any-instant crash safety an
-invariant instead of a convention.
+writing inside the store-backed subsystems (runtime, islands, api, serve,
+obs): the ``repro-lint`` rule **REP002** (see :mod:`repro.lint.rules.io`)
+flags any ``open(..., "w")``, ``write_text`` / ``write_bytes`` or direct
+``np.save*``-to-path call there, which is what keeps kill-at-any-instant
+crash safety an invariant instead of a convention.  The order of the
+writes — blobs, then the summaries describing them, then the marker a
+reader trusts — is pinned by ``tests/integration/test_durable_write_order.py``,
+which records these helpers' calls during a real drain.
 """
 
 from __future__ import annotations

@@ -1,65 +1,27 @@
 """Rule registry for repro-lint.
 
-One module per rule family; each contributes a
-:class:`~repro.lint.rules.base.Rule` (per-file) or
-:class:`~repro.lint.rules.base.ProjectRule` (whole-program) subclass.
-:data:`RULES` and :data:`PROJECT_RULES` are the canonical ordered
-registries — the engine instantiates fresh rule objects per run via
-:func:`get_rules` / :func:`get_project_rules` so rules may keep per-run
-state without leaking between invocations.
+One module per rule family, each contributing a stateless
+:class:`~repro.lint.rules.base.Rule`; :data:`RULES` is the canonical
+registry, in code order.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple, Type
+from typing import Tuple
 
-from repro.lint.rules.base import ProjectRule, ProjectViolation, Rule, Violation
-from repro.lint.rules.dense import DenseOuterRule
+from repro.lint.rules.base import Rule, Violation
 from repro.lint.rules.io import NonAtomicWriteRule
-from repro.lint.rules.layering import LayeringRule
 from repro.lint.rules.ordering import UnorderedIterationRule
-from repro.lint.rules.protocol import WriteProtocolRule
-from repro.lint.rules.purity import KernelPurityRule
 from repro.lint.rules.rng import NakedRngRule
-from repro.lint.rules.schema import CheckpointSchemaRule
-from repro.lint.rules.suppress import SuppressionHygieneRule
 from repro.lint.rules.wallclock import WallClockRule
 from repro.lint.rules.xpfacade import XpFacadeRule
 
-__all__ = [
-    "PROJECT_RULES",
-    "ProjectRule",
-    "ProjectViolation",
-    "RULES",
-    "Rule",
-    "Violation",
-    "get_project_rules",
-    "get_rules",
-]
+__all__ = ["RULES", "Rule", "Violation"]
 
-RULES: Tuple[Type[Rule], ...] = (
-    NakedRngRule,
-    NonAtomicWriteRule,
-    UnorderedIterationRule,
-    WallClockRule,
-    DenseOuterRule,
-    CheckpointSchemaRule,
-    XpFacadeRule,
-    SuppressionHygieneRule,
+RULES: Tuple[Rule, ...] = (
+    NakedRngRule(),
+    NonAtomicWriteRule(),
+    UnorderedIterationRule(),
+    WallClockRule(),
+    XpFacadeRule(),
 )
-
-PROJECT_RULES: Tuple[Type[ProjectRule], ...] = (
-    LayeringRule,
-    KernelPurityRule,
-    WriteProtocolRule,
-)
-
-
-def get_rules() -> List[Rule]:
-    """Fresh instances of every registered per-file rule, in code order."""
-    return [rule_cls() for rule_cls in RULES]
-
-
-def get_project_rules() -> List[ProjectRule]:
-    """Fresh instances of every registered whole-program rule."""
-    return [rule_cls() for rule_cls in PROJECT_RULES]

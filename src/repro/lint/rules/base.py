@@ -1,43 +1,24 @@
-"""Rule protocols shared by every rule family.
+"""The rule protocol shared by every rule family.
 
-Two shapes of rule:
-
-* :class:`Rule` — per-file.  A stateless object with a ``REPxxx`` code
-  and a ``check`` method yielding ``(line, col, message)`` triples over
-  one parent-annotated AST.
-* :class:`ProjectRule` — whole-program.  Its ``check_project`` runs once
-  per lint invocation over the assembled
-  :class:`~repro.lint.graph.ProjectGraph` and yields violations tagged
-  with the package-relative path they belong to.
-
-Path scoping and suppression handling live in the engine in both cases;
-rules only decide whether something violates their invariant.  (Project
-rules see the whole graph — every module contributes facts — but each
-*finding* is still filtered by the rule's path scope, so e.g. REP010
-reports only inside ``serve/``/``runtime/`` even though its transitive
-write-rank propagation may pass through helpers elsewhere.)
+A :class:`Rule` is a stateless object with a ``REPxxx`` code and a
+``check`` method yielding ``(line, col, message)`` triples over one
+parent-annotated AST.  Path scoping lives in the engine; rules only
+decide whether something violates their invariant.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Iterator, Tuple
+from typing import Iterator, Tuple
 
-if TYPE_CHECKING:
-    from repro.lint.config import LintConfig
-    from repro.lint.graph import ProjectGraph
-
-__all__ = ["ProjectRule", "ProjectViolation", "Rule", "Violation"]
+__all__ = ["Rule", "Violation"]
 
 #: One raw violation: (line, col, message).
 Violation = Tuple[int, int, str]
 
-#: One raw whole-program violation: (relpath, line, col, message).
-ProjectViolation = Tuple[str, int, int, str]
-
 
 class Rule:
-    """Base class of every per-file lint rule."""
+    """Base class of every lint rule."""
 
     #: Stable machine code, e.g. ``"REP001"``.
     code: str = ""
@@ -46,22 +27,6 @@ class Rule:
     #: One-line statement of the invariant the rule enforces.
     summary: str = ""
 
-    def check(
-        self, tree: ast.AST, relpath: str, config: "LintConfig"
-    ) -> Iterator[Violation]:
+    def check(self, tree: ast.AST, relpath: str) -> Iterator[Violation]:
         """Yield every violation in ``tree`` (already parent-annotated)."""
-        raise NotImplementedError
-
-
-class ProjectRule:
-    """Base class of every whole-program lint rule."""
-
-    code: str = ""
-    name: str = ""
-    summary: str = ""
-
-    def check_project(
-        self, graph: "ProjectGraph", config: "LintConfig"
-    ) -> Iterator[ProjectViolation]:
-        """Yield every violation visible in the assembled project graph."""
         raise NotImplementedError

@@ -4,9 +4,10 @@ The run store is a multi-process coordination substrate: workers, the
 daemon and status pollers all read files other processes are writing.
 The only crash-safe write is tmp-file + ``os.replace`` — exactly what
 :mod:`repro.io` provides — so inside the store-backed subsystems
-(``runtime/``, ``islands/``, ``api/``) any direct ``open(..., "w")``,
-``Path.write_text`` / ``write_bytes`` or ``np.save*``-to-path call is a
-torn-read bug waiting for an ill-timed kill.
+(``runtime/``, ``islands/``, ``api/``, ``serve/``, ``obs/``) any direct
+``open(..., "w")``, ``Path.write_text`` / ``write_bytes`` or
+``np.save*``-to-path call is a torn-read bug waiting for an ill-timed
+kill.
 
 Append mode (``"a"``) is deliberately exempt: the journal's single-write
 line appends are the sanctioned append-only pattern.  In-memory
@@ -18,13 +19,10 @@ a direct ``BytesIO()`` call as in-memory.
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.lint.engine import call_name
 from repro.lint.rules.base import Rule, Violation
-
-if TYPE_CHECKING:
-    from repro.lint.config import LintConfig
 
 __all__ = ["NonAtomicWriteRule"]
 
@@ -61,9 +59,7 @@ class NonAtomicWriteRule(Rule):
         "via repro.io, never with open('w')/write_text/np.save"
     )
 
-    def check(
-        self, tree: ast.AST, relpath: str, config: "LintConfig"
-    ) -> Iterator[Violation]:
+    def check(self, tree: ast.AST, relpath: str) -> Iterator[Violation]:
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue

@@ -18,13 +18,10 @@ the bytes depend on memory layout and filesystem mood:
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 from repro.lint.engine import ancestors, call_name
 from repro.lint.rules.base import Rule, Violation
-
-if TYPE_CHECKING:
-    from repro.lint.config import LintConfig
 
 __all__ = ["UnorderedIterationRule"]
 
@@ -75,9 +72,7 @@ class UnorderedIterationRule(Rule):
         "pass sort_keys=True"
     )
 
-    def check(
-        self, tree: ast.AST, relpath: str, config: "LintConfig"
-    ) -> Iterator[Violation]:
+    def check(self, tree: ast.AST, relpath: str) -> Iterator[Violation]:
         for node in ast.walk(tree):
             iters: List[ast.expr] = []
             if isinstance(node, (ast.For, ast.AsyncFor)):

@@ -23,13 +23,10 @@ Flags, anywhere outside the allowlisted derivation modules:
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from repro.lint.engine import call_name
 from repro.lint.rules.base import Rule, Violation
-
-if TYPE_CHECKING:
-    from repro.lint.config import LintConfig
 
 __all__ = ["NakedRngRule"]
 
@@ -107,9 +104,7 @@ class NakedRngRule(Rule):
         "streams, never from global or OS-entropy RNGs"
     )
 
-    def check(
-        self, tree: ast.AST, relpath: str, config: "LintConfig"
-    ) -> Iterator[Violation]:
+    def check(self, tree: ast.AST, relpath: str) -> Iterator[Violation]:
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue

@@ -26,13 +26,11 @@ are not wall clocks and are always fine.
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
+from repro.lint.config import WALLCLOCK_FREE_MODULES
 from repro.lint.engine import ancestors, call_name
 from repro.lint.rules.base import Rule, Violation
-
-if TYPE_CHECKING:
-    from repro.lint.config import LintConfig
 
 __all__ = ["WallClockRule"]
 
@@ -85,10 +83,8 @@ class WallClockRule(Rule):
         "embed wall-clock readings; stamp the status channel instead"
     )
 
-    def check(
-        self, tree: ast.AST, relpath: str, config: "LintConfig"
-    ) -> Iterator[Violation]:
-        module_is_replay_critical = relpath in config.wallclock_free
+    def check(self, tree: ast.AST, relpath: str) -> Iterator[Violation]:
+        module_is_replay_critical = relpath in WALLCLOCK_FREE_MODULES
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue

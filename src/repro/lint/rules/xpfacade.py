@@ -16,21 +16,15 @@ namespace.
 
 Host orchestration (block loops, totals buffers, the environment cell
 grid) is *supposed* to be numpy and lives outside the decorated
-functions, so it is never flagged.  A genuinely namespace-independent
-call inside a kernel can be suppressed with
-``# repro-lint: disable=REP007`` and a justification naming why the
-operation cannot trace.
+functions, so it is never flagged.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from repro.lint.rules.base import Rule, Violation
-
-if TYPE_CHECKING:
-    from repro.lint.config import LintConfig
 
 __all__ = ["XpFacadeRule"]
 
@@ -68,9 +62,7 @@ class XpFacadeRule(Rule):
         "through their xp namespace parameter, not numpy directly"
     )
 
-    def check(
-        self, tree: ast.AST, relpath: str, config: "LintConfig"
-    ) -> Iterator[Violation]:
+    def check(self, tree: ast.AST, relpath: str) -> Iterator[Violation]:
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue

@@ -3,16 +3,11 @@
 GitHub code scanning (and every mainstream SARIF consumer) renders each
 ``result`` as an inline annotation at its file/line.  The document is
 deliberately minimal — one ``run``, one ``tool`` with the full rule
-registry, one ``result`` per finding — and deterministic: rules sorted
-by code, results in the engine's canonical finding order, keys sorted by
+registry, one ``result`` per finding — and deterministic: rules in code
+order, results in the engine's canonical finding order, keys sorted by
 the JSON encoder, no timestamps.  Two lint runs over the same tree
 produce byte-identical SARIF, which is what lets the snapshot test pin
 the format.
-
-Suppressed findings are carried through as SARIF ``suppressions`` (kind
-``inSource``) rather than dropped: code scanning then shows them as
-dismissed instead of silently absent, which matches the linter's own
-``--show-suppressed`` audit philosophy.
 """
 
 from __future__ import annotations
@@ -21,6 +16,7 @@ import json
 from typing import Any, Dict, List, Sequence
 
 from repro.lint.engine import Finding
+from repro.lint.rules import RULES
 
 __all__ = ["to_sarif", "sarif_document"]
 
@@ -32,9 +28,6 @@ _SARIF_SCHEMA = (
 
 
 def _rules_metadata() -> List[Dict[str, Any]]:
-    from repro.lint.rules import get_project_rules, get_rules
-
-    rules = list(get_rules()) + list(get_project_rules())
     return [
         {
             "id": rule.code,
@@ -42,12 +35,12 @@ def _rules_metadata() -> List[Dict[str, Any]]:
             "shortDescription": {"text": rule.summary},
             "defaultConfiguration": {"level": "error"},
         }
-        for rule in sorted(rules, key=lambda r: r.code)
+        for rule in RULES
     ]
 
 
 def _result(finding: Finding) -> Dict[str, Any]:
-    result: Dict[str, Any] = {
+    return {
         "ruleId": finding.rule,
         "level": "error",
         "message": {"text": finding.message},
@@ -67,14 +60,6 @@ def _result(finding: Finding) -> Dict[str, Any]:
             }
         ],
     }
-    if finding.suppressed:
-        result["suppressions"] = [
-            {
-                "kind": "inSource",
-                "justification": "repro-lint: disable comment",
-            }
-        ]
-    return result
 
 
 def sarif_document(findings: Sequence[Finding]) -> Dict[str, Any]:

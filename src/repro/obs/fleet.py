@@ -56,8 +56,8 @@ HEARTBEAT_FORMAT_VERSION: int = 1
 #: Directory (under the store root) holding one subdirectory per daemon.
 FLEET_DIR_NAME: str = ".fleet"
 
-#: The heartbeat filename; listed in the lint policy's transient-file
-#: class (PROTOCOL_TRANSIENT) alongside status.json and lease.json.
+#: The heartbeat filename; a transient status-channel file, listed with
+#: status.json and lease.json in the durable write-order test.
 HEARTBEAT_NAME: str = "heartbeat.json"
 
 #: Seconds after which a daemon without a fresh heartbeat counts as gone.

@@ -677,7 +677,6 @@ class EnvironmentGrid:
         np.clip(cells, -1, self._dims, out=cells)
         base_ids = self._ravel_padded(cells + self._PAD)
         # (Q, 27): bounded by the fixed 27-cell neighbourhood, not (P, P).
-        # repro-lint: disable=REP005 -- constant 27-wide axis, not quadratic
         cell_ids = base_ids[:, None] + self._offset_ids[None, :]
         starts = self._starts[cell_ids]
         counts = self._starts[cell_ids + 1] - starts

@@ -148,11 +148,9 @@ class SoftSphereVDW(ScoringFunction):
         # Bounded (n*4, M) contact table (loop atoms x environment), built
         # once at init — not a per-iteration (P, P) materialisation.
         env_atom_contact = self.tolerance * (
-            # repro-lint: disable=REP005 -- bounded once-per-run init table
             self._loop_radii[:, None] + self._env_radii[None, :]
         )  # (n*4, M)
         env_cen_contact = self.tolerance * (
-            # repro-lint: disable=REP005 -- (n, M) contact table, same bound.
             self._centroid_radii[:, None] + self._env_radii[None, :]
         )  # (n, M)
         env_cen_contact[~self._has_centroid, :] = 0.0

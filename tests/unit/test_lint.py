@@ -1,23 +1,23 @@
-"""Unit tests of the repro-lint rule engine, rules, suppressions and CLI."""
+"""Unit tests of the repro-lint rule engine, rules, CLI and SARIF output."""
 
 from __future__ import annotations
 
+import json
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.lint import LintConfig, LintError, lint_source, load_config, run_lint
+from repro.lint import LintError, lint_paths, lint_source
 from repro.lint.cli import main as lint_main
-from repro.lint.config import CHECKPOINT_SCHEMA, package_relpath
+from repro.lint.config import package_relpath
+from repro.lint.sarif import sarif_document, to_sarif
 
 SRC_ROOT = Path(__file__).resolve().parents[2] / "src"
 
 
-def _codes(findings, include_suppressed=False):
-    return [
-        f.rule for f in findings if include_suppressed or not f.suppressed
-    ]
+def _codes(findings):
+    return [f.rule for f in findings]
 
 
 def _lint(source: str, filename: str = "repro/runtime/mod.py"):
@@ -209,54 +209,6 @@ class TestWallClock:
         )
         assert _codes(findings) == []
 
-    def test_telemetry_filenames_are_transient_not_durable(self):
-        # Policy pin: heartbeats and traces are status-channel documents.
-        from repro.lint.config import (
-            DURABLE_MARKERS,
-            DURABLE_SUMMARIES,
-            PROTOCOL_TRANSIENT,
-        )
-
-        for name in ("heartbeat.json", "trace.json"):
-            assert name in PROTOCOL_TRANSIENT
-            assert name not in DURABLE_MARKERS
-            assert name not in DURABLE_SUMMARIES
-
-
-# ---------------------------------------------------------------------------
-# REP005 — dense outer materialisation
-# ---------------------------------------------------------------------------
-
-
-class TestDenseOuter:
-    def test_subtract_outer_flagged(self):
-        findings = _lint(
-            "import numpy as np\nd = np.subtract.outer(a, b)\n",
-            filename="repro/scoring/mod.py",
-        )
-        assert _codes(findings) == ["REP005"]
-
-    def test_broadcast_outer_flagged(self):
-        findings = _lint(
-            "d = a[:, None] - b[None, :]\n",
-            filename="repro/moscem/mod.py",
-        )
-        assert _codes(findings) == ["REP005"]
-
-    def test_plain_broadcasting_exempt(self):
-        findings = _lint(
-            "d = a[:, None] - b\ne = a * b[None, :]\n",
-            filename="repro/scoring/mod.py",
-        )
-        assert _codes(findings) == []
-
-    def test_outside_hot_paths_not_patrolled(self):
-        findings = _lint(
-            "import numpy as np\nd = np.subtract.outer(a, b)\n",
-            filename="repro/analysis/clustering.py",
-        )
-        assert _codes(findings) == []
-
 
 # ---------------------------------------------------------------------------
 # REP007 — numpy inside @array_kernel functions
@@ -346,147 +298,6 @@ class TestXpFacade:
         )
         assert _codes(findings) == []
 
-    def test_suppression_with_justification(self):
-        findings = _lint(
-            """
-            import numpy as np
-            from repro.xp.dispatch import array_kernel
-
-            @array_kernel("edge", jit=False)
-            def _edge(xp, values):
-                # repro-lint: disable=REP007 -- host-only gather, jit=False
-                return np.take(values, 0)
-            """,
-            filename="repro/scoring/mod.py",
-        )
-        assert _codes(findings) == []
-        assert _codes(findings, include_suppressed=True) == ["REP007"]
-
-
-# ---------------------------------------------------------------------------
-# REP006 — checkpoint schema drift
-# ---------------------------------------------------------------------------
-
-
-_CHECKPOINT_TEMPLATE = """
-CHECKPOINT_FORMAT_VERSION: int = {version}
-
-def save_checkpoint(store, state):
-    arrays = {{{npz_keys}}}
-    payload = {{{json_keys}}}
-    return arrays, payload
-"""
-
-
-def _checkpoint_module(version=None, extra_npz=(), extra_json=()):
-    version = CHECKPOINT_SCHEMA["format_version"] if version is None else version
-    npz = tuple(CHECKPOINT_SCHEMA["npz"]) + tuple(extra_npz)
-    json_keys = tuple(CHECKPOINT_SCHEMA["json"]) + tuple(extra_json)
-    return _CHECKPOINT_TEMPLATE.format(
-        version=version,
-        npz_keys=", ".join(f'"{k}": None' for k in npz),
-        json_keys=", ".join(f'"{k}": None' for k in json_keys),
-    )
-
-
-class TestCheckpointSchema:
-    def test_matching_schema_passes(self):
-        findings = _lint(
-            _checkpoint_module(), filename="repro/runtime/checkpoint.py"
-        )
-        assert _codes(findings) == []
-
-    def test_new_field_without_version_bump_flagged(self):
-        findings = _lint(
-            _checkpoint_module(extra_json=("wallclock",)),
-            filename="repro/runtime/checkpoint.py",
-        )
-        assert _codes(findings) == ["REP006"]
-
-    def test_version_bump_alone_still_requires_pin_update(self):
-        findings = _lint(
-            _checkpoint_module(version=2, extra_npz=("velocities",)),
-            filename="repro/runtime/checkpoint.py",
-        )
-        assert _codes(findings) == ["REP006", "REP006"]
-
-    def test_unextractable_schema_flagged(self):
-        findings = _lint(
-            "def save_checkpoint(store, state):\n    return build()\n",
-            filename="repro/runtime/checkpoint.py",
-        )
-        assert _codes(findings) == ["REP006"]
-
-    def test_rule_only_patrols_checkpoint_module(self):
-        findings = _lint(
-            "def save_checkpoint(store, state):\n    return build()\n",
-            filename="repro/runtime/store.py",
-        )
-        assert "REP006" not in _codes(findings)
-
-
-# ---------------------------------------------------------------------------
-# Suppressions
-# ---------------------------------------------------------------------------
-
-
-class TestSuppressions:
-    BAD = "import numpy as np\nrng = np.random.default_rng()"
-
-    def test_same_line_suppression(self):
-        findings = _lint(
-            "import numpy as np\n"
-            "rng = np.random.default_rng()  # repro-lint: disable=REP001\n"
-        )
-        assert _codes(findings) == []
-        assert _codes(findings, include_suppressed=True) == ["REP001"]
-
-    def test_comment_above_suppression(self):
-        findings = _lint(
-            "import numpy as np\n"
-            "# repro-lint: disable=REP001 -- fixture entropy, never replayed\n"
-            "rng = np.random.default_rng()\n"
-        )
-        assert _codes(findings) == []
-
-    def test_file_wide_suppression(self):
-        findings = _lint(
-            "# repro-lint: disable-file=REP001\n"
-            "import numpy as np\n"
-            "a = np.random.default_rng()\n"
-            "b = np.random.default_rng()\n"
-        )
-        assert _codes(findings) == []
-        assert _codes(findings, include_suppressed=True) == ["REP001", "REP001"]
-
-    def test_all_wildcard(self):
-        findings = _lint(
-            "import numpy as np\n"
-            "rng = np.random.default_rng()  # repro-lint: disable=all\n"
-        )
-        assert _codes(findings) == []
-
-    def test_wrong_code_does_not_suppress(self):
-        findings = _lint(
-            "import numpy as np\n"
-            "rng = np.random.default_rng()  # repro-lint: disable=REP002\n"
-        )
-        # The REP001 finding survives, and the mismatched comment is
-        # itself reported stale (REP011).
-        assert _codes(findings) == ["REP001", "REP011"]
-
-    def test_multi_code_suppression(self):
-        findings = _lint(
-            "import json\n"
-            "# repro-lint: disable=REP002,REP003\n"
-            "path.write_text(json.dumps(payload))\n"
-        )
-        assert _codes(findings) == []
-        assert sorted(_codes(findings, include_suppressed=True)) == [
-            "REP002",
-            "REP003",
-        ]
-
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -500,38 +311,6 @@ class TestConfig:
             == "repro/runtime/store.py"
         )
         assert package_relpath("repro/runtime/x.py") == "repro/runtime/x.py"
-
-    def test_pyproject_disable(self, tmp_path):
-        pyproject = tmp_path / "pyproject.toml"
-        pyproject.write_text(
-            '[tool.repro-lint]\ndisable = ["REP001"]\n', encoding="utf8"
-        )
-        config = load_config(pyproject)
-        findings = lint_source(
-            "import numpy as np\nrng = np.random.default_rng()\n",
-            "repro/runtime/mod.py",
-            config,
-        )
-        assert _codes(findings) == []
-
-    def test_pyproject_allow_extension(self, tmp_path):
-        pyproject = tmp_path / "pyproject.toml"
-        pyproject.write_text(
-            "[tool.repro-lint.REP001]\n"
-            'allow = ["repro/experiments/fuzz.py"]\n',
-            encoding="utf8",
-        )
-        config = load_config(pyproject)
-        findings = lint_source(
-            "import numpy as np\nrng = np.random.default_rng()\n",
-            "repro/experiments/fuzz.py",
-            config,
-        )
-        assert _codes(findings) == []
-
-    def test_missing_pyproject_yields_defaults(self, tmp_path):
-        config = load_config(tmp_path / "nope.toml")
-        assert config.rule("REP001").enabled
 
     def test_syntax_error_raises_lint_error(self):
         with pytest.raises(LintError):
@@ -573,21 +352,54 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("REP001", "REP002", "REP003", "REP004", "REP005", "REP006"):
+        for code in ("REP001", "REP002", "REP003", "REP004", "REP007"):
             assert code in out
 
-    def test_json_format(self, tmp_path, capsys):
-        target = tmp_path / "repro" / "runtime" / "dirty.py"
+    def test_sarif_format(self, tmp_path, capsys):
+        target = tmp_path / "repro" / "analysis" / "ok.py"
+        target.parent.mkdir(parents=True)
+        target.write_text("def f():\n    return 1\n", encoding="utf8")
+        assert lint_main([str(tmp_path), "--format", "sarif"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["version"] == "2.1.0"
+
+
+# ---------------------------------------------------------------------------
+# SARIF emission
+# ---------------------------------------------------------------------------
+
+
+class TestSarif:
+    def _findings(self, tmp_path):
+        target = tmp_path / "repro" / "runtime" / "bad.py"
         target.parent.mkdir(parents=True)
         target.write_text(
-            "import numpy as np\nrng = np.random.default_rng()\n",
+            "import numpy as np\n\nrng = np.random.default_rng()\n",
             encoding="utf8",
         )
-        import json as json_module
+        return lint_paths([tmp_path])
 
-        assert lint_main(["--format", "json", str(target)]) == 1
-        payload = json_module.loads(capsys.readouterr().out)
-        assert payload[0]["rule"] == "REP001"
+    def test_document_shape(self, tmp_path):
+        doc = sarif_document(self._findings(tmp_path))
+        assert doc["version"] == "2.1.0"
+        run = doc["runs"][0]
+        assert run["tool"]["driver"]["name"] == "repro-lint"
+        rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
+        assert rule_ids == ["REP001", "REP002", "REP003", "REP004", "REP007"]
+        result = run["results"][0]
+        assert result["ruleId"] == "REP001"
+        location = result["locations"][0]["physicalLocation"]
+        assert location["artifactLocation"]["uri"].endswith(
+            "repro/runtime/bad.py"
+        )
+        assert location["region"]["startLine"] == 3
+        # SARIF columns are 1-based.
+        assert location["region"]["startColumn"] == 7
+
+    def test_emission_is_deterministic(self, tmp_path):
+        findings = self._findings(tmp_path)
+        assert to_sarif(findings) == to_sarif(findings)
+        assert json.loads(to_sarif(findings))["runs"][0]["results"]
 
 
 # ---------------------------------------------------------------------------
@@ -597,28 +409,5 @@ class TestCli:
 
 class TestSelfCheck:
     def test_src_tree_has_zero_unsuppressed_findings(self):
-        findings = run_lint([SRC_ROOT])
-        unsuppressed = [f for f in findings if not f.suppressed]
-        assert unsuppressed == [], "\n".join(
-            f.render() for f in unsuppressed
-        )
-
-    def test_suppressions_in_tree_are_justified(self):
-        # Every suppressed finding in the tree must carry a justification
-        # (the `--` separator) on its disable comment line or the line above.
-        findings = [f for f in run_lint([SRC_ROOT]) if f.suppressed]
-        assert findings, "expected the tree's sanctioned suppressions"
-        for finding in findings:
-            lines = Path(finding.path).read_text(encoding="utf8").splitlines()
-            context = "\n".join(lines[max(0, finding.line - 3) : finding.line])
-            assert "repro-lint: disable" in context
-            assert "--" in context, finding.render()
-
-    def test_checkpoint_schema_pin_matches_reality(self):
-        # Guard the guard: REP006 passing over the real checkpoint module
-        # means the extraction logic still understands its AST shape.
-        checkpoint = SRC_ROOT / "repro" / "runtime" / "checkpoint.py"
-        findings = lint_source(
-            checkpoint.read_text(encoding="utf8"), checkpoint
-        )
-        assert [f for f in findings if f.rule == "REP006"] == []
+        findings = lint_paths([SRC_ROOT])
+        assert findings == [], "\n".join(f.render() for f in findings)

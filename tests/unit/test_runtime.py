@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import time
 
 import numpy as np
@@ -20,7 +21,7 @@ from repro.runtime import (
     parallel_map,
     save_checkpoint,
 )
-from repro.runtime.checkpoint import checkpoint_paths
+from repro.runtime.checkpoint import CHECKPOINT_FORMAT_VERSION, checkpoint_paths
 from repro.utils.timing import TimingLedger
 
 
@@ -139,12 +140,59 @@ def small_sampler(small_target, small_multi_score):
     )
 
 
+#: The on-disk checkpoint schema.  Resumed runs read exactly these keys, so
+#: changing a set is a format change: bump CHECKPOINT_FORMAT_VERSION (old
+#: checkpoints then fail loudly instead of resuming with missing state)
+#: and update this pin in the same change.
+CHECKPOINT_NPZ_KEYS = {
+    "acceptance_history",
+    "closure",
+    "coords",
+    "scores",
+    "temperature_history",
+    "torsions",
+}
+CHECKPOINT_JSON_KEYS = {
+    "extra",
+    "format_version",
+    "iteration",
+    "npz_sha256",
+    "rng",
+    "seed",
+    "temperature",
+}
+
+
+def _written_checkpoint_keys(directory):
+    paths = checkpoint_paths(directory)
+    with np.load(paths["npz"]) as arrays:
+        npz_keys = set(arrays.files)
+    payload = json.loads(paths["json"].read_text())
+    return npz_keys, set(payload), payload["format_version"]
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path, small_sampler):
         state = small_sampler.initial_state(seed=13)
         small_sampler.step(state)
         save_checkpoint(tmp_path, state, extra={"shard": 0})
         assert has_checkpoint(tmp_path)
+
+        # The written schema is the pinned one, with and without fitness.
+        assert CHECKPOINT_FORMAT_VERSION == 1
+        assert _written_checkpoint_keys(tmp_path) == (
+            CHECKPOINT_NPZ_KEYS | {"fitness"},
+            CHECKPOINT_JSON_KEYS,
+            1,
+        )
+        unscored = small_sampler.initial_state(seed=13)
+        unscored.population.fitness = None
+        save_checkpoint(tmp_path / "unscored", unscored)
+        assert _written_checkpoint_keys(tmp_path / "unscored") == (
+            CHECKPOINT_NPZ_KEYS,
+            CHECKPOINT_JSON_KEYS,
+            1,
+        )
 
         restored = load_checkpoint(tmp_path, small_sampler)
         assert restored.iteration == state.iteration
