@@ -21,22 +21,24 @@ The batched kernel has two execution paths that compute the same bits:
   the paper's one-thread-per-member ``[CCD]`` kernel lays it out.  Members
   are stable-sorted by start index once per call, so the members a pivot
   may move are a column prefix, and a member leaves the planes when it
-  converges.  Rotations run in place on the planes, a few atom rows at a
-  time, through preallocated temporaries; members whose angle is excluded
-  are put back from a saved copy rather than rotated by zero.  Each
-  pivot's axis, norm, exclusion tests and alignment terms ``(a, b)`` are
-  computed on the ``(3, k)`` / ``(3, 3, k)`` plane slices themselves,
-  member axis innermost; the alignment terms by the generic kernel's own
-  :func:`~repro.scoring.pairwise._alignment_sums`.  Every small sum is
-  spelled out in the order numpy's ``einsum`` and ``.sum`` add a
-  contiguous row (:func:`~repro.geometry.vectors.einsum_sum3` and its
-  siblings), so both paths agree by construction rather than by memory
-  layout.  The live members are split
-  into strided stripes of the start-sorted order, one per member thread
+  converges.  Each pivot is two compiled passes over the planes
+  (:mod:`repro.closure.native`): ``pivot_terms`` computes every member's
+  axis, squared norm and alignment terms ``(a, b)``, and ``rotate_tail``
+  applies the Rodrigues rotation in place to the rows the pivot moves,
+  skipping the members whose angle is excluded.  ``arctan2``, ``cos``,
+  ``sin`` and the exclusion masks run in numpy between the two.  The C
+  spells every expression out in the order of the masked kernel's numpy
+  (:func:`~repro.geometry.vectors.einsum_sum3` and its siblings, the
+  Rodrigues tree of
+  :func:`~repro.geometry.rotation._rotate_points_about_axes`), so both
+  paths agree bit for bit.  The live members are split into strided
+  stripes of the start-sorted order, one per member thread
   (:func:`~repro.scoring.pairwise.map_members`), each swept on its own
-  planes and buffers and written back to its own rows.  A stripe is
-  never smaller than :data:`_MIN_STRIPE` members, below which the
-  GIL-bound numpy call overhead outweighs the second core.
+  planes and written back to its own rows; the compiled passes release
+  the GIL.  A stripe is never smaller than :data:`_MIN_STRIPE` members,
+  below which the per-pivot numpy calls outweigh the second core.  When
+  no C compiler works, this path runs the masked sweep on the numpy
+  bundle instead (logged once), which gives the same bits.
 * **Masked** (a :class:`~repro.xp.dispatch.KernelBundle` is supplied).
   Each sweep runs the generic :func:`_ccd_sweep` kernel over the
   member-major ``(P, n*4+3, 3)`` chain: every member is swept, and
@@ -50,18 +52,21 @@ The batched kernel has two execution paths that compute the same bits:
 Both paths re-measure the closed torsions in contiguous blocks over the
 member threads.
 
-The member-major subset path the atom-major one replaced is kept as the
-test-only oracle ``tests/ccd_oracle.py``.
+The member-major subset path the atom-major one replaced, and the numpy
+atom-major sweep the compiled passes replaced, are kept in the test-only
+oracle ``tests/ccd_oracle.py``.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
 from repro import constants
+from repro.closure import native
 from repro.geometry.internal import backbone_torsions, backbone_torsions_batch
 from repro.geometry.rmsd import coordinate_rmsd, coordinate_rmsd_batch
 from repro.geometry.rotation import (
@@ -72,14 +77,13 @@ from repro.geometry.rotation import (
 from repro.geometry.vectors import einsum_sum3
 from repro.loops.loop import LoopTarget
 from repro.scoring.pairwise import (
-    _alignment_sums,
     _rotation_alignment_terms,
     map_blocks,
     map_members,
     member_threads,
     population_blocks,
 )
-from repro.xp.dispatch import array_kernel
+from repro.xp.dispatch import array_kernel, numpy_kernels
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.xp.dispatch import KernelBundle
@@ -88,33 +92,31 @@ __all__ = ["CCDResult", "ccd_close", "ccd_close_batch"]
 
 _EPS = 1e-12
 _ATOMS = constants.BACKBONE_ATOMS_PER_RESIDUE
-#: Elements per rotation temporary of the atom-major sweep: eight planes
-#: of this size (three coordinates, five temporaries) are 2 MB, the L2
-#: of the 2-vCPU Xeon host this was tuned on (16K-64K measured alike).
-_CHUNK = 32768
 #: Members per masked-sweep call on an eager (numpy) namespace.  At
 #: population 15,360 on the same host, 512-member blocks sweep ~1.5x
 #: faster than the whole population at once, whose member-major
 #: temporaries spill the cache; 128-member blocks gain only ~1.3x, as
 #: each block pays the sweep's ~1,000 numpy calls again.
 _EAGER_BLOCK = 512
-#: Fewest live members per stripe of the threaded numpy path.  Every
-#: stripe pays the sweep's ~1,000 numpy calls per sweep under the GIL,
-#: so on the 2-vCPU host above two stripes gain only from ~5,000 live
-#: members on.  Step-shaped calls (1cex(40:51) mutation proposals, median
-#: of 5 alternating runs), 1 vs 2 threads:
+#: Fewest live members per stripe of the threaded compiled path.  The
+#: compiled passes run without the GIL, but each stripe still pays the
+#: sweep's per-pivot numpy calls (``arctan2``, ``cos``, ``sin``, the
+#: exclusion masks) under it, so on the 2-vCPU host above two stripes gain
+#: from ~2,500 live members on.  Step-shaped calls (1cex(40:51) mutation
+#: proposals, median of 5 alternating runs), 1 vs 2 threads:
 #:
 #: ===========  ========  =========  =====
 #: live         1 thread  2 threads  ratio
 #: ===========  ========  =========  =====
-#: 512          0.183 s   0.509 s    0.36x
-#: 2,047        0.375 s   0.618 s    0.61x
-#: 4,095        0.621 s   0.720 s    0.86x
-#: 5,118        0.778 s   0.762 s    1.02x
-#: 7,675        1.078 s   0.965 s    1.12x
-#: 15,351       1.863 s   1.415 s    1.32x
+#: 511          0.037 s   0.077 s    0.49x
+#: 2,046        0.103 s   0.101 s    1.02x
+#: 2,558        0.123 s   0.112 s    1.10x
+#: 4,094        0.182 s   0.142 s    1.29x
+#: 5,118        0.219 s   0.163 s    1.34x
+#: 7,678        0.340 s   0.258 s    1.32x
+#: 15,352       0.747 s   0.426 s    1.75x
 #: ===========  ========  =========  =====
-_MIN_STRIPE = 2560
+_MIN_STRIPE = 1280
 #: The closure atoms: the last three rows of the flattened chain.
 _CLOSURE = slice(-3, None)
 
@@ -306,86 +308,53 @@ def _sweep_atom_major(
     planes: np.ndarray,
     starts: np.ndarray,
     anchors: np.ndarray,
-    buffers: np.ndarray,
+    terms: np.ndarray,
+    lib: ctypes.CDLL,
 ) -> None:
     """One CCD sweep over every pivot, in place on atom-major planes.
 
-    ``planes`` is ``(3, n*4+3, K)``: one member-innermost plane per
-    coordinate for the ``K`` members still converging, sorted by their
-    ``starts`` so the members a pivot may move are a column prefix.
-    ``buffers`` is ``(5, max(_CHUNK, K))`` scratch.
+    ``planes`` is ``(3, n*4+3, K)`` C-contiguous: one member-innermost
+    plane per coordinate for the ``K`` members still converging, sorted by
+    their ``starts`` so the members a pivot may move are a column prefix.
+    ``terms`` is ``(6, >= K)`` scratch for the compiled pivot terms.
     """
-    n_torsions = (planes.shape[1] - 3) // _ATOMS * 2
+    _, rows, width = planes.shape
+    stride = terms.shape[1]
+    # The C indexes these buffers by the shapes it is given.
+    if not all(
+        array.dtype == np.float64 and array.flags.c_contiguous
+        for array in (planes, anchors, terms)
+    ) or anchors.shape != (3, 3) or terms.shape[0] != 6 or stride < width:
+        raise ValueError("the compiled sweep takes C-contiguous float64 planes, "
+                         "(3, 3) anchors and (6, >= K) terms")
+    n_torsions = (rows - 3) // _ATOMS * 2
     prefixes = np.searchsorted(starts, np.arange(n_torsions), side="right")
     for j in range(n_torsions):
         k = int(prefixes[j])
         if k == 0:
             continue
         b_idx, c_idx, move_start = _pivot_indices(j)
-        origin = planes[:, b_idx, :k]
-        # The masked sweep's ``_normalize_last_axis`` and degenerate-axis
-        # test, on ``(3, k)`` rows: one squared norm serves both.
-        raw = planes[:, c_idx, :k] - origin
-        squared = einsum_sum3(raw[0] * raw[0], raw[1] * raw[1], raw[2] * raw[2])
-        norm = np.sqrt(squared)
-        axes = raw / np.where(norm < _EPS, 1.0, norm)
-        a, b = _alignment_sums(
-            planes[:, _CLOSURE, :k] - origin[:, None, :],
-            anchors.T[:, :, None] - origin[:, None, :],
-            axes,
+        lib.pivot_terms(
+            planes.ctypes.data, rows, width, k, b_idx, c_idx,
+            anchors.ctypes.data, terms.ctypes.data, stride,
         )
         # The masked sweep's exclusions; the column prefix already applies
         # its start-index and converged masks.
+        squared, a, b = terms[3:, :k]
         angles = np.arctan2(b, a)
         angles[((np.abs(a) < _EPS) & (np.abs(b) < _EPS)) | (squared < _EPS * _EPS)] = 0.0
         rotating = np.abs(angles) > 1e-10
         if not np.any(rotating):
             continue
-
-        tail = planes[:, move_start:, :k]
-        # Excluded members keep their coordinates verbatim: they are
-        # rotated with the rest and put back from a saved copy, because
+        # Excluded members are skipped, not rotated by zero:
         # ``(p - origin) + origin`` is a lossy round trip.
-        still = np.flatnonzero(~rotating)
-        saved = tail[:, :, still]
-
-        # The Rodrigues expression tree of ``_rotate_points_about_axes``,
-        # op for op (IEEE ``+``/``*`` commute bitwise, so ``out=`` may
-        # swap operands), on ``(atoms, k)`` planes instead of
-        # ``(k, atoms)`` rows, a few atom rows at a time so the
-        # temporaries stay cache-resident.
-        kx, ky, kz = axes
         c = np.cos(angles)
         s = np.sin(angles)
-        one_minus_c = 1.0 - c
-        rows = max(1, _CHUNK // k)
-        for r0 in range(0, tail.shape[1], rows):
-            chunk = tail[:, r0:r0 + rows]
-            size = chunk.shape[1] * k
-            x, y, z, t, u = (
-                buf[:size].reshape(chunk.shape[1], k) for buf in buffers
-            )
-            np.subtract(chunk[0], origin[0], out=x)
-            np.subtract(chunk[1], origin[1], out=y)
-            np.subtract(chunk[2], origin[2], out=z)
-            np.multiply(x, kx, out=t)
-            t += np.multiply(y, ky, out=u)
-            t += np.multiply(z, kz, out=u)
-            t *= one_minus_c
-            for out, p, q1, kq1, q2, kq2, kp, o in (
-                (chunk[0], x, z, ky, y, kz, kx, origin[0]),
-                (chunk[1], y, x, kz, z, kx, ky, origin[1]),
-                (chunk[2], z, y, kx, x, ky, kz, origin[2]),
-            ):
-                # out = p c + (kq1 q1 - kq2 q2) s + kp t + o
-                np.multiply(q1, kq1, out=u)
-                u -= np.multiply(q2, kq2, out=out)
-                u *= s
-                np.multiply(p, c, out=out)
-                out += u
-                out += np.multiply(t, kp, out=u)
-                out += o
-        tail[:, :, still] = saved
+        lib.rotate_tail(
+            planes.ctypes.data, rows, width, k, b_idx, move_start,
+            terms.ctypes.data, stride, c.ctypes.data, s.ctypes.data,
+            rotating.ctypes.data,
+        )
 
 
 def _close_atom_major(
@@ -397,8 +366,9 @@ def _close_atom_major(
     converged_at: np.ndarray,
     max_iterations: int,
     tolerance: float,
+    lib: ctypes.CDLL,
 ) -> None:
-    """The numpy CCD sweeps of the members ``live``, updating only their
+    """The compiled CCD sweeps of the members ``live``, updating only their
     rows of ``moving``, ``errors`` and ``converged_at`` in place.
 
     ``live`` lists members still converging, stable-sorted by start
@@ -410,9 +380,9 @@ def _close_atom_major(
         return
     planes = np.ascontiguousarray(moving[live].T)  # (3, n*4+3, K)
     starts = start_indices[live]
-    buffers = np.empty((5, max(_CHUNK, live.size)))
+    terms = np.empty((6, live.size))
     for sweep in range(max_iterations):
-        _sweep_atom_major(planes, starts, anchors, buffers)
+        _sweep_atom_major(planes, starts, anchors, terms, lib)
         swept = coordinate_rmsd_batch(planes[:, _CLOSURE, :].T, anchors)
         errors[live] = swept
         converged_at[live[swept <= tolerance]] = sweep + 1
@@ -464,7 +434,7 @@ def ccd_close_batch(
         Optional :class:`~repro.xp.dispatch.KernelBundle`: sweeps run as
         the masked :func:`_ccd_sweep` kernel (one jit unit per sweep on a
         compiling namespace, blocks of members on an eager one) instead
-        of the atom-major numpy path.  Both paths produce the same bits.
+        of the compiled atom-major path.  Both paths produce the same bits.
     """
     torsions = np.asarray(torsions, dtype=np.float64)
     n = target.n_residues
@@ -488,12 +458,16 @@ def ccd_close_batch(
     # The built arrays are dead now; freed here, they do not add a chain
     # copy to the sweeps' peak memory.
     del coords, closure
-    anchors = target.c_anchor  # (3, 3)
+    anchors = np.ascontiguousarray(target.c_anchor, dtype=np.float64)  # (3, 3)
 
     errors = coordinate_rmsd_batch(moving[:, -3:, :], anchors)
     converged_at = np.where(errors <= tolerance, 0, max_iterations).astype(np.int64)
 
-    if kernels is None:
+    lib = native.library() if kernels is None else None
+    if kernels is None and lib is None:
+        # No compiler works: the masked sweep gives the same bits.
+        kernels = numpy_kernels()
+    if lib is not None:
         # Strided stripes of the start-sorted live set, one per member
         # thread: each stripe is start-sorted itself, gets an even share
         # of the converging members and sweeps its own planes.
@@ -503,7 +477,7 @@ def ccd_close_batch(
         map_members(
             lambda stripe: _close_atom_major(
                 moving, anchors, live[stripe::stripes], start_indices,
-                errors, converged_at, max_iterations, tolerance,
+                errors, converged_at, max_iterations, tolerance, lib,
             ),
             stripes,
         )

@@ -37,6 +37,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
+from repro.api.registry import BACKENDS
 from repro.io import write_bytes_atomic, write_json_atomic
 from repro.obs.metrics import REGISTRY
 from repro.runtime.spec import CellSpec
@@ -106,8 +107,6 @@ def cell_cache_key(cell: CellSpec) -> str:
     rendered with sorted keys, so dict insertion order cannot perturb the
     hash.
     """
-    from repro.api.registry import BACKENDS  # lazy: avoids an import cycle
-
     config = dataclasses.asdict(cell.config)
     config.pop("seed", None)
     document = {

@@ -11,6 +11,10 @@ whose angle survives the exclusions.  The per-pivot math is the
 before they spelled their sums out (kept here verbatim, so the oracle
 also checks that the explicit sums keep ``einsum``'s bits), and the same
 ``rotate_points_about_axes_batch`` wrapper as the production code.
+
+:func:`sweep_atom_major` is the numpy atom-major sweep the compiled one
+(:mod:`repro.closure.native`) replaced, kept line for line: the C passes
+must reproduce each of its plane operations bit for bit.
 """
 
 from __future__ import annotations
@@ -19,11 +23,16 @@ from typing import Optional
 
 import numpy as np
 
-from repro.closure.ccd import _ATOMS, _EPS, CCDResult, _pivot_indices
+from repro.closure.ccd import _ATOMS, _CLOSURE, _EPS, CCDResult, _pivot_indices
 from repro.geometry.internal import backbone_torsions_batch
 from repro.geometry.rmsd import coordinate_rmsd_batch
 from repro.geometry.rotation import rotate_points_about_axes_batch
+from repro.geometry.vectors import einsum_sum3
 from repro.loops.loop import LoopTarget
+from repro.scoring.pairwise import _alignment_sums
+
+#: Elements per rotation temporary of :func:`sweep_atom_major`.
+_CHUNK = 32768
 
 
 def normalize(v: np.ndarray) -> np.ndarray:
@@ -172,3 +181,86 @@ def ccd_close_batch(
         closure_error=errors,
         iterations=converged_at,
     )
+
+
+def sweep_atom_major(
+    planes: np.ndarray, starts: np.ndarray, anchors: np.ndarray
+) -> None:
+    """One CCD sweep over every pivot, in place on atom-major planes.
+
+    ``planes`` is ``(3, n*4+3, K)``: one member-innermost plane per
+    coordinate for the ``K`` members still converging, sorted by their
+    ``starts`` so the members a pivot may move are a column prefix.
+    """
+    buffers = np.empty((5, max(_CHUNK, planes.shape[2])))
+    n_torsions = (planes.shape[1] - 3) // _ATOMS * 2
+    prefixes = np.searchsorted(starts, np.arange(n_torsions), side="right")
+    for j in range(n_torsions):
+        k = int(prefixes[j])
+        if k == 0:
+            continue
+        b_idx, c_idx, move_start = _pivot_indices(j)
+        origin = planes[:, b_idx, :k]
+        # The masked sweep's ``_normalize_last_axis`` and degenerate-axis
+        # test, on ``(3, k)`` rows: one squared norm serves both.
+        raw = planes[:, c_idx, :k] - origin
+        squared = einsum_sum3(raw[0] * raw[0], raw[1] * raw[1], raw[2] * raw[2])
+        norm = np.sqrt(squared)
+        axes = raw / np.where(norm < _EPS, 1.0, norm)
+        a, b = _alignment_sums(
+            planes[:, _CLOSURE, :k] - origin[:, None, :],
+            anchors.T[:, :, None] - origin[:, None, :],
+            axes,
+        )
+        # The masked sweep's exclusions; the column prefix already applies
+        # its start-index and converged masks.
+        angles = np.arctan2(b, a)
+        angles[((np.abs(a) < _EPS) & (np.abs(b) < _EPS)) | (squared < _EPS * _EPS)] = 0.0
+        rotating = np.abs(angles) > 1e-10
+        if not np.any(rotating):
+            continue
+
+        tail = planes[:, move_start:, :k]
+        # Excluded members keep their coordinates verbatim: they are
+        # rotated with the rest and put back from a saved copy, because
+        # ``(p - origin) + origin`` is a lossy round trip.
+        still = np.flatnonzero(~rotating)
+        saved = tail[:, :, still]
+
+        # The Rodrigues expression tree of ``_rotate_points_about_axes``,
+        # op for op (IEEE ``+``/``*`` commute bitwise, so ``out=`` may
+        # swap operands), on ``(atoms, k)`` planes instead of
+        # ``(k, atoms)`` rows, a few atom rows at a time so the
+        # temporaries stay cache-resident.
+        kx, ky, kz = axes
+        c = np.cos(angles)
+        s = np.sin(angles)
+        one_minus_c = 1.0 - c
+        rows = max(1, _CHUNK // k)
+        for r0 in range(0, tail.shape[1], rows):
+            chunk = tail[:, r0:r0 + rows]
+            size = chunk.shape[1] * k
+            x, y, z, t, u = (
+                buf[:size].reshape(chunk.shape[1], k) for buf in buffers
+            )
+            np.subtract(chunk[0], origin[0], out=x)
+            np.subtract(chunk[1], origin[1], out=y)
+            np.subtract(chunk[2], origin[2], out=z)
+            np.multiply(x, kx, out=t)
+            t += np.multiply(y, ky, out=u)
+            t += np.multiply(z, kz, out=u)
+            t *= one_minus_c
+            for out, p, q1, kq1, q2, kq2, kp, o in (
+                (chunk[0], x, z, ky, y, kz, kx, origin[0]),
+                (chunk[1], y, x, kz, z, kx, ky, origin[1]),
+                (chunk[2], z, y, kx, x, ky, kz, origin[2]),
+            ):
+                # out = p c + (kq1 q1 - kq2 q2) s + kp t + o
+                np.multiply(q1, kq1, out=u)
+                u -= np.multiply(q2, kq2, out=out)
+                u *= s
+                np.multiply(p, c, out=out)
+                out += u
+                out += np.multiply(t, kp, out=u)
+                out += o
+        tail[:, :, still] = saved
