@@ -1,12 +1,17 @@
 """Kernel-block-size sweep at the paper-scale population (15,360 members).
 
 ``SamplingConfig.kernel_block_size`` controls how many population members
-each batched scoring kernel processes per chunk; the chunk size decides
-whether the per-pair temporaries (squared distances, penalties, bin
-indices) stay cache-resident.  This sweep times the two pair-heavy engine
-kernels — the soft-sphere penalty reduction (EvalVDW's inner loop) and the
-binned table sum (EvalDIST's) — across block sizes at the paper's 15,360
-member population and asserts the measured shape:
+each batched scoring kernel processes per chunk.  On the generic numpy
+kernels (the route of the ``xp`` backend's numpy bundle, and of every
+caller when no C compiler works) the chunk size decides whether the
+per-pair temporaries (squared distances, penalties, bin indices) stay
+cache-resident.  The compiled passes of :mod:`repro.native`, the default
+route, keep no per-pair temporaries, so there the block size only sets
+the member-thread granularity.  This sweep times the two pair-heavy
+engine kernels — the soft-sphere penalty reduction (EvalVDW's inner loop)
+and the binned table sum (EvalDIST's) — on the generic kernels through
+the numpy bundle, across block sizes at the paper's 15,360 member
+population, and asserts the measured shape:
 
 * timings are flat through the small-block regime (the tuned default of
   128, the paper's threads per block, sits here);
@@ -33,6 +38,7 @@ from repro.scoring.pairwise import (
     indexed_penalty_sum,
     squared_bin_edges,
 )
+from repro.xp import numpy_kernels
 
 #: Paper-scale population (120 complexes x 128 members).
 PAPER_POPULATION = 15360
@@ -69,17 +75,20 @@ def _sweep() -> Dict[int, float]:
     sq_contacts = np.full(first.size, 9.0)
     sq_edges = squared_bin_edges(15.0, 30)
     tables = rng.normal(size=(first.size, sq_edges.shape[0]))
+    kernels = numpy_kernels()
 
     totals: Dict[int, float] = {}
     for block in BLOCK_SIZES:
         vdw = _median_of(
             lambda: indexed_penalty_sum(
-                coords, coords, first, second, sq_contacts, block_size=block
+                coords, coords, first, second, sq_contacts, block_size=block,
+                kernels=kernels,
             )
         )
         dist = _median_of(
             lambda: binned_table_sum(
-                coords, first, second, tables, sq_edges, block_size=block
+                coords, first, second, tables, sq_edges, block_size=block,
+                kernels=kernels,
             )
         )
         totals[block] = vdw + dist

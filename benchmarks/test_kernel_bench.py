@@ -8,29 +8,32 @@ NeRF backbone construction and batched CCD closure — at the paper's
 routes:
 
 * **numpy** — the public wrappers' direct path, the repo's determinism
-  baseline (for CCD the compiled atom-major sweep of
-  :mod:`repro.closure.native`);
-* **numpy bundle** — the same generic kernels routed through a
-  numpy-bound :class:`~repro.xp.dispatch.KernelBundle`, measuring the
-  facade's dispatch overhead (it must be negligible).  CCD's bundle route
-  is the masked sweep, a different formulation from its direct route, so
-  its overhead is measured against the same masked sweep with the bundle
-  bypassed (``ccd_masked``, which also records how much faster the
-  compiled sweep is);
+  baseline (for CCD and the two pair reductions the compiled passes of
+  :mod:`repro.native`);
+* **numpy bundle** — the generic kernels routed through a numpy-bound
+  :class:`~repro.xp.dispatch.KernelBundle`, measuring the facade's
+  dispatch overhead (it must be negligible).  Where the direct route is
+  compiled (CCD, ``soft_sphere_penalty``, ``binned_table_sum``) the two
+  routes are different implementations, so the bundle's overhead is
+  measured against the same generic kernels with the bundle bypassed
+  (``compiled``, which also records how much faster the compiled route
+  is; ``ccd_masked`` for the masked CCD sweep);
 * **jax jit** — the kernels bound to the JAX namespace and jit-compiled,
   timed after a compile warmup with ``block_until_ready``.  Recorded as
   ``null`` when the jax wheel is not installed (the committed baseline
   file comes from a CPU-only environment), so diffs of this file on a
   JAX-capable runner fill the column in rather than changing shape.
 
-The numpy and bundle routes run on one member thread.  The three kernels
-that split their members across member threads (the two pair reductions
-and CCD) are also timed on the numpy route at one thread and at the
-count an inline cell gets on this host, back to back per kernel
+The numpy and bundle routes run on one member thread.  The kernels that
+split their members across member threads (the two pair reductions and
+CCD) are also timed on the numpy route at one thread and at the count an
+inline cell gets on this host, back to back per kernel
 (``member_threads``, next to ``cores``).  CCD is timed there in a second
 shape too, ``ccd_close_batch_step``: a MOSCEM step's call, mutation
 proposals with their start indices, so most pivots move a column prefix
-of the members.
+of the members.  So are the whole EvalVDW and EvalDIST scorers
+(``vdw_scorer``, ``dist_scorer``: every term, the environment included)
+on the population's built chains.
 
 Results land in ``BENCH_kernels.json`` at the repo root (committed, so
 facade-overhead, jit-speedup and member-thread claims can be diffed
@@ -54,13 +57,17 @@ from repro.geometry.nerf import build_backbone_batch
 from repro.loops.targets import make_target
 from repro.moscem.dominance import strength_fitness
 from repro.moscem.mutation import mutate_population
+from repro.scoring.distance import DistanceScore
 from repro.scoring.pairwise import (
+    _binned_gather_sum,
+    _indexed_penalty_block,
     binned_table_sum,
     indexed_penalty_sum,
     member_thread_count,
     squared_bin_edges,
     using_member_threads,
 )
+from repro.scoring.vdw import SoftSphereVDW
 from repro.xp import bind_kernels, block_until_ready, has_jax, numpy_kernels
 from repro.xp.xp import numpy_namespace
 
@@ -77,13 +84,19 @@ PAPER_POPULATION = 15360
 LOOP_RESIDUES = 12
 
 #: The kernels that split their members across member threads (CCD in
-#: the initial-population and the step shape).
+#: the initial-population and the step shape) and the two whole scorers
+#: built on the pair reductions.
 THREADED = (
     "binned_table_sum",
     "ccd_close_batch",
     "ccd_close_batch_step",
+    "dist_scorer",
     "soft_sphere_penalty",
+    "vdw_scorer",
 )
+
+#: The scoring kernels whose direct route is compiled.
+COMPILED = ("binned_table_sum", "soft_sphere_penalty")
 
 #: Timed repeats per kernel (median taken), by scale preset.
 _REPEATS = {"smoke": 3, "default": 5, "paper": 9}
@@ -129,14 +142,20 @@ def _problem():
     }
 
 
-class _UnbundledMaskedSweep:
-    """The masked CCD sweep called as the plain generic function on the
-    numpy namespace: the numpy bundle's CCD route minus the bundle."""
+class _Unbundled:
+    """The generic kernels called as plain functions on the numpy
+    namespace: the numpy bundle's routes minus the bundle."""
 
     namespace = numpy_namespace()
 
     def ccd_sweep(self, *args):
         return _ccd_sweep(self.namespace, *args)
+
+    def indexed_penalty_block(self, *args):
+        return _indexed_penalty_block(self.namespace, *args)
+
+    def binned_gather_sum(self, *args):
+        return _binned_gather_sum(self.namespace, *args)
 
     def to_numpy(self, array):
         return array
@@ -208,10 +227,11 @@ def test_kernel_tiers_paper_scale():
         ),
         4,
     )
-    ccd_unbundled = round(
-        _median_of(_kernel_suite(p, _UnbundledMaskedSweep())["ccd_close_batch"], repeats),
-        4,
-    )
+    unbundled = {
+        name: round(_median_of(fn, repeats), 4)
+        for name, fn in sorted(_kernel_suite(p, _Unbundled()).items())
+        if name in COMPILED + ("ccd_close_batch",)
+    }
     jax_jit = _time_jax(p, repeats)
     # Each kernel at one thread and at an inline cell's share of the host,
     # back to back, so both columns see the same host speed.
@@ -221,6 +241,10 @@ def test_kernel_tiers_paper_scale():
         p["proposals"], p["target"], start_indices=p["starts"],
         max_iterations=2, tolerance=0.25,
     )
+    chains, _ = p["target"].build_batch(p["torsions"])
+    vdw, dist = SoftSphereVDW(p["target"]), DistanceScore(p["target"])
+    suite["vdw_scorer"] = lambda: vdw.evaluate_batch(chains, None)
+    suite["dist_scorer"] = lambda: dist.evaluate_batch(chains, None)
     one_thread, threaded = {}, {}
     for name in THREADED:
         for count, column in ((1, one_thread), (threads, threaded)):
@@ -239,12 +263,22 @@ def test_kernel_tiers_paper_scale():
         "numpy_bundle_seconds": numpy_bundle,
         "ccd_masked": {
             "bundle_seconds": numpy_bundle["ccd_close_batch"],
-            "unbundled_seconds": ccd_unbundled,
+            "unbundled_seconds": unbundled["ccd_close_batch"],
             # Informational: how much faster the compiled sweep (the
             # direct route) is than the masked one.
             "masked_over_compiled": round(
                 numpy_bundle["ccd_close_batch"] / numpy_direct["ccd_close_batch"], 2
             ),
+        },
+        "compiled": {
+            name: {
+                "bundle_seconds": numpy_bundle[name],
+                "unbundled_seconds": unbundled[name],
+                # Informational: how much faster the compiled pass (the
+                # direct route) is than the generic numpy kernel.
+                "numpy_over_compiled": round(unbundled[name] / numpy_direct[name], 2),
+            }
+            for name in COMPILED
         },
         "jax_jit_seconds": jax_jit,
         "cores": (
@@ -276,26 +310,26 @@ def test_kernel_tiers_paper_scale():
             f"  {name:>22}: 1 thread {one_thread[name]:8.4f}s  "
             f"{threads} threads {threaded[name]:8.4f}s"
         )
-    print(
-        f"  {'ccd masked sweep':>22}: bundle {numpy_bundle['ccd_close_batch']:8.4f}s  "
-        f"unbundled {ccd_unbundled:8.4f}s"
-    )
+    for name in COMPILED + ("ccd_close_batch",):
+        print(
+            f"  {name + ' generic':>22}: bundle {numpy_bundle[name]:8.4f}s  "
+            f"unbundled {unbundled[name]:8.4f}s"
+        )
     print(f"wrote {OUTPUT.name}")
 
     # The facade's dispatch layer must be invisible at paper scale: the
     # bundle route re-runs the identical numpy kernels, so anything past
-    # a modest margin is overhead the facade itself introduced.  CCD's
-    # bundle route is a different formulation from its direct route (the
-    # masked member-major sweep, the jit-compatible shape, against the
-    # compiled atom-major one), so it is held against the same masked
-    # sweep with the bundle bypassed.
+    # a modest margin is overhead the facade itself introduced.  Where
+    # the direct route is compiled (the pair reductions, and CCD's
+    # atom-major sweep against the masked member-major one, the
+    # jit-compatible shape), the bundle is held against the same generic
+    # kernels with the bundle bypassed.
     allowance = 1.6
     for name, direct in numpy_direct.items():
         bundle = numpy_bundle.get(name)
         if bundle is None:
             continue
-        if name == "ccd_close_batch":
-            direct = ccd_unbundled
+        direct = unbundled.get(name, direct)
         assert bundle <= max(direct * allowance, direct + 0.05), (
             f"{name}: bundle route {bundle:.4f}s vs direct {direct:.4f}s "
             f"exceeds the {allowance:.1f}x facade-overhead allowance"

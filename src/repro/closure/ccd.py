@@ -22,7 +22,7 @@ The batched kernel has two execution paths that compute the same bits:
   are stable-sorted by start index once per call, so the members a pivot
   may move are a column prefix, and a member leaves the planes when it
   converges.  Each pivot is two compiled passes over the planes
-  (:mod:`repro.closure.native`): ``pivot_terms`` computes every member's
+  (:mod:`repro.native`): ``pivot_terms`` computes every member's
   axis, squared norm and alignment terms ``(a, b)``, and ``rotate_tail``
   applies the Rodrigues rotation in place to the rows the pivot moves,
   skipping the members whose angle is excluded.  ``arctan2``, ``cos``,
@@ -66,7 +66,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 import numpy as np
 
 from repro import constants
-from repro.closure import native
+from repro import native
 from repro.geometry.internal import backbone_torsions, backbone_torsions_batch
 from repro.geometry.rmsd import coordinate_rmsd, coordinate_rmsd_batch
 from repro.geometry.rotation import (

@@ -8,10 +8,13 @@ sampling; the paper keeps them in GPU texture memory.
 
 Evaluation runs on the shared pairwise kernel engine
 (:mod:`repro.scoring.pairwise`): squared distances are binned against
-pre-squared edges (no ``sqrt``), each pair reads its own pre-gathered table
-row, and the population is processed in cache-sized chunks.  Pairs at or
-beyond ``DISTANCE_MAX`` read the neutral overflow column and contribute
-zero — the tables hold no statistics out there.
+pre-squared edges (no ``sqrt`` of a distance), each pair reads its own
+pre-gathered table row, and the population is processed in cache-sized
+blocks spread over the member threads, each one call of the compiled
+``binned_sum`` pass of :mod:`repro.native` (or of the generic kernel on
+a kernel bundle, with the same bits on numpy).  Pairs at or beyond
+``DISTANCE_MAX`` read the neutral overflow column and contribute zero —
+the tables hold no statistics out there.
 """
 
 from __future__ import annotations

@@ -14,8 +14,9 @@ paths are built on:
   over the *fixed* environment atoms, built once per scorer, with cell edge
   equal to the maximum contact radius.  Querying it touches O(neighbours)
   candidate pairs instead of all ``(P, n*4, M)`` combinations, and its
-  pruned totals are bit-identical to its dense totals because the excluded
-  pairs contribute exact zeros in the same accumulation order.
+  pruned totals are bit-identical to the dense ones (the test-only oracle
+  ``tests/env_oracle.py``) because the excluded pairs contribute exact
+  zeros in the same accumulation order.
 * **Population chunking** — :func:`population_blocks` splits a population
   into blocks of a tunable size so the pair temporaries stay cache-resident
   at paper-scale populations (15,360 members).  The default block of 128
@@ -29,27 +30,34 @@ paths are built on:
   cell spec, a journal or any other replay surface, because it changes
   no computed bit.
 
-Every helper is deterministic per member: evaluating a one-member
-population yields bit-identical numbers to evaluating the same member
-inside a larger chunked batch, which is what makes the scalar scoring
-paths exact special cases of the batched ones — and what lets blocks run
-on any thread in any order.
+Every helper is deterministic per member: a member's numbers do not
+depend on which block it lands in or which thread runs that block, which
+is what lets blocks run on any thread in any order.  One exception: the
+penalty sum of a one-member block (a scalar ``evaluate``, or a last
+block holding one member) adds its terms in two lanes where larger
+blocks add them one by one (see :func:`_indexed_penalty_block`), so it
+may differ in the last bits.
 
 The per-pair math lives in *generic kernels* registered with the
 :mod:`repro.xp` facade (functions taking an array namespace ``xp`` as
-first argument): the public functions below bind them to numpy once at
-import — bit-identical to the pre-facade implementations — while the
-optional ``kernels=`` parameter routes the same definitions through a
-:class:`~repro.xp.dispatch.KernelBundle` resolved at stack-assembly
-time (jit-compiled on the JAX tier).  Host-side orchestration — block
-slicing, total accumulation, the :class:`EnvironmentGrid` cell list —
-stays numpy: it is control flow, not array math.
+first argument); the optional ``kernels=`` parameter routes them through
+a :class:`~repro.xp.dispatch.KernelBundle` resolved at stack-assembly
+time (jit-compiled on the JAX tier).  Without a bundle, the three block
+loops run the compiled passes of :mod:`repro.native` instead
+(``pair_penalty``, ``binned_sum``, ``env_penalty``), one GIL-free call
+per block, which add every sum in the order the numpy forms do and so
+give their bits.  When no C compiler works, or the points are not
+float64, the same loops run the generic kernels bound to numpy (and the
+cell-list query plus ``np.bincount`` for the environment term).
+Host-side orchestration — block slicing, total accumulation, building
+the :class:`EnvironmentGrid` cell list — stays numpy.
 """
 
 from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -57,6 +65,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro import native
 from repro.geometry.vectors import einsum_sum3, einsum_sum9, reduce_sum3
 from repro.xp.dispatch import array_kernel
 from repro.xp.xp import numpy_namespace
@@ -250,6 +259,29 @@ def map_blocks(
     map_members(lambda index: fn(blocks[index]), len(blocks))
 
 
+def _row(array: np.ndarray, index: int) -> int:
+    """The address of row ``index`` of a C-contiguous ``array``, for the
+    compiled passes, which each run on one block of rows."""
+    return array.ctypes.data + index * array.strides[0]
+
+
+def _c_points(*points: np.ndarray) -> bool:
+    """Whether the compiled passes can read ``points``: float64
+    ``(P, A, 3)`` arrays with one common ``P``."""
+    return all(
+        p.dtype == np.float64 and p.ndim == 3 and p.shape[2] == 3
+        and p.shape[0] == points[0].shape[0]
+        for p in points
+    )
+
+
+def _pair_index(index: np.ndarray, size: int) -> np.ndarray:
+    """``index`` into an axis of length ``size`` as the compiled passes
+    read it: int64, C order, negatives wrapped, out-of-range entries
+    raising ``IndexError`` as numpy's gather does."""
+    return np.arange(size, dtype=np.int64)[index]
+
+
 @array_kernel("soft_sphere_penalty_sq")
 def _soft_sphere_penalty_sq(xp, sq_distances, sq_contacts):
     """Generic soft-sphere penalty on squared distances (see wrapper)."""
@@ -302,8 +334,13 @@ def _indexed_penalty_block(xp, points_a, points_b, first, second, sq_contacts):
     """Per-member penalty sum of one population block (fused pair math).
 
     ``sq_contacts`` arrives pre-broadcast as ``(1, n_pairs)``.  The
-    einsum row-sum reduces each member independently, so totals do not
-    depend on the chunk size (``np.sum``'s pairwise blocking does).
+    einsum row-sum reduces each member independently (``np.sum``'s
+    pairwise blocking would not), but in an order set by the gather's
+    memory layout.  On C-ordered points the gather is pair-major, so each
+    member's terms add one by one in a block of two or more members, and
+    a one-member block is one contiguous row, added in two lanes (pinned
+    in ``tests/unit/test_reduction_order.py``); the compiled
+    ``pair_penalty`` pass adds in these orders whatever the layout.
     """
     sq_d = _indexed_sq_distances(xp, points_a, points_b, first, second)
     return xp.einsum("pk->p", _soft_sphere_penalty_sq(xp, sq_d, sq_contacts))
@@ -334,26 +371,49 @@ def indexed_penalty_sum(
         Population chunk size (see :func:`population_blocks`).
     kernels:
         Optional :class:`~repro.xp.dispatch.KernelBundle` the per-block
-        pair math runs through; ``None`` (the default) uses the
-        numpy-bound kernels, bit-identically to the pre-facade path.
+        pair math runs through; ``None`` (the default) runs the compiled
+        ``pair_penalty`` pass on float64 ``(P, A, 3)`` points, or else
+        the numpy-bound kernel, with the same bits.
     """
     pop = points_a.shape[0]
     totals = np.zeros(pop, dtype=np.float64)
     if first.size == 0:
         return totals
-    sq_contacts = sq_contacts[None, :]
+    lib = None
+    if kernels is None and _c_points(points_a, points_b):
+        lib = native.library()
+    if lib is not None:
+        points_a = np.ascontiguousarray(points_a)
+        points_b = np.ascontiguousarray(points_b)
+        first = _pair_index(first, points_a.shape[1])
+        second = _pair_index(second, points_b.shape[1])
+        # One contact per pair, broadcast as the generic kernel would.
+        contacts = np.ascontiguousarray(
+            np.broadcast_to(sq_contacts, first.shape), dtype=np.float64
+        )
 
-    def _block(block: slice) -> None:
-        if kernels is None:
-            totals[block] = _indexed_penalty_block(
-                _XP, points_a[block], points_b[block], first, second, sq_contacts
+        def _block(block: slice) -> None:
+            lib.pair_penalty(
+                _row(points_a, block.start), points_a.shape[1],
+                _row(points_b, block.start), points_b.shape[1],
+                block.stop - block.start,
+                first.ctypes.data, second.ctypes.data, first.size,
+                contacts.ctypes.data, _row(totals, block.start),
             )
-        else:
-            totals[block] = kernels.to_numpy(
-                kernels.indexed_penalty_block(
-                    points_a[block], points_b[block], first, second, sq_contacts
+    else:
+        sq_contacts = sq_contacts[None, :]
+
+        def _block(block: slice) -> None:
+            if kernels is None:
+                totals[block] = _indexed_penalty_block(
+                    _XP, points_a[block], points_b[block], first, second, sq_contacts
                 )
-            )
+            else:
+                totals[block] = kernels.to_numpy(
+                    kernels.indexed_penalty_block(
+                        points_a[block], points_b[block], first, second, sq_contacts
+                    )
+                )
 
     map_blocks(_block, pop, block_size)
     return totals
@@ -531,7 +591,9 @@ def binned_table_sum(
         Population chunk size (see :func:`population_blocks`).
     kernels:
         Optional :class:`~repro.xp.dispatch.KernelBundle` the per-block
-        gather runs through; ``None`` uses the numpy-bound kernels.
+        gather runs through; ``None`` runs the compiled ``binned_sum``
+        pass on float64 ``(P, A, 3)`` points, or else the numpy-bound
+        kernel, with the same bits.
     """
     pop = points.shape[0]
     totals = np.zeros(pop, dtype=np.float64)
@@ -539,21 +601,43 @@ def binned_table_sum(
         return totals
     n_cols = pair_tables.shape[1]
     flat_tables = np.ascontiguousarray(pair_tables, dtype=np.float64).ravel()
-    row_offsets = np.arange(first.size, dtype=np.intp) * n_cols
+    lib = native.library() if kernels is None and _c_points(points) else None
+    if lib is not None:
+        points = np.ascontiguousarray(points)
+        first = _pair_index(first, points.shape[1])
+        second = _pair_index(second, points.shape[1])
+        if pair_tables.ndim != 2 or pair_tables.shape[0] < first.size:
+            raise IndexError("pair_tables needs one row per pair")
+        edges = np.ascontiguousarray(sq_edges, dtype=np.float64)
+        top = float(edges[-1])
+        # Bin guess for uniform metric edges; exact comparisons decide.
+        scale = (edges.size - 1) / math.sqrt(top) if 0.0 < top < math.inf else 0.0
 
-    def _block(block: slice) -> None:
-        if kernels is None:
-            totals[block] = _binned_gather_sum(
-                _XP, points[block], first, second,
-                flat_tables, sq_edges, row_offsets, n_cols,
+        def _block(block: slice) -> None:
+            lib.binned_sum(
+                _row(points, block.start), points.shape[1],
+                block.stop - block.start,
+                first.ctypes.data, second.ctypes.data, first.size,
+                flat_tables.ctypes.data, n_cols,
+                edges.ctypes.data, edges.size, scale,
+                _row(totals, block.start),
             )
-        else:
-            totals[block] = kernels.to_numpy(
-                kernels.binned_gather_sum(
-                    points[block], first, second,
+    else:
+        row_offsets = np.arange(first.size, dtype=np.intp) * n_cols
+
+        def _block(block: slice) -> None:
+            if kernels is None:
+                totals[block] = _binned_gather_sum(
+                    _XP, points[block], first, second,
                     flat_tables, sq_edges, row_offsets, n_cols,
                 )
-            )
+            else:
+                totals[block] = kernels.to_numpy(
+                    kernels.binned_gather_sum(
+                        points[block], first, second,
+                        flat_tables, sq_edges, row_offsets, n_cols,
+                    )
+                )
 
     map_blocks(_block, pop, block_size)
     return totals
@@ -697,12 +781,6 @@ class EnvironmentGrid:
         )
         return probe_ids, positions
 
-    def dense_pairs(self, n_probes: int) -> Tuple[np.ndarray, np.ndarray]:
-        """All (probe, atom) pairs in the canonical (probe, cell-sorted) order."""
-        probe_ids = np.repeat(np.arange(n_probes, dtype=np.int64), self.n_atoms)
-        positions = np.tile(np.arange(self.n_atoms, dtype=np.int64), n_probes)
-        return probe_ids, positions
-
     def candidate_neighbors(self, probes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Candidate pairs as (probe index, *original* atom index).
 
@@ -719,9 +797,14 @@ class EnvironmentGrid:
         probes: np.ndarray,
         sq_contacts: np.ndarray,
         block_size: Optional[int] = None,
-        prune: bool = True,
     ) -> np.ndarray:
         """Per-member soft-sphere penalty of probes against the environment.
+
+        Each block runs the compiled ``env_penalty`` pass, which walks the
+        27 cells around every probe and adds the pairs in the order of
+        the numpy form (:meth:`candidate_pairs` plus ``np.bincount``),
+        the route taken when no C compiler works; both give the same
+        bits.
 
         Parameters
         ----------
@@ -734,34 +817,46 @@ class EnvironmentGrid:
             drop pairs with non-zero penalty.
         block_size:
             Population chunk size (see :func:`population_blocks`).
-        prune:
-            When false, every (probe, atom) pair is evaluated through the
-            identical accumulation path — the dense reference the pruned
-            result is bit-identical to.
         """
-        probes = np.asarray(probes, dtype=np.float64)
+        probes = np.ascontiguousarray(probes, dtype=np.float64)
+        if probes.ndim != 3 or probes.shape[2] != 3:
+            raise ValueError("probes must have shape (P, A, 3)")
         pop, slots = probes.shape[0], probes.shape[1]
         totals = np.zeros(pop, dtype=np.float64)
         if self.n_atoms == 0 or slots == 0:
             return totals
+        # Each slot's contacts in cell-sorted atom order.
+        contacts = np.ascontiguousarray(
+            np.asarray(sq_contacts, dtype=np.float64)[
+                np.arange(slots)[:, None], self._sorted_atoms
+            ]
+        )
+        lib = native.library()
+        if lib is not None:
 
-        def _block(block: slice) -> None:
-            chunk = probes[block]
-            members = chunk.shape[0]
-            flat = chunk.reshape(members * slots, 3)
-            if prune:
+            def _block(block: slice) -> None:
+                lib.env_penalty(
+                    _row(probes, block.start), block.stop - block.start, slots,
+                    self._origin.ctypes.data, self._cell_edge, self._dims.ctypes.data,
+                    self._starts.ctypes.data, self._sorted_coords.ctypes.data,
+                    contacts.ctypes.data, self.n_atoms, _row(totals, block.start),
+                )
+        else:
+
+            def _block(block: slice) -> None:
+                chunk = probes[block]
+                members = chunk.shape[0]
+                flat = chunk.reshape(members * slots, 3)
                 probe_ids, positions = self.candidate_pairs(flat)
-            else:
-                probe_ids, positions = self.dense_pairs(members * slots)
-            if probe_ids.size == 0:
-                return
-            diff = flat[probe_ids] - self._sorted_coords[positions]
-            sq_d = np.einsum("ij,ij->i", diff, diff)
-            sq_c = sq_contacts[probe_ids % slots, self._sorted_atoms[positions]]
-            penalties = soft_sphere_penalty_sq(sq_d, sq_c)
-            totals[block] = np.bincount(
-                probe_ids // slots, weights=penalties, minlength=members
-            )
+                if probe_ids.size == 0:
+                    return
+                diff = flat[probe_ids] - self._sorted_coords[positions]
+                sq_d = np.einsum("ij,ij->i", diff, diff)
+                sq_c = contacts[probe_ids % slots, positions]
+                penalties = soft_sphere_penalty_sq(sq_d, sq_c)
+                totals[block] = np.bincount(
+                    probe_ids // slots, weights=penalties, minlength=members
+                )
 
         map_blocks(_block, pop, block_size)
         return totals

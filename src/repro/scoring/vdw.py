@@ -17,10 +17,18 @@ All four terms run on the shared pairwise kernel engine
 (:mod:`repro.scoring.pairwise`): the penalty is evaluated directly on
 squared distances (the formula never needs the metric distance, so no
 ``sqrt`` is taken anywhere), the population is processed in cache-sized
-chunks, and the environment term queries a uniform cell grid built once at
-construction instead of materialising the full ``(P, n*4, M)`` pair block
-— the temporary that made the seed's batched path slower than its scalar
-one.
+blocks spread over the member threads, and the environment term walks a
+uniform cell grid built once at construction instead of materialising
+the full ``(P, n*4, M)`` pair block — the temporary that made the seed's
+batched path slower than its scalar one.  Each block is one call of a
+compiled pass of :mod:`repro.native` (``pair_penalty`` for the three
+intra-loop terms, ``env_penalty`` for the environment), which gives the
+bits of the numpy kernels it replaced; a kernel bundle runs the three
+intra-loop terms as generic kernels instead, and the environment term
+still runs the compiled pass (its ragged cell walk does not jit).  The
+five terms add per member in a fixed order: atom-atom,
+centroid-centroid, atom-centroid, environment atoms, environment
+centroids.
 """
 
 from __future__ import annotations
@@ -72,7 +80,6 @@ class SoftSphereVDW(ScoringFunction):
         tolerance: float = constants.SOFT_SPHERE_TOLERANCE,
         min_residue_separation: int = 2,
         block_size: Optional[int] = None,
-        env_pruning: bool = True,
     ) -> None:
         if not (0.0 < tolerance <= 1.0):
             raise ValueError("tolerance must be in (0, 1]")
@@ -82,7 +89,6 @@ class SoftSphereVDW(ScoringFunction):
         self.tolerance = tolerance
         self.min_residue_separation = min_residue_separation
         self.block_size = block_size
-        self.env_pruning = env_pruning
 
         n = target.n_residues
         n_types = constants.BACKBONE_ATOMS_PER_RESIDUE
@@ -224,16 +230,15 @@ class SoftSphereVDW(ScoringFunction):
 
         # Loop atoms / centroids against the protein environment, pruned
         # through the cell grid to the O(neighbours) candidate pairs.  The
-        # ragged cell-list gather is host-side by design (data-dependent
-        # shapes don't jit), so this term always runs on numpy.
+        # ragged cell walk has data-dependent shapes, which do not jit, so
+        # this term runs the compiled pass (or its numpy form) on every
+        # backend, kernel bundles included.
         if self._env_grid is not None:
             total += self._env_grid.penalty_sum(
-                flat, self._env_atom_sq_contact, self.block_size,
-                prune=self.env_pruning,
+                flat, self._env_atom_sq_contact, self.block_size
             )
             total += self._env_grid.penalty_sum(
-                centroids, self._env_cen_sq_contact, self.block_size,
-                prune=self.env_pruning,
+                centroids, self._env_cen_sq_contact, self.block_size
             )
 
         return total

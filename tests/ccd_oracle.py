@@ -13,7 +13,7 @@ also checks that the explicit sums keep ``einsum``'s bits), and the same
 ``rotate_points_about_axes_batch`` wrapper as the production code.
 
 :func:`sweep_atom_major` is the numpy atom-major sweep the compiled one
-(:mod:`repro.closure.native`) replaced, kept line for line: the C passes
+(:mod:`repro.native`) replaced, kept line for line: the C passes
 must reproduce each of its plane operations bit for bit.
 """
 

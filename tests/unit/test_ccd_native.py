@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import ccd_oracle as oracle
-from repro.closure import native
+from repro import native
 from repro.closure.ccd import _EPS, _pivot_indices, _sweep_atom_major, ccd_close_batch
 from repro.geometry.rotation import _rotate_points_about_axes
 from repro.geometry.vectors import einsum_sum3
@@ -240,7 +240,7 @@ def test_build_reuses_a_built_library(lib, tmp_path, monkeypatch):
 _RACER = """
 import sys, time
 from pathlib import Path
-from repro.closure import native
+from repro import native
 go = Path(sys.argv[2])
 while not go.exists():
     time.sleep(0.001)

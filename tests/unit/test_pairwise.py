@@ -9,6 +9,7 @@ all three scoring functions on random populations.
 import numpy as np
 import pytest
 
+import env_oracle
 from repro.backends import make_backend
 from repro.config import SamplingConfig
 from repro.scoring import default_multi_score
@@ -127,8 +128,8 @@ class TestEnvironmentGrid:
         grid, _atoms, probes = grid_setup
         probe_ids, positions = grid.candidate_pairs(probes)
         # Probe-major, strictly increasing cell-sorted position per probe:
-        # exactly the order dense_pairs enumerates, which is what makes the
-        # pruned and dense accumulations bit-identical.
+        # exactly the order the dense oracle enumerates, which is what
+        # makes the pruned and dense accumulations bit-identical.
         assert np.all(np.diff(probe_ids) >= 0)
         same_probe = np.diff(probe_ids) == 0
         assert np.all(np.diff(positions)[same_probe] > 0)
@@ -155,8 +156,8 @@ class TestEnvironmentGrid:
         probes = rng.uniform(-12.0, 12.0, size=(pop, slots, 3))
         contacts = rng.uniform(0.5, 3.0, size=(slots, grid.n_atoms))
         sq_contacts = contacts * contacts
-        pruned = grid.penalty_sum(probes, sq_contacts, prune=True)
-        dense = grid.penalty_sum(probes, sq_contacts, prune=False)
+        pruned = grid.penalty_sum(probes, sq_contacts)
+        dense = env_oracle.penalty_sum(grid, probes, sq_contacts)
         np.testing.assert_array_equal(pruned, dense)
 
     def test_penalty_sum_matches_plain_numpy(self, grid_setup):
@@ -256,11 +257,10 @@ class TestScalarBatchedEquivalence:
 class TestVDWEnvironmentPruning:
     def test_pruned_bit_identical_to_dense(self, small_target, random_population):
         coords, torsions = random_population
-        pruned = SoftSphereVDW(small_target, env_pruning=True)
-        dense = SoftSphereVDW(small_target, env_pruning=False)
+        vdw = SoftSphereVDW(small_target)
         np.testing.assert_array_equal(
-            pruned.evaluate_batch(coords, torsions),
-            dense.evaluate_batch(coords, torsions),
+            vdw.evaluate_batch(coords, torsions),
+            env_oracle.soft_sphere_vdw(vdw, coords),
         )
 
     def test_grid_built_once_per_scorer(self, small_target):
