@@ -1,21 +1,23 @@
 """Paper-scale kernel benchmark across the xp facade's backend tiers.
 
-Times the hot kernels that PR 8 ported onto the :mod:`repro.xp` facade —
-the soft-sphere penalty reduction (EvalVDW's inner loop), the binned
-table gather (EvalDIST's), the strength-fitness dominance pass, batched
-NeRF backbone construction and batched CCD closure — at the paper's
-15,360-member population (120 complexes x 128 members), through three
-routes:
+Times the hot kernels ported onto the :mod:`repro.xp` facade — the
+soft-sphere penalty reduction (EvalVDW's inner loop), the binned table
+gather (EvalDIST's), the strength-fitness dominance pass ([FitAssg]
+within the population) and its complex-wise form (``fitness_against``
+once per complex of 128, with ~170 queries: the members and the
+proposals a step scores), batched NeRF backbone construction and
+batched CCD closure — at the paper's 15,360-member population (120
+complexes x 128 members), through three routes:
 
 * **numpy** — the public wrappers' direct path, the repo's determinism
-  baseline (for CCD and the two pair reductions the compiled passes of
-  :mod:`repro.native`);
+  baseline (for CCD, the two pair reductions and the two dominance
+  passes the compiled passes of :mod:`repro.native`);
 * **numpy bundle** — the generic kernels routed through a numpy-bound
   :class:`~repro.xp.dispatch.KernelBundle`, measuring the facade's
   dispatch overhead (it must be negligible).  Where the direct route is
-  compiled (CCD, ``soft_sphere_penalty``, ``binned_table_sum``) the two
-  routes are different implementations, so the bundle's overhead is
-  measured against the same generic kernels with the bundle bypassed
+  compiled (CCD and the ``COMPILED`` kernels) the two routes are
+  different implementations, so the bundle's overhead is measured
+  against the same generic kernels with the bundle bypassed
   (``compiled``, which also records how much faster the compiled route
   is; ``ccd_masked`` for the masked CCD sweep);
 * **jax jit** — the kernels bound to the JAX namespace and jit-compiled,
@@ -55,7 +57,7 @@ import numpy as np
 from repro.closure.ccd import _ccd_sweep, ccd_close_batch
 from repro.geometry.nerf import build_backbone_batch
 from repro.loops.targets import make_target
-from repro.moscem.dominance import strength_fitness
+from repro.moscem.dominance import _dominance_columns, fitness_against, strength_fitness
 from repro.moscem.mutation import mutate_population
 from repro.scoring.distance import DistanceScore
 from repro.scoring.pairwise import (
@@ -95,8 +97,14 @@ THREADED = (
     "vdw_scorer",
 )
 
-#: The scoring kernels whose direct route is compiled.
-COMPILED = ("binned_table_sum", "soft_sphere_penalty")
+#: The scoring and dominance kernels whose direct route is compiled.
+COMPILED = (
+    "binned_table_sum", "fitness_against", "soft_sphere_penalty", "strength_fitness",
+)
+
+#: Proposals a step scores per complex next to its 128 members (the
+#: closure gate admits about a third).
+COMPLEX_PROPOSALS = 42
 
 #: Timed repeats per kernel (median taken), by scale preset.
 _REPEATS = {"smoke": 3, "default": 5, "paper": 9}
@@ -124,6 +132,11 @@ def _problem():
     sq_edges = squared_bin_edges(15.0, 30)
     tables = rng.normal(size=(first.size, sq_edges.shape[0]))
     scores = rng.normal(size=(PAPER_POPULATION, 3))
+    proposal_scores = rng.normal(size=(PAPER_POPULATION, 3))
+    complexes = []
+    for rows in np.array_split(np.arange(PAPER_POPULATION), 120):
+        proposed = proposal_scores[rows[:COMPLEX_PROPOSALS]]
+        complexes.append((scores[rows], np.concatenate([scores[rows], proposed])))
     target = make_target("bench", 1, LOOP_RESIDUES, seed=5)
     torsions = rng.uniform(-np.pi, np.pi, size=(PAPER_POPULATION, 2 * LOOP_RESIDUES))
     proposals, starts = mutate_population(torsions, target.sequence, rng)
@@ -135,6 +148,7 @@ def _problem():
         "sq_edges": sq_edges,
         "tables": tables,
         "scores": scores,
+        "complexes": complexes,
         "target": target,
         "torsions": torsions,
         "proposals": proposals,
@@ -157,6 +171,9 @@ class _Unbundled:
     def binned_gather_sum(self, *args):
         return _binned_gather_sum(self.namespace, *args)
 
+    def dominance_columns(self, *args):
+        return _dominance_columns(self.namespace, *args)
+
     def to_numpy(self, array):
         return array
 
@@ -175,6 +192,10 @@ def _kernel_suite(p, kernels) -> Dict[str, Callable[[], object]]:
         "strength_fitness": lambda: strength_fitness(
             p["scores"], kernels=kernels
         ),
+        "fitness_against": lambda: [
+            fitness_against(ref, queries, kernels=kernels)
+            for ref, queries in p["complexes"]
+        ],
         "ccd_close_batch": lambda: ccd_close_batch(
             p["torsions"], p["target"], max_iterations=2, tolerance=0.25,
             kernels=kernels,
@@ -320,10 +341,10 @@ def test_kernel_tiers_paper_scale():
     # The facade's dispatch layer must be invisible at paper scale: the
     # bundle route re-runs the identical numpy kernels, so anything past
     # a modest margin is overhead the facade itself introduced.  Where
-    # the direct route is compiled (the pair reductions, and CCD's
-    # atom-major sweep against the masked member-major one, the
-    # jit-compatible shape), the bundle is held against the same generic
-    # kernels with the bundle bypassed.
+    # the direct route is compiled (the pair reductions, the dominance
+    # passes, and CCD's atom-major sweep against the masked member-major
+    # one, the jit-compatible shape), the bundle is held against the same
+    # generic kernels with the bundle bypassed.
     allowance = 1.6
     for name, direct in numpy_direct.items():
         bundle = numpy_bundle.get(name)

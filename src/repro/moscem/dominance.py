@@ -40,23 +40,37 @@ result is bit-identical to the full N x N streaming passes (kept as a
 test-only oracle): the front is a set, so the sort order only decides
 the comparison schedule, not the outcome; counts and count sums are
 integers; and each fitness is one division of an integer by N, exactly as
-before.  Every temporary is ``(F, B, K)`` or ``(B, N, K)``, bounded by
-``SamplingConfig.kernel_block_size`` along one axis.
+before.
+
+Two routes, one set of bits
+---------------------------
+With no kernel bundle, each pass is one call of the compiled
+``non_dominated_mask`` / ``strength_fitness`` / ``fitness_against`` of
+:mod:`repro.native`: the lexicographic order still comes from
+:func:`numpy.lexsort`, then each member is tested against the front found
+before it (B = 1, no temporaries), and the counts, count sums and the one
+division per fitness run in C on the same integers.  A kernel bundle, or
+a host without a working compiler, runs the *generic* passes on the
+bundle's namespace (numpy without a compiler) with the same bits; only
+there is every temporary ``(F, B, K)`` or ``(B, N, K)``, bounded by
+``SamplingConfig.kernel_block_size`` along one axis.  No option selects a
+route.
 
 Non-finite scores
 -----------------
-A row holding any NaN fails every ``<=`` and ``<`` comparison, so it is
-never dominated and dominates nothing: it is a front member with fitness
-0.  :func:`numpy.lexsort` puts a NaN after every number of its key, so
-such a row lands after the rows that tie with it on the preceding keys;
-where it lands does not matter, since it has no dominance relation to any
-row.  ``+inf`` and ``-inf`` compare like any other value.
+A row holding any NaN fails every ``<=`` and ``<`` comparison, on both
+routes, so it is never dominated and dominates nothing: it is a front
+member with fitness 0.  :func:`numpy.lexsort` puts a NaN after every
+number of its key, so such a row lands after the rows that tie with it on
+the preceding keys; where it lands does not matter, since it has no
+dominance relation to any row.  ``+inf`` and ``-inf`` compare like any
+other value, and ``-0.0`` ties with ``0.0``.
 
-The per-block comparison itself — the only dense array math here — is the
-generic :func:`_dominance_columns` kernel registered with the
-:mod:`repro.xp` facade; the passes are host orchestration and take an
-optional :class:`~repro.xp.dispatch.KernelBundle` to route the block
-comparisons through a compiled namespace.
+The generic route's per-block comparison — its only dense array math — is
+the :func:`_dominance_columns` kernel registered with the :mod:`repro.xp`
+facade; the generic passes are host orchestration and take an optional
+:class:`~repro.xp.dispatch.KernelBundle` to route the block comparisons
+through a compiled namespace.
 """
 
 from __future__ import annotations
@@ -65,6 +79,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
+from repro import native
 from repro.scoring.pairwise import population_blocks
 from repro.xp.dispatch import array_kernel
 from repro.xp.xp import numpy_namespace
@@ -122,6 +137,31 @@ def _dominance_block(
     if kernels is None:
         return _dominance_columns(_XP, scores, column_scores)
     return kernels.to_numpy(kernels.dominance_columns(scores, column_scores))
+
+
+def _score_matrix(scores: np.ndarray, name: str = "scores") -> np.ndarray:
+    """``scores`` as a C-ordered float64 ``(N, K)`` matrix, the layout the
+    compiled passes read; anything but two dimensions raises."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 2:
+        raise ValueError(f"{name} must have shape (N, K)")
+    return np.ascontiguousarray(scores)
+
+
+def _compiled_pass(compiled, scores: np.ndarray, *tail) -> np.ndarray:
+    """Run the compiled dominance pass ``compiled`` on the reference set
+    ``scores`` (C-ordered float64 ``(N, K)``): the pass takes the scores,
+    their shape, their lexicographic order and two O(N) buffers, then
+    ``tail`` (arrays by address).  Returns the is-front mask it set."""
+    n, k = scores.shape
+    order = _lexicographic_order(scores).astype(np.int64, copy=False)
+    is_front = np.empty(n, dtype=bool)
+    front = np.empty(n, dtype=np.int64)
+    compiled(*[
+        arg.ctypes.data if isinstance(arg, np.ndarray) else arg
+        for arg in (scores, n, k, order, is_front, front, *tail)
+    ])
+    return is_front
 
 
 def _lexicographic_order(scores: np.ndarray) -> np.ndarray:
@@ -201,13 +241,16 @@ def non_dominated_mask(
         ``(N, K)`` score matrix.
     block_size:
         Chunk size (see :func:`repro.scoring.pairwise.population_blocks`)
-        of the front filter; the peak temporary is ``(F, B, K)``.
+        of the generic front filter; its peak temporary is ``(F, B, K)``.
     kernels:
-        Optional kernel bundle the block comparisons run through.
+        Optional kernel bundle the block comparisons run through;
+        ``None`` runs the compiled pass (or, with no compiler, the
+        generic one on numpy), with the same result.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2:
-        raise ValueError("scores must have shape (N, K)")
+    scores = _score_matrix(scores)
+    lib = native.library() if kernels is None else None
+    if lib is not None:
+        return _compiled_pass(lib.non_dominated_mask, scores)
     mask = np.zeros(scores.shape[0], dtype=bool)
     mask[_front(scores, block_size, kernels)] = True
     return mask
@@ -225,11 +268,13 @@ def strength_fitness(
     scores:
         ``(N, K)`` score matrix.
     block_size:
-        Population chunk size bounding the dominance temporaries (``None``
-        or ``0`` selects the engine default); the result is bit-identical
-        for every value.
+        Population chunk size bounding the generic route's dominance
+        temporaries (``None`` or ``0`` selects the engine default); the
+        result is bit-identical for every value.
     kernels:
-        Optional kernel bundle the block comparisons run through.
+        Optional kernel bundle the block comparisons run through;
+        ``None`` runs the compiled pass (or, with no compiler, the
+        generic one on numpy), with the same bits.
 
     Returns
     -------
@@ -237,12 +282,17 @@ def strength_fitness(
         ``(N,)`` fitness values; values below 1 identify the non-dominated
         (Pareto-front) members.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2:
-        raise ValueError("scores must have shape (N, K)")
+    scores = _score_matrix(scores)
     n = scores.shape[0]
     if n == 0:
         return np.zeros(0, dtype=np.float64)
+    lib = native.library() if kernels is None else None
+    if lib is not None:
+        fitness = np.empty(n, dtype=np.float64)
+        _compiled_pass(
+            lib.strength_fitness, scores, np.empty(n, dtype=np.int64), fitness
+        )
+        return fitness
     front, counts, dominated = _strength_pass(scores, block_size, kernels)
 
     fitness = np.empty(n, dtype=np.float64)
@@ -279,28 +329,51 @@ def fitness_against(
     reference_scores:
         ``(N, K)`` scores of the reference set (the complex).
     query_scores:
-        ``(Q, K)`` scores of the query conformations.
+        ``(Q, K)`` scores of the query conformations, or one ``(K,)``
+        query.
     block_size:
-        Query chunk size bounding the cross-dominance temporaries (``None``
-        or ``0`` selects the engine default); the result is bit-identical
-        for every value.
+        Query chunk size bounding the generic route's cross-dominance
+        temporaries (``None`` or ``0`` selects the engine default); the
+        result is bit-identical for every value.
     kernels:
-        Optional kernel bundle the block comparisons run through.
+        Optional kernel bundle the block comparisons run through;
+        ``None`` runs the compiled pass (or, with no compiler, the
+        generic one on numpy), with the same bits.
 
     Returns
     -------
     numpy.ndarray
         ``(Q,)`` fitness values on the same scale as
         :func:`strength_fitness`.
+
+    Raises
+    ------
+    ValueError
+        When the reference set is not 2-D, the queries are not 1-D or
+        2-D, or their number of objectives differs from the reference's.
     """
-    reference_scores = np.asarray(reference_scores, dtype=np.float64)
+    reference_scores = _score_matrix(reference_scores, "reference_scores")
     query_scores = np.asarray(query_scores, dtype=np.float64)
     if query_scores.ndim == 1:
         query_scores = query_scores[None, :]
-    n = reference_scores.shape[0]
+    query_scores = _score_matrix(query_scores, "query_scores")
+    n, k = reference_scores.shape
     q = query_scores.shape[0]
+    if query_scores.shape[1] != k:
+        raise ValueError(
+            f"query_scores have {query_scores.shape[1]} objectives, "
+            f"the reference set {k}"
+        )
     if n == 0:
         return np.zeros(q, dtype=np.float64)
+    lib = native.library() if kernels is None else None
+    if lib is not None:
+        fitness = np.empty(q, dtype=np.float64)
+        _compiled_pass(
+            lib.fitness_against, reference_scores, np.empty(n, dtype=np.int64),
+            query_scores, q, fitness,
+        )
+        return fitness
 
     ref_front, ref_counts, _ = _strength_pass(reference_scores, block_size, kernels)
     front_scores = reference_scores[ref_front]

@@ -1,7 +1,7 @@
 """The compiled kernels: one C library, built on first use.
 
 Every pass spells out, op for op, the numpy expression it replaced, so
-the compiled route and the numpy one give the same bits.  Two groups:
+the compiled route and the numpy one give the same bits.  Three groups:
 
 * **CCD** (:func:`repro.closure.ccd._sweep_atom_major`), two passes per
   pivot over the ``(3, rows, width)`` member-innermost coordinate
@@ -43,6 +43,21 @@ the compiled route and the numpy one give the same bits.  Two groups:
   DIST rows and one-member VDW rows add as numpy's two-lane
   ``sum_of_arr`` does; the environment term adds in ``np.bincount``'s
   pair order (slot, neighbour cell, cell-sorted atom).
+
+* **Dominance** (:mod:`repro.moscem.dominance`, the [FitAssg] kernels),
+  one call per score set, its lexicographic order computed by numpy
+  (``np.lexsort``) and passed in:
+
+  - ``non_dominated_mask`` -- the front filter: each row, in that
+    order, tested against the front found so far;
+  - ``strength_fitness`` -- the filter, each front member's integer
+    domination count over the dominated rows, then one division per
+    fitness: ``count / n`` on the front, ``1 + count_sum / n`` off it;
+  - ``fitness_against`` -- the same reference pass, then each query's
+    count over the reference rows or its front dominators' count sum.
+
+  Only comparisons and ``int64`` counts run here; each test is written
+  ``!(a <= b)``, so a NaN fails it as it fails numpy's ``<=``.
 
 Only ``+``, ``-``, ``*``, ``/``, ``sqrt``, ``floor`` and comparisons run
 here, which IEEE 754 rounds exactly once each (or not at all), so both
@@ -406,6 +421,146 @@ void binned_sum(const double *points, long atoms, long members,
         totals[m] = lanes_total(&row);
     }
 }
+
+/* ---- Dominance: one call per score set ---- */
+
+/* Whether row a of k scores dominates row b: no greater in every
+   column and smaller in one.  Each column tests !(a <= b), so a NaN on
+   either side fails it, as in numpy's all(a <= b): a NaN row neither
+   dominates nor is dominated. */
+static int dominates(const double *a, const double *b, long k)
+{
+    int smaller = 0;
+    for (long j = 0; j < k; ++j) {
+        if (!(a[j] <= b[j])) {
+            return 0;
+        }
+        smaller |= a[j] < b[j];
+    }
+    return smaller;
+}
+
+/* The front of the n rows of scores ((n, k), C order).  The rows are
+   visited in the lexicographic `order`, in which every row sorts after
+   all of its dominators, so a row is on the front when no front member
+   found before it dominates it.  Sets is_front[i] to 0 or 1 for every
+   row, writes the front's rows in that order to `front` and returns
+   their number F. */
+static long front_filter(const double *scores, long n, long k,
+                         const long *order, unsigned char *is_front,
+                         long *front)
+{
+    long size = 0;
+    for (long r = 0; r < n; ++r) {
+        const long i = order[r];
+        long j = 0;
+        while (j < size && !dominates(scores + front[j] * k, scores + i * k, k)) {
+            ++j;
+        }
+        is_front[i] = j == size;
+        if (j == size) {
+            front[size++] = i;
+        }
+    }
+    return size;
+}
+
+/* The F front members' integer domination counts over the dominated
+   rows (a front member dominates no front member). */
+static void front_counts(const double *scores, long n, long k,
+                         const unsigned char *is_front, const long *front,
+                         long f, long *counts)
+{
+    for (long j = 0; j < f; ++j) {
+        counts[j] = 0;
+    }
+    for (long i = 0; i < n; ++i) {
+        if (is_front[i]) {
+            continue;
+        }
+        for (long j = 0; j < f; ++j) {
+            counts[j] += dominates(scores + front[j] * k, scores + i * k, k);
+        }
+    }
+}
+
+/* The sum of the counts of the front members that dominate `row`, and
+   through *dominated whether any does. */
+static long dominator_sum(const double *scores, long k, const long *front,
+                          long f, const long *counts, const double *row,
+                          int *dominated)
+{
+    long sum = 0;
+    *dominated = 0;
+    for (long j = 0; j < f; ++j) {
+        if (dominates(scores + front[j] * k, row, k)) {
+            sum += counts[j];
+            *dominated = 1;
+        }
+    }
+    return sum;
+}
+
+/* dominance.non_dominated_mask: is_front of the front filter.  `front`
+   is n longs of work space. */
+void non_dominated_mask(const double *scores, long n, long k,
+                        const long *order, unsigned char *is_front,
+                        long *front)
+{
+    front_filter(scores, n, k, order, is_front, front);
+}
+
+/* dominance.strength_fitness, Eq. (1): a front member's fitness is its
+   count over n, a dominated row's is 1 plus its front dominators'
+   count sum over n; one division each, of integers converted exactly.
+   is_front, front and counts are n entries of work space. */
+void strength_fitness(const double *scores, long n, long k,
+                      const long *order, unsigned char *is_front,
+                      long *front, long *counts, double *fitness)
+{
+    const long f = front_filter(scores, n, k, order, is_front, front);
+    front_counts(scores, n, k, is_front, front, f, counts);
+    for (long j = 0; j < f; ++j) {
+        fitness[front[j]] = (double)counts[j] / (double)n;
+    }
+    for (long i = 0; i < n; ++i) {
+        if (!is_front[i]) {
+            int dominated;
+            const long sum = dominator_sum(scores, k, front, f, counts,
+                                           scores + i * k, &dominated);
+            fitness[i] = 1.0 + (double)sum / (double)n;
+        }
+    }
+}
+
+/* dominance.fitness_against: the q rows of queries ((q, k), C order)
+   scored independently against the n reference rows of scores.  A
+   query some front member dominates gets 1 plus its dominators' count
+   sum over n; any other query its own count over all n reference rows,
+   over n. */
+void fitness_against(const double *scores, long n, long k,
+                     const long *order, unsigned char *is_front,
+                     long *front, long *counts, const double *queries,
+                     long q, double *fitness)
+{
+    const long f = front_filter(scores, n, k, order, is_front, front);
+    front_counts(scores, n, k, is_front, front, f, counts);
+    for (long p = 0; p < q; ++p) {
+        const double *query = queries + p * k;
+        int dominated;
+        const long sum = dominator_sum(scores, k, front, f, counts, query,
+                                       &dominated);
+        if (dominated) {
+            fitness[p] = 1.0 + (double)sum / (double)n;
+        } else {
+            long count = 0;
+            for (long i = 0; i < n; ++i) {
+                count += dominates(query, scores + i * k, k);
+            }
+            fitness[p] = (double)count / (double)n;
+        }
+    }
+}
 """
 
 _LOG = get_logger("native")
@@ -479,6 +634,14 @@ def _load(path: Path) -> ctypes.CDLL:
         ptr, size, size, ptr, ptr, size, ptr, size, ptr, size, real, ptr
     ]
     lib.binned_sum.restype = None
+    lib.non_dominated_mask.argtypes = [ptr, size, size, ptr, ptr, ptr]
+    lib.non_dominated_mask.restype = None
+    lib.strength_fitness.argtypes = [ptr, size, size, ptr, ptr, ptr, ptr, ptr]
+    lib.strength_fitness.restype = None
+    lib.fitness_against.argtypes = [
+        ptr, size, size, ptr, ptr, ptr, ptr, ptr, size, ptr
+    ]
+    lib.fitness_against.restype = None
     return lib
 
 

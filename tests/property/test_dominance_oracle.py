@@ -6,10 +6,15 @@ all-pairs streaming passes it replaced.  The two must agree bit for bit
 (``np.array_equal``) on every score set the sampler can produce or an
 adversary can build — ties, duplicates, an all-front population, a single
 member, an empty set, NaN and ±inf — for K = 1..4 objectives, at every
-block size, with and without a kernel bundle.
+block size, on all three implementations: the compiled passes (no kernel
+bundle), the generic passes on numpy (no bundle and no compiler) and the
+generic passes through the numpy bundle.
 """
 
 from __future__ import annotations
+
+import contextlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dominance_oracle as oracle
+from repro import native
 from repro.moscem.dominance import (
     fitness_against,
     non_dominated_mask,
@@ -64,23 +70,32 @@ def score_sets(draw, max_size: int = 40):
     return make_scores(kind, n, k, rng), make_scores(kind, 9, k, rng)
 
 
+def implementations():
+    """``(context, kernels)`` of the compiled passes, the generic passes on
+    numpy as run when no compiler works, and the numpy bundle's."""
+    yield contextlib.nullcontext(), None
+    yield mock.patch.object(native, "_library", None), None
+    yield contextlib.nullcontext(), numpy_kernels()
+
+
 def assert_matches_oracle(scores: np.ndarray, queries: np.ndarray) -> None:
     stacked = np.concatenate([scores, queries])
-    for kernels in (None, numpy_kernels()):
-        for block_size in BLOCK_SIZES:
-            args = dict(block_size=block_size, kernels=kernels)
-            assert np.array_equal(
-                non_dominated_mask(scores, **args),
-                oracle.non_dominated_mask(scores, **args),
-            )
-            assert np.array_equal(
-                strength_fitness(scores, **args),
-                oracle.strength_fitness(scores, **args),
-            )
-            assert np.array_equal(
-                fitness_against(scores, stacked, **args),
-                oracle.fitness_against(scores, stacked, **args),
-            )
+    for route, kernels in implementations():
+        with route:
+            for block_size in BLOCK_SIZES:
+                args = dict(block_size=block_size, kernels=kernels)
+                assert np.array_equal(
+                    non_dominated_mask(scores, **args),
+                    oracle.non_dominated_mask(scores, **args),
+                )
+                assert np.array_equal(
+                    strength_fitness(scores, **args),
+                    oracle.strength_fitness(scores, **args),
+                )
+                assert np.array_equal(
+                    fitness_against(scores, stacked, **args),
+                    oracle.fitness_against(scores, stacked, **args),
+                )
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,10 +1,14 @@
-"""Deterministic cost guard for the front-first dominance passes.
+"""Deterministic cost guard for the generic front-first dominance passes.
 
 Wall-clock limits are flaky on shared runners, so the guard counts work
 instead: a stub kernel bundle records the (rows x columns) of every
 dominance block the passes request.  The front-first passes compare
 O(N * (F + B)) pairs, F being the front size and B the block size; the
-all-pairs streaming oracle compares at least N^2.
+all-pairs streaming oracle compares at least N^2.  Passing a bundle
+selects the generic route, so the counter guards that route only; the
+compiled passes (no bundle) walk the same front-first schedule with
+B = 1, and ``tests/unit/test_dominance_native.py`` holds them to the
+generic route's bits.
 """
 
 from __future__ import annotations
