@@ -22,7 +22,7 @@ body, which keeps this module import-light and free of circular imports
 Factory signatures:
 
 * backend — ``factory(target, multi_score, config, **kwargs) -> SamplingBackend``
-* scorer — ``factory(target, knowledge_base=None, block_size=None) -> ScoringFunction``
+* scorer — ``factory(target, knowledge_base=None) -> ScoringFunction``
 """
 
 from __future__ import annotations
@@ -266,24 +266,24 @@ register_backend("xp", _bundle_backend("numpy"), aliases=("xp-numpy", "array-api
 
 
 @register_scorer("vdw")
-def _vdw_scorer(target, knowledge_base=None, block_size=None):
+def _vdw_scorer(target, knowledge_base=None):
     """Soft-sphere van der Waals clash score (paper ref [8])."""
     from repro.scoring.vdw import SoftSphereVDW
 
-    return SoftSphereVDW(target, block_size=block_size)
+    return SoftSphereVDW(target)
 
 
 @register_scorer("triplet")
-def _triplet_scorer(target, knowledge_base=None, block_size=None):
+def _triplet_scorer(target, knowledge_base=None):
     """Triplet torsion-angle statistical potential (paper ref [7])."""
     from repro.scoring.triplet import TripletScore
 
-    return TripletScore(target, knowledge_base, block_size=block_size)
+    return TripletScore(target, knowledge_base)
 
 
 @register_scorer("dist", aliases=("distance",))
-def _distance_scorer(target, knowledge_base=None, block_size=None):
+def _distance_scorer(target, knowledge_base=None):
     """Atom pair-wise distance knowledge potential (paper ref [6])."""
     from repro.scoring.distance import DistanceScore
 
-    return DistanceScore(target, knowledge_base, block_size=block_size)
+    return DistanceScore(target, knowledge_base)

@@ -33,7 +33,6 @@ from repro.backends.base import SamplingBackend
 from repro.closure.ccd import CCDResult, ccd_close_batch
 from repro.moscem.dominance import fitness_against, strength_fitness
 from repro.scoring.base import MultiScore
-from repro.scoring.pairwise import resolve_block_size
 from repro.moscem.population import Population
 from repro.simt.device import GTX280
 from repro.simt.engine import SIMTEngine
@@ -76,14 +75,8 @@ class BatchedBackend(SamplingBackend):
     # Hooks
     # ------------------------------------------------------------------
 
-    def _launch(
-        self, name: str, population_size: int, fn, *args, block_size=None, **kwargs
-    ):
-        """Run one kernel, timed into the ledger under ``name``.
-
-        ``block_size`` is the population chunk the kernel body processes;
-        only launch accounting reads it.
-        """
+    def _launch(self, name: str, population_size: int, fn, *args, **kwargs):
+        """Run one kernel, timed into the ledger under ``name``."""
         with self.ledger.section(name):
             return fn(*args, **kwargs)
 
@@ -159,10 +152,7 @@ class BatchedBackend(SamplingBackend):
         if rows is not None:
             coords, torsions = coords[rows], torsions[rows]
         columns = [
-            self._launch(
-                fn.kernel_name, pop, self._score, fn, coords, torsions,
-                block_size=fn.resolved_block_size(pop),
-            )
+            self._launch(fn.kernel_name, pop, self._score, fn, coords, torsions)
             for fn in self.multi_score
         ]
         if rows is None:
@@ -178,12 +168,10 @@ class BatchedBackend(SamplingBackend):
         """Strength fitness over the whole population as one kernel."""
         scores = np.asarray(scores, dtype=np.float64)
         pop = scores.shape[0]
-        chunk = self.config.kernel_block_size
         fitness = self._launch(
             "FitAssg within Population",
             pop,
-            partial(strength_fitness, scores, block_size=chunk, kernels=self.kernels),
-            block_size=resolve_block_size(chunk, max(pop, 1)),
+            partial(strength_fitness, scores, kernels=self.kernels),
         )
         # Fitness values travel back to the host for sorting/partitioning.
         self._transfer(MemcpyKind.DEVICE_TO_HOST, fitness)
@@ -210,8 +198,6 @@ class BatchedBackend(SamplingBackend):
         # The complex assignment (a permutation) is produced on the host.
         self._transfer(MemcpyKind.HOST_TO_DEVICE, np.concatenate(complex_indices))
 
-        chunk = self.config.kernel_block_size
-
         def _kernel() -> Tuple[np.ndarray, np.ndarray]:
             current = np.empty(pop, dtype=np.float64)
             proposed = np.empty(pop, dtype=np.float64)
@@ -223,7 +209,6 @@ class BatchedBackend(SamplingBackend):
                 fitness = fitness_against(
                     ref,
                     np.concatenate([ref, proposal_scores[asked]]),
-                    block_size=chunk,
                     kernels=self.kernels,
                 )
                 current[indices] = fitness[: indices.size]
@@ -232,12 +217,7 @@ class BatchedBackend(SamplingBackend):
                 proposed[~members] = current[~members]
             return current, proposed
 
-        return self._launch(
-            "FitAssg within Complex",
-            pop,
-            _kernel,
-            block_size=resolve_block_size(chunk, max(pop, 1)),
-        )
+        return self._launch("FitAssg within Complex", pop, _kernel)
 
     # ------------------------------------------------------------------
     # Host synchronisation
@@ -285,13 +265,10 @@ class GPUBackend(BatchedBackend):
         """The kernel profiler of the underlying engine."""
         return self.engine.profiler
 
-    def _launch(
-        self, name: str, population_size: int, fn, *args, block_size=None, **kwargs
-    ):
+    def _launch(self, name: str, population_size: int, fn, *args, **kwargs):
         """Launch a kernel on the engine (timed into the ledger there)."""
         return self.engine.launch(
-            KERNELS_BY_SECTION[name], population_size, fn, *args,
-            block_size=block_size, **kwargs
+            KERNELS_BY_SECTION[name], population_size, fn, *args, **kwargs
         )
 
     def _transfer(self, kind: MemcpyKind, payload) -> None:

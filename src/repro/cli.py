@@ -168,12 +168,6 @@ def _sample_parser() -> argparse.ArgumentParser:
         "repro.api.registry",
     )
     parser.add_argument(
-        "--block-size",
-        type=int,
-        default=0,
-        help="population members per batched-kernel chunk (0 = engine default)",
-    )
-    parser.add_argument(
         "--pdb", default=None, help="write the best decoy to this PDB file"
     )
     parser.add_argument(
@@ -199,7 +193,6 @@ def sample_main(argv: Optional[Sequence[str]] = None) -> int:
         population_size=args.population,
         n_complexes=args.complexes,
         iterations=args.iterations,
-        kernel_block_size=args.block_size,
     )
     grid = campaign(
         "repro-sample",

@@ -78,7 +78,6 @@ from repro.geometry.vectors import einsum_sum3
 from repro.loops.loop import LoopTarget
 from repro.scoring.pairwise import (
     _rotation_alignment_terms,
-    map_blocks,
     map_members,
     member_threads,
     population_blocks,
@@ -485,12 +484,12 @@ def ccd_close_batch(
         # Members sweep independently, so an eager namespace sweeps them
         # in blocks; a compiling one sweeps the whole population as one
         # jit unit of one shape.
-        block_size = pop if kernels.namespace.can_jit else _EAGER_BLOCK
+        size = pop if kernels.namespace.can_jit else _EAGER_BLOCK
         for sweep in range(max_iterations):
             active = errors > tolerance
             if not np.any(active):
                 break
-            for block in population_blocks(pop, block_size):
+            for block in population_blocks(pop, size):
                 moving[block] = kernels.to_numpy(
                     kernels.ccd_sweep(
                         moving[block],
@@ -508,12 +507,15 @@ def ccd_close_batch(
     closure = moving[:, n * _ATOMS:, :]
     closed_torsions = np.empty((pop, 2 * n))
 
-    def _measure(block: slice) -> None:
+    blocks = list(population_blocks(pop, -(-pop // _split(pop))))
+
+    def _measure(index: int) -> None:
+        block = blocks[index]
         closed_torsions[block] = backbone_torsions_batch(
             coords[block], target.n_anchor, closure[block]
         )
 
-    map_blocks(_measure, pop, -(-pop // _split(pop)))
+    map_members(_measure, len(blocks))
     return CCDResult(
         torsions=closed_torsions,
         coords=coords,

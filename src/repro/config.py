@@ -51,16 +51,6 @@ class SamplingConfig:
     closure_tolerance_factor:
         Multiple of ``ccd_tolerance`` a proposal's closure error may reach
         and still be accepted.
-    kernel_block_size:
-        Population members each batched scoring kernel processes per chunk,
-        so the pair temporaries stay cache-resident at paper-scale
-        populations.  The default of 128 members (the paper's threads per
-        block) was confirmed optimal by sweeping the paper-scale population
-        of 15,360 members (``benchmarks/test_block_size_sweep.py``): timings
-        are flat through 128–192, degrade from ~512 and are 1.5–1.8x slower
-        at >= 2,048 once the pair temporaries fall out of cache.  ``0``
-        selects the engine default
-        (:data:`repro.scoring.pairwise.DEFAULT_BLOCK_SIZE`).
     seed:
         Seed of the trajectory master RNG.
     """
@@ -78,7 +68,6 @@ class SamplingConfig:
     ccd_tolerance: float = 0.25
     require_closure: bool = True
     closure_tolerance_factor: float = 2.0
-    kernel_block_size: int = 128
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -101,8 +90,6 @@ class SamplingConfig:
             raise ValueError("ccd_iterations must be non-negative")
         if self.closure_tolerance_factor <= 0.0:
             raise ValueError("closure_tolerance_factor must be positive")
-        if self.kernel_block_size < 0:
-            raise ValueError("kernel_block_size must be >= 0 (0 selects the default)")
 
     @property
     def complex_size(self) -> int:

@@ -239,9 +239,7 @@ class BatchKernelAblationExperiment(Experiment):
     def execute(self, scale: Scale) -> ExperimentResult:
         config = self.config_for_scale(scale)
         target = get_target(self.target_name)
-        multi_score = default_multi_score(
-            target, block_size=config.kernel_block_size
-        )
+        multi_score = default_multi_score(target)
         rng = spawn_rng(self.seed, 11)
         model = RamachandranModel()
         torsions = model.sample_population(

@@ -74,9 +74,7 @@ class SimulatedAnnealingBaseline:
             if multi_score is None:
                 from repro.scoring import default_multi_score
 
-                multi_score = default_multi_score(
-                    target, block_size=self.config.kernel_block_size
-                )
+                multi_score = default_multi_score(target)
             objective = WeightedSumScore(multi_score)
         self.objective = objective
         if not (0.0 < cooling < 1.0):

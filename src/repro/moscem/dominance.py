@@ -52,9 +52,10 @@ before it (B = 1, no temporaries), and the counts, count sums and the one
 division per fitness run in C on the same integers.  A kernel bundle, or
 a host without a working compiler, runs the *generic* passes on the
 bundle's namespace (numpy without a compiler) with the same bits; only
-there is every temporary ``(F, B, K)`` or ``(B, N, K)``, bounded by
-``SamplingConfig.kernel_block_size`` along one axis.  No option selects a
-route.
+there is every temporary ``(F, B, K)`` or ``(B, N, K)``, bounded along
+one axis by the fixed block of
+:data:`~repro.scoring.pairwise.DEFAULT_BLOCK_SIZE` = 128 members.  No
+option selects a route.
 
 Non-finite scores
 -----------------
@@ -173,9 +174,7 @@ def _lexicographic_order(scores: np.ndarray) -> np.ndarray:
 
 
 def _front(
-    scores: np.ndarray,
-    block_size: Optional[int],
-    kernels: Optional["KernelBundle"] = None,
+    scores: np.ndarray, kernels: Optional["KernelBundle"] = None
 ) -> np.ndarray:
     """Indices of the non-dominated members, in lexicographic order.
 
@@ -188,7 +187,7 @@ def _front(
     front = np.empty(n, dtype=np.intp)
     front_scores = np.empty((n, k), dtype=np.float64)
     size = 0
-    for block in population_blocks(n, block_size):
+    for block in population_blocks(n):
         members = order[block]
         member_scores = scores[members]
         if size:
@@ -205,9 +204,7 @@ def _front(
 
 
 def _strength_pass(
-    scores: np.ndarray,
-    block_size: Optional[int],
-    kernels: Optional["KernelBundle"] = None,
+    scores: np.ndarray, kernels: Optional["KernelBundle"] = None
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Front indices, their integer domination counts and dominated indices.
 
@@ -215,13 +212,13 @@ def _strength_pass(
     over the dominated columns alone; they are integer sums, so the result
     does not depend on the block size.
     """
-    front = _front(scores, block_size, kernels)
+    front = _front(scores, kernels)
     is_dominated = np.ones(scores.shape[0], dtype=bool)
     is_dominated[front] = False
     dominated = np.flatnonzero(is_dominated)
     front_scores = scores[front]
     counts = np.zeros(front.size, dtype=np.int64)
-    for block in population_blocks(dominated.size, block_size):
+    for block in population_blocks(dominated.size):
         counts += _dominance_block(
             front_scores, scores[dominated[block]], kernels
         ).sum(axis=1)
@@ -229,9 +226,7 @@ def _strength_pass(
 
 
 def non_dominated_mask(
-    scores: np.ndarray,
-    block_size: Optional[int] = None,
-    kernels: Optional["KernelBundle"] = None,
+    scores: np.ndarray, kernels: Optional["KernelBundle"] = None
 ) -> np.ndarray:
     """Boolean mask of the members not dominated by any other member.
 
@@ -239,9 +234,6 @@ def non_dominated_mask(
     ----------
     scores:
         ``(N, K)`` score matrix.
-    block_size:
-        Chunk size (see :func:`repro.scoring.pairwise.population_blocks`)
-        of the generic front filter; its peak temporary is ``(F, B, K)``.
     kernels:
         Optional kernel bundle the block comparisons run through;
         ``None`` runs the compiled pass (or, with no compiler, the
@@ -252,14 +244,12 @@ def non_dominated_mask(
     if lib is not None:
         return _compiled_pass(lib.non_dominated_mask, scores)
     mask = np.zeros(scores.shape[0], dtype=bool)
-    mask[_front(scores, block_size, kernels)] = True
+    mask[_front(scores, kernels)] = True
     return mask
 
 
 def strength_fitness(
-    scores: np.ndarray,
-    block_size: Optional[int] = None,
-    kernels: Optional["KernelBundle"] = None,
+    scores: np.ndarray, kernels: Optional["KernelBundle"] = None
 ) -> np.ndarray:
     """Fitness of every member of a score set, per the paper's Eq. (1).
 
@@ -267,10 +257,6 @@ def strength_fitness(
     ----------
     scores:
         ``(N, K)`` score matrix.
-    block_size:
-        Population chunk size bounding the generic route's dominance
-        temporaries (``None`` or ``0`` selects the engine default); the
-        result is bit-identical for every value.
     kernels:
         Optional kernel bundle the block comparisons run through;
         ``None`` runs the compiled pass (or, with no compiler, the
@@ -293,7 +279,7 @@ def strength_fitness(
             lib.strength_fitness, scores, np.empty(n, dtype=np.int64), fitness
         )
         return fitness
-    front, counts, dominated = _strength_pass(scores, block_size, kernels)
+    front, counts, dominated = _strength_pass(scores, kernels)
 
     fitness = np.empty(n, dtype=np.float64)
     # Non-dominated: fitness equals own strength (< 1 by construction).
@@ -303,7 +289,7 @@ def strength_fitness(
     # accumulated on the integer domination counts and divided once —
     # exact, hence independent of the chunking.
     front_scores = scores[front]
-    for block in population_blocks(dominated.size, block_size):
+    for block in population_blocks(dominated.size):
         cols = dominated[block]
         dominators = _dominance_block(front_scores, scores[cols], kernels)
         count_sums = (counts[:, None] * dominators).sum(axis=0)
@@ -314,7 +300,6 @@ def strength_fitness(
 def fitness_against(
     reference_scores: np.ndarray,
     query_scores: np.ndarray,
-    block_size: Optional[int] = None,
     kernels: Optional["KernelBundle"] = None,
 ) -> np.ndarray:
     """Fitness of query conformations evaluated against a reference set.
@@ -331,10 +316,6 @@ def fitness_against(
     query_scores:
         ``(Q, K)`` scores of the query conformations, or one ``(K,)``
         query.
-    block_size:
-        Query chunk size bounding the generic route's cross-dominance
-        temporaries (``None`` or ``0`` selects the engine default); the
-        result is bit-identical for every value.
     kernels:
         Optional kernel bundle the block comparisons run through;
         ``None`` runs the compiled pass (or, with no compiler, the
@@ -375,11 +356,11 @@ def fitness_against(
         )
         return fitness
 
-    ref_front, ref_counts, _ = _strength_pass(reference_scores, block_size, kernels)
+    ref_front, ref_counts, _ = _strength_pass(reference_scores, kernels)
     front_scores = reference_scores[ref_front]
 
     fitness = np.empty(q, dtype=np.float64)
-    for block in population_blocks(q, block_size):
+    for block in population_blocks(q):
         queries = query_scores[block]
         # (F, B): front member i dominates query j of the block.  By
         # transitivity a query dominated by any reference member is

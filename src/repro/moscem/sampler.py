@@ -222,9 +222,7 @@ class MOSCEMSampler:
         if multi_score is None:
             from repro.scoring import default_multi_score
 
-            multi_score = default_multi_score(
-                target, block_size=self.config.kernel_block_size
-            )
+            multi_score = default_multi_score(target)
         self.multi_score = multi_score
         if backend is None:
             from repro.backends import make_backend

@@ -7,7 +7,7 @@ target from its registry name, constructs its own backend through
 through the file system — the only data crossing the process boundary are
 small picklable dicts (cell payloads in, cell summaries out), so the
 executor scales to decoy sets far larger than a pipe buffer.  Workers keep a process-level cache of assembled scoring
-stacks keyed by ``(target, block size)`` (targets and knowledge bases are
+stacks keyed by target name (targets and knowledge bases are
 already cached underneath), so a worker that executes many cells — or
 drains many campaigns in one daemon batch — pays the table-building cost
 once per target rather than once per trajectory.  A
@@ -291,7 +291,7 @@ def parallel_map(
 # ---------------------------------------------------------------------------
 
 
-#: Per-worker cache of assembled scoring stacks keyed by (target, block size).
+#: Per-worker cache of assembled scoring stacks keyed by target name.
 #: Scoring functions are bound to a target and hold only precomputed lookup
 #: tables, so sharing one stack across the cells a worker executes — within
 #: a campaign and across campaigns drained in one batch — is safe and skips
@@ -299,16 +299,13 @@ def parallel_map(
 _MULTI_SCORE_CACHE: Dict[Any, Any] = {}
 
 
-def _cached_multi_score(target_name: str, block_size: int) -> Any:
+def _cached_multi_score(target_name: str) -> Any:
     from repro.loops.targets import get_target
     from repro.scoring import default_multi_score
 
-    key = (target_name, int(block_size))
-    if key not in _MULTI_SCORE_CACHE:
-        _MULTI_SCORE_CACHE[key] = default_multi_score(
-            get_target(target_name), block_size=block_size
-        )
-    return _MULTI_SCORE_CACHE[key]
+    if target_name not in _MULTI_SCORE_CACHE:
+        _MULTI_SCORE_CACHE[target_name] = default_multi_score(get_target(target_name))
+    return _MULTI_SCORE_CACHE[target_name]
 
 
 def _build_sampler(cell: CellSpec) -> "MOSCEMSampler":
@@ -323,7 +320,7 @@ def _build_sampler(cell: CellSpec) -> "MOSCEMSampler":
 
     target = get_target(cell.target)
     config = cell.config
-    multi_score = _cached_multi_score(cell.target, config.kernel_block_size)
+    multi_score = _cached_multi_score(cell.target)
     backend = make_backend(cell.backend, target, multi_score, config)
     return MOSCEMSampler(
         target, config=config, multi_score=multi_score, backend=backend

@@ -55,9 +55,7 @@ __all__ = [
 DEFAULT_SCORERS = ("vdw", "triplet", "dist")
 
 
-def build_multi_score(
-    names, target, knowledge_base=None, block_size=None
-) -> MultiScore:
+def build_multi_score(names, target, knowledge_base=None) -> MultiScore:
     """Assemble a :class:`MultiScore` from scorer registry names.
 
     Parameters
@@ -71,23 +69,15 @@ def build_multi_score(
     knowledge_base:
         Optional pre-built :class:`KnowledgeBase`; the default synthetic one
         is used otherwise.
-    block_size:
-        Population chunk size of the batched kernels; ``None`` or ``0``
-        selects :data:`repro.scoring.pairwise.DEFAULT_BLOCK_SIZE`.
     """
     from repro.api.registry import SCORERS
 
     kb = knowledge_base if knowledge_base is not None else default_knowledge_base()
     return MultiScore(
-        [
-            SCORERS.create(name, target, knowledge_base=kb, block_size=block_size)
-            for name in names
-        ]
+        [SCORERS.create(name, target, knowledge_base=kb) for name in names]
     )
 
 
-def default_multi_score(target, knowledge_base=None, block_size=None) -> MultiScore:
+def default_multi_score(target, knowledge_base=None) -> MultiScore:
     """The paper's scoring-function set (VDW, TRIPLET, DIST) for a target."""
-    return build_multi_score(
-        DEFAULT_SCORERS, target, knowledge_base=knowledge_base, block_size=block_size
-    )
+    return build_multi_score(DEFAULT_SCORERS, target, knowledge_base=knowledge_base)

@@ -20,8 +20,6 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
-from repro.scoring.pairwise import resolve_block_size
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.xp.dispatch import KernelBundle
 
@@ -92,21 +90,6 @@ class ScoringFunction(abc.ABC):
         numpy.ndarray
             ``(P,)`` scores (lower is better).
         """
-
-    def resolved_block_size(self, population_size: int) -> Optional[int]:
-        """Population chunk size :meth:`evaluate_batch` will use, or ``None``.
-
-        This is the single source of truth the backends read for launch
-        accounting.  The default implementation mirrors the engine
-        scorers: a ``block_size`` attribute is resolved exactly the way
-        :func:`repro.scoring.pairwise.population_blocks` will resolve it;
-        scorers without one report ``None`` (no chunking).  Scorers with a
-        custom chunk policy should override this so profiling stays
-        truthful.
-        """
-        if not hasattr(self, "block_size"):
-            return None
-        return resolve_block_size(self.block_size, population_size)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.__class__.__name__}(name={self.name!r})"

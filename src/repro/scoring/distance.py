@@ -51,7 +51,6 @@ class DistanceScore(ScoringFunction):
         target: LoopTarget,
         knowledge_base: Optional[KnowledgeBase] = None,
         min_separation: int = 1,
-        block_size: Optional[int] = None,
     ) -> None:
         if min_separation < 1:
             raise ValueError("min_separation must be >= 1")
@@ -60,7 +59,6 @@ class DistanceScore(ScoringFunction):
             knowledge_base if knowledge_base is not None else default_knowledge_base()
         )
         self.min_separation = min_separation
-        self.block_size = block_size
 
         n = target.n_residues
         n_types = constants.BACKBONE_ATOMS_PER_RESIDUE
@@ -120,6 +118,5 @@ class DistanceScore(ScoringFunction):
             self._second,
             self._pair_tables,
             DISTANCE_SQ_EDGES,
-            block_size=self.block_size,
             kernels=self.kernels,
         )

@@ -18,9 +18,9 @@ paths are built on:
   ``tests/env_oracle.py``) because the excluded pairs contribute exact
   zeros in the same accumulation order.
 * **Population chunking** — :func:`population_blocks` splits a population
-  into blocks of a tunable size so the pair temporaries stay cache-resident
-  at paper-scale populations (15,360 members).  The default block of 128
-  members deliberately matches the paper's 128 threads per block.
+  into blocks of :data:`DEFAULT_BLOCK_SIZE` = 128 members, the paper's
+  threads per block, so the generic kernels' pair temporaries stay
+  cache-resident at paper-scale populations (15,360 members).
 * **Member threads** — the blocks of every block loop are mapped over one
   process-wide thread pool (:func:`map_blocks`), each block writing only
   its own rows of the totals; CCD maps its member stripes over the same
@@ -78,7 +78,6 @@ _XP = numpy_namespace()
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
-    "resolve_block_size",
     "population_blocks",
     "member_thread_count",
     "member_threads",
@@ -95,38 +94,20 @@ __all__ = [
     "EnvironmentGrid",
 ]
 
-#: Default number of population members processed per chunk (the paper's
-#: thread-block size).
+#: Population members per block of every block loop: the paper's
+#: threads per block.  Fixed, not derived from the member-thread count: a
+#: one-member block adds its VDW terms in two lanes (see
+#: :func:`_indexed_penalty_block`), so a partition that followed the
+#: thread count would make bits depend on it.
 DEFAULT_BLOCK_SIZE: int = 128
 
 
-def resolve_block_size(block_size: Optional[int], population_size: int) -> int:
-    """The effective chunk size: ``block_size`` if positive, else the default.
-
-    Never larger than the population and never smaller than one, so callers
-    can pass user configuration (where ``0`` means "auto") straight through.
-    """
-    if block_size is None or block_size <= 0:
-        block_size = DEFAULT_BLOCK_SIZE
-    return max(1, min(int(block_size), int(population_size)))
-
-
 def population_blocks(
-    population_size: int, block_size: Optional[int] = None
+    population_size: int, size: Optional[int] = None
 ) -> Iterator[slice]:
-    """Yield slices covering ``[0, population_size)`` in chunks.
-
-    Parameters
-    ----------
-    population_size:
-        Number of population members to cover.
-    block_size:
-        Members per chunk; ``None`` or ``<= 0`` selects
-        :data:`DEFAULT_BLOCK_SIZE`.
-    """
-    if population_size <= 0:
-        return
-    step = resolve_block_size(block_size, population_size)
+    """Yield slices covering ``[0, population_size)`` in blocks of ``size``
+    members (:data:`DEFAULT_BLOCK_SIZE`, read at call time, by default)."""
+    step = DEFAULT_BLOCK_SIZE if size is None else size
     for start in range(0, population_size, step):
         yield slice(start, min(start + step, population_size))
 
@@ -249,13 +230,9 @@ def map_members(fn: Callable[[int], None], count: int) -> None:
         future.result()
 
 
-def map_blocks(
-    fn: Callable[[slice], None],
-    population_size: int,
-    block_size: Optional[int] = None,
-) -> None:
+def map_blocks(fn: Callable[[slice], None], population_size: int) -> None:
     """:func:`map_members` over the :func:`population_blocks` slices."""
-    blocks: List[slice] = list(population_blocks(population_size, block_size))
+    blocks: List[slice] = list(population_blocks(population_size))
     map_members(lambda index: fn(blocks[index]), len(blocks))
 
 
@@ -352,10 +329,10 @@ def indexed_penalty_sum(
     first: np.ndarray,
     second: np.ndarray,
     sq_contacts: np.ndarray,
-    block_size: Optional[int] = None,
     kernels: Optional["KernelBundle"] = None,
 ) -> np.ndarray:
-    """Per-member soft-sphere penalty sum over indexed pairs, chunked.
+    """Per-member soft-sphere penalty sum over indexed pairs, in
+    :func:`population_blocks`.
 
     Parameters
     ----------
@@ -367,8 +344,6 @@ def indexed_penalty_sum(
         ``points_b`` respectively.
     sq_contacts:
         ``(len(first),)`` squared contact radii per pair.
-    block_size:
-        Population chunk size (see :func:`population_blocks`).
     kernels:
         Optional :class:`~repro.xp.dispatch.KernelBundle` the per-block
         pair math runs through; ``None`` (the default) runs the compiled
@@ -415,7 +390,7 @@ def indexed_penalty_sum(
                     )
                 )
 
-    map_blocks(_block, pop, block_size)
+    map_blocks(_block, pop)
     return totals
 
 
@@ -562,7 +537,6 @@ def binned_table_sum(
     second: np.ndarray,
     pair_tables: np.ndarray,
     sq_edges: np.ndarray,
-    block_size: Optional[int] = None,
     kernels: Optional["KernelBundle"] = None,
 ) -> np.ndarray:
     """Per-member sum of table values selected by squared-distance binning.
@@ -587,8 +561,6 @@ def binned_table_sum(
         out-of-range pairs can be given a neutral (zero) value.
     sq_edges:
         ``(n_bins + 1,)`` squared bin edges from :func:`squared_bin_edges`.
-    block_size:
-        Population chunk size (see :func:`population_blocks`).
     kernels:
         Optional :class:`~repro.xp.dispatch.KernelBundle` the per-block
         gather runs through; ``None`` runs the compiled ``binned_sum``
@@ -639,7 +611,7 @@ def binned_table_sum(
                     )
                 )
 
-    map_blocks(_block, pop, block_size)
+    map_blocks(_block, pop)
     return totals
 
 
@@ -796,7 +768,6 @@ class EnvironmentGrid:
         self,
         probes: np.ndarray,
         sq_contacts: np.ndarray,
-        block_size: Optional[int] = None,
     ) -> np.ndarray:
         """Per-member soft-sphere penalty of probes against the environment.
 
@@ -815,8 +786,6 @@ class EnvironmentGrid:
             each environment atom.  The grid cutoff must be at least the
             largest corresponding metric contact, otherwise pruning could
             drop pairs with non-zero penalty.
-        block_size:
-            Population chunk size (see :func:`population_blocks`).
         """
         probes = np.ascontiguousarray(probes, dtype=np.float64)
         if probes.ndim != 3 or probes.shape[2] != 3:
@@ -858,5 +827,5 @@ class EnvironmentGrid:
                     probe_ids // slots, weights=penalties, minlength=members
                 )
 
-        map_blocks(_block, pop, block_size)
+        map_blocks(_block, pop)
         return totals

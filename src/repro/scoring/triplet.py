@@ -38,13 +38,11 @@ class TripletScore(ScoringFunction):
         self,
         target: LoopTarget,
         knowledge_base: Optional[KnowledgeBase] = None,
-        block_size: Optional[int] = None,
     ) -> None:
         self.target = target
         self.knowledge_base = (
             knowledge_base if knowledge_base is not None else default_knowledge_base()
         )
-        self.block_size = block_size
         seq = target.sequence
         n = len(seq)
         # Pre-compute the triplet class of every loop residue.  Residues at
@@ -76,7 +74,7 @@ class TripletScore(ScoringFunction):
         pop = torsions.shape[0]
         totals = np.empty(pop, dtype=np.float64)
         residue_idx = np.arange(len(self._classes))[None, :]
-        for block in population_blocks(pop, self.block_size):
+        for block in population_blocks(pop):
             phi_bins = torsion_bin(torsions[block, 0::2])  # (B, n)
             psi_bins = torsion_bin(torsions[block, 1::2])  # (B, n)
             values = self._tables[residue_idx, phi_bins, psi_bins]  # (B, n)

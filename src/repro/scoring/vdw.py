@@ -79,7 +79,6 @@ class SoftSphereVDW(ScoringFunction):
         target: LoopTarget,
         tolerance: float = constants.SOFT_SPHERE_TOLERANCE,
         min_residue_separation: int = 2,
-        block_size: Optional[int] = None,
     ) -> None:
         if not (0.0 < tolerance <= 1.0):
             raise ValueError("tolerance must be in (0, 1]")
@@ -88,7 +87,6 @@ class SoftSphereVDW(ScoringFunction):
         self.target = target
         self.tolerance = tolerance
         self.min_residue_separation = min_residue_separation
-        self.block_size = block_size
 
         n = target.n_residues
         n_types = constants.BACKBONE_ATOMS_PER_RESIDUE
@@ -215,17 +213,17 @@ class SoftSphereVDW(ScoringFunction):
         # Loop atom - loop atom.
         total = indexed_penalty_sum(
             flat, flat, self._aa_first, self._aa_second,
-            self._aa_sq_contact, self.block_size, kernels=self.kernels,
+            self._aa_sq_contact, kernels=self.kernels,
         )
         # Centroid - centroid.
         total += indexed_penalty_sum(
             centroids, centroids, self._cc_first, self._cc_second,
-            self._cc_sq_contact, self.block_size, kernels=self.kernels,
+            self._cc_sq_contact, kernels=self.kernels,
         )
         # Loop atom - centroid.
         total += indexed_penalty_sum(
             flat, centroids, self._ac_atom, self._ac_cen,
-            self._ac_sq_contact, self.block_size, kernels=self.kernels,
+            self._ac_sq_contact, kernels=self.kernels,
         )
 
         # Loop atoms / centroids against the protein environment, pruned
@@ -234,11 +232,7 @@ class SoftSphereVDW(ScoringFunction):
         # this term runs the compiled pass (or its numpy form) on every
         # backend, kernel bundles included.
         if self._env_grid is not None:
-            total += self._env_grid.penalty_sum(
-                flat, self._env_atom_sq_contact, self.block_size
-            )
-            total += self._env_grid.penalty_sum(
-                centroids, self._env_cen_sq_contact, self.block_size
-            )
+            total += self._env_grid.penalty_sum(flat, self._env_atom_sq_contact)
+            total += self._env_grid.penalty_sum(centroids, self._env_cen_sq_contact)
 
         return total

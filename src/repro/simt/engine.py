@@ -57,38 +57,23 @@ class SIMTEngine:
         population_size: int,
         fn: Callable[..., Any],
         *args: Any,
-        block_size: Optional[int] = None,
         **kwargs: Any,
     ) -> Any:
         """Execute ``fn`` as a kernel launch over ``population_size`` threads.
 
         The callable is executed once (it is expected to be vectorised over
         the population), timed by the profiler's ledger under the kernel's
-        section name.
-        ``block_size`` documents the population chunk size the kernel body
-        processes internally, so the recorded launch stays truthful about
-        the chunked execution.  Returns whatever ``fn`` returns.
+        section name.  Returns whatever ``fn`` returns.
         """
         if population_size <= 0:
             raise ValueError("population_size must be positive")
         blocks = self.device.blocks_for_population(
             population_size, spec.threads_per_block
         )
-        if block_size is not None and block_size > 0:
-            chunks = -(-population_size // block_size)
-        else:
-            block_size = None
-            chunks = 1
         with self.profiler.ledger.section(spec.section):
             result = fn(*args, **kwargs)
         self.profiler.record_launch(
-            KernelLaunch(
-                spec=spec,
-                population_size=population_size,
-                blocks=blocks,
-                block_size=block_size,
-                chunks=chunks,
-            )
+            KernelLaunch(spec=spec, population_size=population_size, blocks=blocks)
         )
         return result
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 __all__ = ["KernelSpec", "KernelLaunch", "PAPER_KERNELS", "KERNELS_BY_SECTION"]
 
@@ -48,19 +47,11 @@ class KernelSpec:
 
 @dataclass
 class KernelLaunch:
-    """The geometry of one kernel launch (its time lives in the ledger).
-
-    ``block_size``/``chunks`` record how the host-side vectorised kernel
-    body actually partitioned the population (``None``/1 when it processed
-    everything in one sweep), so profiling tables reflect the chunked
-    execution truthfully rather than pretending one monolithic pass.
-    """
+    """The geometry of one kernel launch (its time lives in the ledger)."""
 
     spec: KernelSpec
     population_size: int
     blocks: int
-    block_size: Optional[int] = None
-    chunks: int = 1
 
     @property
     def threads(self) -> int:

@@ -13,8 +13,6 @@ bit.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.scoring.pairwise import (
@@ -36,7 +34,6 @@ def penalty_sum(
     grid: EnvironmentGrid,
     probes: np.ndarray,
     sq_contacts: np.ndarray,
-    block_size: Optional[int] = None,
 ) -> np.ndarray:
     """``grid.penalty_sum`` over every (probe, atom) pair."""
     probes = np.asarray(probes, dtype=np.float64)
@@ -44,7 +41,7 @@ def penalty_sum(
     totals = np.zeros(pop, dtype=np.float64)
     if grid.n_atoms == 0 or slots == 0:
         return totals
-    for block in population_blocks(pop, block_size):
+    for block in population_blocks(pop):
         chunk = probes[block]
         members = chunk.shape[0]
         flat = chunk.reshape(members * slots, 3)
@@ -67,21 +64,17 @@ def soft_sphere_vdw(scorer, coords: np.ndarray) -> np.ndarray:
     flat = coords.reshape(pop, -1, 3)
     centroids = scorer._centroids(coords)
     total = indexed_penalty_sum(
-        flat, flat, scorer._aa_first, scorer._aa_second, scorer._aa_sq_contact,
-        scorer.block_size,
+        flat, flat, scorer._aa_first, scorer._aa_second, scorer._aa_sq_contact
     )
     total += indexed_penalty_sum(
         centroids, centroids, scorer._cc_first, scorer._cc_second,
-        scorer._cc_sq_contact, scorer.block_size,
+        scorer._cc_sq_contact,
     )
     total += indexed_penalty_sum(
-        flat, centroids, scorer._ac_atom, scorer._ac_cen, scorer._ac_sq_contact,
-        scorer.block_size,
+        flat, centroids, scorer._ac_atom, scorer._ac_cen, scorer._ac_sq_contact
     )
     grid = scorer._env_grid
     if grid is not None:
-        total += penalty_sum(grid, flat, scorer._env_atom_sq_contact, scorer.block_size)
-        total += penalty_sum(
-            grid, centroids, scorer._env_cen_sq_contact, scorer.block_size
-        )
+        total += penalty_sum(grid, flat, scorer._env_atom_sq_contact)
+        total += penalty_sum(grid, centroids, scorer._env_cen_sq_contact)
     return total

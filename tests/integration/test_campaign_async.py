@@ -42,7 +42,7 @@ from repro.api import (
 )
 from repro.cli import campaign_main, daemon_main
 from repro.config import SamplingConfig
-from repro.runtime import RunStore, ShardFailure, run_cell
+from repro.runtime import RunStore, RunStoreError, ShardFailure, run_cell
 
 SMOKE_CONFIG = SamplingConfig(population_size=16, n_complexes=4, iterations=4)
 
@@ -149,6 +149,34 @@ class TestSubmitAndDrain:
         assert drain_once(store, workers=1, progress=lambda _l: None).executed == 4
         again = drain_once(store, workers=1, progress=lambda _l: None)
         assert again.executed == 0 and again.idle
+
+    def test_drain_skips_runs_naming_the_retired_block_size(self, store_root):
+        """A manifest written while ``kernel_block_size`` was a sampling
+        field no longer loads (the error names the field); the daemon skips
+        that run and drains the others in the store."""
+        store = RunStore(store_root)
+        Session(store).submit(
+            _smoke_campaign(campaign_id="blocked", seeds=1, targets="1cex(40:51)")
+        )
+        path = store.run_dir("blocked") / RunStore.MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        for entry in manifest["spec"]["configs"] + manifest["cells"]:
+            entry["config"]["kernel_block_size"] = 128
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(RunStoreError, match="kernel_block_size"):
+            store.load_manifest("blocked")
+
+        handle = Session(store).submit(
+            _smoke_campaign(campaign_id="fresh", seeds=1, targets="1cex(40:51)")
+        )
+        lines = []
+        report = drain_once(store, workers=1, progress=lines.append)
+        assert report.executed == 1 and report.failed == 0
+        assert report.campaigns == ["fresh"]
+        assert handle.status().complete
+        skipped = [line for line in lines if line.startswith("blocked:")]
+        assert len(skipped) == 1
+        assert "skipping" in skipped[0] and "kernel_block_size" in skipped[0]
 
     def test_drain_skips_retired_single_target_runs(self, store_root):
         """A format-1 manifest (the retired single-target batch CLI) next

@@ -139,6 +139,16 @@ class TestErrors:
             client.submit({"campaign": {"id": "x"}})  # no targets/configs
         assert excinfo.value.status == 400
 
+    def test_retired_block_size_field_is_400(self, served):
+        client, store = served
+        document = _document(campaign_id="blocked")
+        document["configs"]["tiny"]["kernel_block_size"] = 128
+        with pytest.raises(ServeError) as excinfo:
+            client.submit(document)
+        assert excinfo.value.status == 400
+        assert "kernel_block_size" in str(excinfo.value)
+        assert store.list_runs() == []
+
     def test_non_positive_iterations_is_400(self, served):
         client, store = served
         with pytest.raises(ServeError) as excinfo:

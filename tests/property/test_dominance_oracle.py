@@ -6,7 +6,7 @@ all-pairs streaming passes it replaced.  The two must agree bit for bit
 (``np.array_equal``) on every score set the sampler can produce or an
 adversary can build — ties, duplicates, an all-front population, a single
 member, an empty set, NaN and ±inf — for K = 1..4 objectives, at every
-block size, on all three implementations: the compiled passes (no kernel
+block size (``pairwise.DEFAULT_BLOCK_SIZE``), on all three implementations: the compiled passes (no kernel
 bundle), the generic passes on numpy (no bundle and no compiler) and the
 generic passes through the numpy bundle.
 """
@@ -28,6 +28,7 @@ from repro.moscem.dominance import (
     non_dominated_mask,
     strength_fitness,
 )
+from repro.scoring import pairwise
 from repro.xp import numpy_kernels
 
 BLOCK_SIZES = [1, 2, 7, 128, None]
@@ -84,18 +85,20 @@ def assert_matches_oracle(scores: np.ndarray, queries: np.ndarray) -> None:
         with route:
             for block_size in BLOCK_SIZES:
                 args = dict(block_size=block_size, kernels=kernels)
-                assert np.array_equal(
-                    non_dominated_mask(scores, **args),
-                    oracle.non_dominated_mask(scores, **args),
-                )
-                assert np.array_equal(
-                    strength_fitness(scores, **args),
-                    oracle.strength_fitness(scores, **args),
-                )
-                assert np.array_equal(
-                    fitness_against(scores, stacked, **args),
-                    oracle.fitness_against(scores, stacked, **args),
-                )
+                size = block_size or pairwise.DEFAULT_BLOCK_SIZE
+                with mock.patch.object(pairwise, "DEFAULT_BLOCK_SIZE", size):
+                    assert np.array_equal(
+                        non_dominated_mask(scores, kernels=kernels),
+                        oracle.non_dominated_mask(scores, **args),
+                    )
+                    assert np.array_equal(
+                        strength_fitness(scores, kernels=kernels),
+                        oracle.strength_fitness(scores, **args),
+                    )
+                    assert np.array_equal(
+                        fitness_against(scores, stacked, kernels=kernels),
+                        oracle.fitness_against(scores, stacked, **args),
+                    )
 
 
 @settings(max_examples=60, deadline=None)

@@ -26,20 +26,22 @@ from repro.backends.gpu import BatchedBackend
 from repro.config import SamplingConfig
 from repro.loops.ramachandran import RamachandranModel
 from repro.moscem.sampler import MOSCEMSampler
-from repro.scoring import default_multi_score
+from repro.scoring import default_multi_score, pairwise
 from repro.scoring.pairwise import using_member_threads
 from repro.xp import numpy_kernels
 
-CONFIG = SamplingConfig(
-    population_size=96, n_complexes=4, iterations=3, seed=11, kernel_block_size=7
-)
+CONFIG = SamplingConfig(population_size=96, n_complexes=4, iterations=3, seed=11)
 SCORERS = ("EvalVDW", "EvalDIST", "EvalTRIP")
 
 
+@pytest.fixture(autouse=True)
+def small_blocks(monkeypatch):
+    """Blocks of 7 members, so the scored subsets span several blocks."""
+    monkeypatch.setattr(pairwise, "DEFAULT_BLOCK_SIZE", 7)
+
+
 def _sampler(target, knowledge_base, config, kind="gpu"):
-    multi = default_multi_score(
-        target, knowledge_base=knowledge_base, block_size=config.kernel_block_size
-    )
+    multi = default_multi_score(target, knowledge_base=knowledge_base)
     backend = make_backend(kind, target, multi, config)
     return MOSCEMSampler(target, config, backend=backend)
 

@@ -17,6 +17,7 @@ when the wheel is not installed.
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from repro.moscem.dominance import (
     non_dominated_mask,
     strength_fitness,
 )
+from repro.scoring import pairwise
 from repro.scoring.pairwise import (
     binned_table_sum,
     indexed_penalty_sum,
@@ -106,40 +108,26 @@ class TestNamespaceMachinery:
 class TestPairwiseBitIdentity:
     @pytest.mark.parametrize("block_size", BLOCK_SIZES)
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_indexed_penalty_sum(self, rng, kernels, block_size, dtype):
+    def test_indexed_penalty_sum(self, rng, kernels, block_size, dtype, monkeypatch):
+        monkeypatch.setattr(pairwise, "DEFAULT_BLOCK_SIZE", block_size)
         points, first, second = _pair_problem(rng, dtype=dtype)
         sq_contacts = (rng.uniform(0.5, 4.0, size=first.size) ** 2)
-        baseline = indexed_penalty_sum(
-            points, points, first, second, sq_contacts, block_size=block_size
-        )
+        baseline = indexed_penalty_sum(points, points, first, second, sq_contacts)
         routed = indexed_penalty_sum(
-            points,
-            points,
-            first,
-            second,
-            sq_contacts,
-            block_size=block_size,
-            kernels=kernels,
+            points, points, first, second, sq_contacts, kernels=kernels
         )
         assert baseline.dtype == routed.dtype
         np.testing.assert_array_equal(baseline, routed)
 
     @pytest.mark.parametrize("block_size", BLOCK_SIZES)
-    def test_binned_table_sum(self, rng, kernels, block_size):
+    def test_binned_table_sum(self, rng, kernels, block_size, monkeypatch):
+        monkeypatch.setattr(pairwise, "DEFAULT_BLOCK_SIZE", block_size)
         points, first, second = _pair_problem(rng)
         tables = rng.normal(size=(first.size, 8))
         sq_edges = squared_bin_edges(10.0, 8)
-        baseline = binned_table_sum(
-            points, first, second, tables, sq_edges, block_size=block_size
-        )
+        baseline = binned_table_sum(points, first, second, tables, sq_edges)
         routed = binned_table_sum(
-            points,
-            first,
-            second,
-            tables,
-            sq_edges,
-            block_size=block_size,
-            kernels=kernels,
+            points, first, second, tables, sq_edges, kernels=kernels
         )
         np.testing.assert_array_equal(baseline, routed)
 
@@ -158,14 +146,15 @@ class TestDominanceBitIdentity:
     def test_masks_and_fitness_match(self, scores):
         kernels = numpy_kernels()
         for block_size in BLOCK_SIZES:
-            np.testing.assert_array_equal(
-                non_dominated_mask(scores, block_size=block_size),
-                non_dominated_mask(scores, block_size=block_size, kernels=kernels),
-            )
-            np.testing.assert_array_equal(
-                strength_fitness(scores, block_size=block_size),
-                strength_fitness(scores, block_size=block_size, kernels=kernels),
-            )
+            with mock.patch.object(pairwise, "DEFAULT_BLOCK_SIZE", block_size):
+                np.testing.assert_array_equal(
+                    non_dominated_mask(scores),
+                    non_dominated_mask(scores, kernels=kernels),
+                )
+                np.testing.assert_array_equal(
+                    strength_fitness(scores),
+                    strength_fitness(scores, kernels=kernels),
+                )
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -174,10 +163,11 @@ class TestDominanceBitIdentity:
     )
     def test_fitness_against_matches(self, reference, queries):
         kernels = numpy_kernels()
-        np.testing.assert_array_equal(
-            fitness_against(reference, queries, block_size=4),
-            fitness_against(reference, queries, block_size=4, kernels=kernels),
-        )
+        with mock.patch.object(pairwise, "DEFAULT_BLOCK_SIZE", 4):
+            np.testing.assert_array_equal(
+                fitness_against(reference, queries),
+                fitness_against(reference, queries, kernels=kernels),
+            )
 
     def test_ties_and_duplicates(self, kernels):
         """Duplicate rows dominate nothing and nobody — the mask must

@@ -319,6 +319,30 @@ class TestCampaignBuilders:
         pytest.importorskip("tomllib")
         assert load_campaign(toml_path) == from_json
 
+    def test_retired_block_size_field_rejected(self, tmp_path):
+        """The population block is fixed, not configuration: a campaign
+        naming ``kernel_block_size`` is rejected as a dict and as TOML."""
+        config = {"population_size": 16, "n_complexes": 4, "kernel_block_size": 128}
+        with pytest.raises(ValueError, match="unknown sampling fields.*kernel_block_size"):
+            campaign("b", targets="1cex(40:51)", configs={"c": config})
+        toml_path = tmp_path / "c.toml"
+        toml_path.write_text(
+            "\n".join(
+                [
+                    "[campaign]",
+                    'id = "file"',
+                    'targets = ["1cex(40:51)"]',
+                    "[configs.default]",
+                    "population_size = 16",
+                    "n_complexes = 4",
+                    "kernel_block_size = 128",
+                ]
+            )
+        )
+        pytest.importorskip("tomllib")
+        with pytest.raises(ValueError, match="unknown sampling fields.*kernel_block_size"):
+            load_campaign(toml_path)
+
     def test_example_table_iv_document_loads(self):
         pytest.importorskip("tomllib")
         from pathlib import Path

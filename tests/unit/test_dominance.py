@@ -11,6 +11,8 @@ from repro.moscem.dominance import (
     non_dominated_mask,
     strength_fitness,
 )
+from repro.scoring import pairwise
+from repro.xp import numpy_kernels
 
 
 class TestDominates:
@@ -149,37 +151,47 @@ class TestFitnessAgainst:
 
 
 class TestChunkedFitnessKernels:
-    """The chunked kernels are bit-identical to the dense (one-block) path."""
+    """The generic (chunked) passes are bit-identical to the compiled
+    ones, which walk the members one by one, whatever the partition.
+    Blocks are set through ``pairwise.DEFAULT_BLOCK_SIZE``; ``0`` and
+    ``None`` keep the fixed 128."""
 
     def _scores(self, n, k=3, seed=0):
         rng = np.random.default_rng(seed)
         # Rounding forces ties, exercising the <=-but-not-< branches.
         return np.round(rng.normal(size=(n, k)), 1)
 
+    @staticmethod
+    def _partition(monkeypatch, block_size):
+        if block_size:
+            monkeypatch.setattr(pairwise, "DEFAULT_BLOCK_SIZE", block_size)
+
     @pytest.mark.parametrize("block_size", [1, 2, 7, 64, 128, 0, None])
-    def test_strength_fitness_block_invariant(self, block_size):
+    def test_strength_fitness_block_invariant(self, block_size, monkeypatch):
         scores = self._scores(150)
-        dense = strength_fitness(scores, block_size=10_000)
-        assert np.array_equal(strength_fitness(scores, block_size=block_size), dense)
+        compiled = strength_fitness(scores)
+        self._partition(monkeypatch, block_size)
+        assert np.array_equal(strength_fitness(scores, kernels=numpy_kernels()), compiled)
 
     @pytest.mark.parametrize("block_size", [1, 3, 8, 0, None])
-    def test_fitness_against_block_invariant(self, block_size):
+    def test_fitness_against_block_invariant(self, block_size, monkeypatch):
         reference = self._scores(90, seed=1)
         queries = self._scores(37, seed=2)
-        dense = fitness_against(reference, queries, block_size=10_000)
+        compiled = fitness_against(reference, queries)
+        self._partition(monkeypatch, block_size)
         assert np.array_equal(
-            fitness_against(reference, queries, block_size=block_size), dense
+            fitness_against(reference, queries, kernels=numpy_kernels()), compiled
         )
 
     @pytest.mark.parametrize("block_size", [1, 5, 0])
-    def test_non_dominated_mask_block_invariant(self, block_size):
+    def test_non_dominated_mask_block_invariant(self, block_size, monkeypatch):
         scores = self._scores(120, seed=3)
-        assert np.array_equal(
-            non_dominated_mask(scores, block_size=block_size),
-            non_dominated_mask(scores),
-        )
+        compiled = non_dominated_mask(scores)
+        self._partition(monkeypatch, block_size)
+        assert np.array_equal(non_dominated_mask(scores, kernels=numpy_kernels()), compiled)
 
-    def test_chunked_matches_dominance_matrix_definition(self):
+    def test_chunked_matches_dominance_matrix_definition(self, monkeypatch):
+        self._partition(monkeypatch, 9)
         scores = self._scores(60, seed=4)
         dom = dominance_matrix(scores)
         nd = ~np.any(dom, axis=0)
@@ -190,17 +202,19 @@ class TestChunkedFitnessKernels:
             1.0 + (counts[:, None] * (dom & nd[:, None])).sum(axis=0) / 60.0,
         )
         np.testing.assert_allclose(
-            strength_fitness(scores, block_size=9), expected, atol=1e-12
+            strength_fitness(scores), expected, atol=1e-12
         )
 
-    def test_front_identification_preserved(self):
+    def test_front_identification_preserved(self, monkeypatch):
+        self._partition(monkeypatch, 16)
         scores = self._scores(200, seed=5)
-        fitness = strength_fitness(scores, block_size=16)
+        fitness = strength_fitness(scores)
         assert np.array_equal(fitness < 1.0, non_dominated_mask(scores))
 
-    def test_empty_and_single(self):
-        assert strength_fitness(np.zeros((0, 3)), block_size=4).shape == (0,)
-        assert strength_fitness(np.zeros((1, 3)), block_size=4)[0] == 0.0
+    def test_empty_and_single(self, monkeypatch):
+        self._partition(monkeypatch, 4)
+        assert strength_fitness(np.zeros((0, 3))).shape == (0,)
+        assert strength_fitness(np.zeros((1, 3)))[0] == 0.0
 
 
 class TestNonFiniteScores:

@@ -5,7 +5,8 @@ cores the cell owns, without changing a bit.
   task runs once, errors surface after all tasks finished, a nested map
   runs inline;
 * VDW, DIST and TRIP totals at 1, 2 and 3 threads are ``np.array_equal``
-  on populations that are not multiples of the block size, and so is a
+  on populations that are not multiples of the block size, crowded ones
+  included, on the compiled and the generic route, and so is a
   fixed-seed trajectory;
 * the slot rule: a cell's thread count is ``max(1, cores // slots)``,
   where a leased daemon's slots count the workers of live sibling
@@ -48,6 +49,7 @@ from repro.obs.trace import Tracer
 from repro.runtime import RunStore
 from repro.scoring import default_multi_score, pairwise
 from repro.scoring.pairwise import (
+    DEFAULT_BLOCK_SIZE,
     map_members,
     member_thread_count,
     member_threads,
@@ -55,6 +57,7 @@ from repro.scoring.pairwise import (
 )
 from repro.serve.leases import LeaseManager
 from repro.utils.timing import TimingLedger
+from repro.xp import numpy_kernels
 
 THREADS = (1, 2, 3)
 TINY = SamplingConfig(population_size=16, n_complexes=4, iterations=1)
@@ -133,28 +136,50 @@ class TestMapMembers:
 class TestScoringTotals:
     """Per-member totals do not depend on the member-thread count."""
 
-    @pytest.mark.parametrize("pop, block_size", [(1, None), (300, None), (45, 7)])
+    @pytest.mark.parametrize(
+        "pop, block, squeeze",
+        [(1, None, 1.0), (300, None, 1.0), (45, 7, 1.0), (3, None, 0.35), (129, None, 0.35)],
+        ids=["1-None", "300-None", "45-7", "3-crowded", "129-crowded"],
+    )
     def test_totals_bit_identical_across_threads(
-        self, paper_target, knowledge_base, pop, block_size
+        self, paper_target, knowledge_base, pop, block, squeeze, monkeypatch
     ):
-        multi = default_multi_score(
-            paper_target, knowledge_base=knowledge_base, block_size=block_size
-        )
+        """One set of bits on every thread count, on the compiled and the
+        generic route.  Crowded members (squeezed toward their centroid:
+        hundreds of overlapping pairs each) show the partition in their
+        VDW sum order: a one-member block adds in two lanes, a larger block
+        one by one.  The partition is the fixed 128 whatever the thread
+        count, so 3 members are one block, and at 129 the last member is a
+        block of its own, scored as :meth:`evaluate` scores it."""
+        if block is not None:
+            monkeypatch.setattr(pairwise, "DEFAULT_BLOCK_SIZE", block)
         torsions = RamachandranModel().sample_population(
             paper_target.sequence, pop, np.random.default_rng(pop)
         )
         coords, _closure = paper_target.build_batch(torsions)
-        totals = {}
-        for threads in THREADS:
-            with using_member_threads(threads):
-                totals[threads] = [
-                    fn.evaluate_batch(coords, torsions) for fn in multi.functions
-                ]
+        centre = coords.mean(axis=(1, 2), keepdims=True)
+        coords = centre + squeeze * (coords - centre)
+        totals = []
+        for kernels in (None, numpy_kernels()):
+            multi = default_multi_score(paper_target, knowledge_base=knowledge_base)
+            for fn in multi.functions:
+                fn.use_kernels(kernels)
+            for threads in THREADS:
+                with using_member_threads(threads):
+                    totals.append([fn.evaluate_batch(coords, torsions) for fn in multi])
         names = [type(fn).__name__ for fn in multi.functions]
-        assert {"SoftSphereVDW", "DistanceScore", "TripletScore"} <= set(names)
-        for threads in THREADS[1:]:
-            for name, one, many in zip(names, totals[1], totals[threads]):
-                assert np.array_equal(one, many), (name, threads)
+        assert names[0] == "SoftSphereVDW"
+        assert {"DistanceScore", "TripletScore"} <= set(names)
+        for run, other in enumerate(totals[1:], 1):
+            for name, one, many in zip(names, totals[0], other):
+                assert np.array_equal(one, many), (name, run)
+        if squeeze < 1.0:
+            vdw = multi.functions[0]
+            last = vdw.evaluate(coords[-1], torsions[-1])
+            # The case tells the two sum orders apart ...
+            assert vdw.evaluate_batch(coords[-2:], torsions[-2:])[1] != last
+            if pop > DEFAULT_BLOCK_SIZE:  # ... and the last block holds one member.
+                assert totals[0][0][-1] == last
 
 
 def test_fixed_seed_trajectory_identical_across_threads(

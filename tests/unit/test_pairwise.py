@@ -6,20 +6,22 @@ bit-identity with the dense path), and the scalar/batched equivalence of
 all three scoring functions on random populations.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import env_oracle
 from repro.backends import make_backend
 from repro.config import SamplingConfig
-from repro.scoring import default_multi_score
+from repro.loops.ramachandran import RamachandranModel
+from repro.scoring import default_multi_score, pairwise
 from repro.scoring.distance import DistanceScore
 from repro.scoring.knowledge import DISTANCE_BINS, DISTANCE_MAX, distance_bin
 from repro.scoring.pairwise import (
     DEFAULT_BLOCK_SIZE,
     EnvironmentGrid,
     population_blocks,
-    resolve_block_size,
     soft_sphere_penalty_sq,
     squared_bin_edges,
 )
@@ -45,13 +47,15 @@ class TestPopulationBlocks:
             covered[block] += 1
         assert np.all(covered == 1)
 
-    def test_zero_or_none_selects_default(self):
-        assert resolve_block_size(None, 10_000) == DEFAULT_BLOCK_SIZE
-        assert resolve_block_size(0, 10_000) == DEFAULT_BLOCK_SIZE
-        assert resolve_block_size(64, 10_000) == 64
+    def test_default_is_the_fixed_block_read_at_call_time(self, monkeypatch):
+        assert DEFAULT_BLOCK_SIZE == 128
+        sizes = [block.stop - block.start for block in population_blocks(300)]
+        assert sizes == [128, 128, 44]
+        monkeypatch.setattr(pairwise, "DEFAULT_BLOCK_SIZE", 7)
+        assert list(population_blocks(10)) == [slice(0, 7), slice(7, 10)]
 
     def test_block_never_exceeds_population(self):
-        assert resolve_block_size(4096, 7) == 7
+        assert list(population_blocks(7, 4096)) == [slice(0, 7)]
         assert list(population_blocks(5, 64)) == [slice(0, 5)]
 
     def test_empty_population(self):
@@ -174,15 +178,16 @@ class TestEnvironmentGrid:
         result = grid.penalty_sum(probes, contacts * contacts)
         np.testing.assert_allclose(result, expected, rtol=1e-9)
 
-    def test_block_size_does_not_change_totals(self, grid_setup):
+    def test_block_size_does_not_change_totals(self, grid_setup, monkeypatch):
         grid, _atoms, _probes = grid_setup
         rng = np.random.default_rng(31)
         probes = rng.uniform(-12.0, 12.0, size=(10, 5, 3))
         sq_contacts = rng.uniform(0.5, 9.0, size=(5, grid.n_atoms))
         reference = grid.penalty_sum(probes, sq_contacts)
         for block in (1, 3, 7, 64):
+            monkeypatch.setattr(pairwise, "DEFAULT_BLOCK_SIZE", block)
             np.testing.assert_array_equal(
-                grid.penalty_sum(probes, sq_contacts, block_size=block), reference
+                grid.penalty_sum(probes, sq_contacts), reference
             )
 
     def test_tiny_cutoff_grid_stays_bounded(self):
@@ -237,21 +242,34 @@ class TestScalarBatchedEquivalence:
         for fn in small_multi_score:
             self._check(fn, small_population.coords, small_population.torsions)
 
-    def test_batched_independent_of_block_size(
-        self, small_target, knowledge_base, random_population
-    ):
-        coords, torsions = random_population
-        for cls, kwargs in (
-            (SoftSphereVDW, {}),
-            (TripletScore, {"knowledge_base": knowledge_base}),
-            (DistanceScore, {"knowledge_base": knowledge_base}),
+    def test_batched_in_fixed_blocks(self, small_target, knowledge_base):
+        """A population is scored in blocks of 128 members, whatever its
+        size: at 129 the first 128 members score as a population of 128
+        does, and the last is a one-member block, scored exactly as
+        :meth:`evaluate` scores it.  The members are crowded (squeezed
+        toward their centroid, tens of overlapping pairs each), so a
+        one-member block's two-lane VDW sum differs from the one-by-one sum
+        of a larger block, and a different partition shows."""
+        torsions = RamachandranModel().sample_population(
+            small_target.sequence, 129, np.random.default_rng(129)
+        )
+        coords, _ = small_target.build_batch(torsions)
+        centre = coords.mean(axis=(1, 2), keepdims=True)
+        coords = centre + 0.35 * (coords - centre)
+        vdw = SoftSphereVDW(small_target)
+        for fn in (
+            vdw,
+            TripletScore(small_target, knowledge_base),
+            DistanceScore(small_target, knowledge_base),
         ):
-            reference = cls(small_target, **kwargs).evaluate_batch(coords, torsions)
-            for block in (1, 3, 128):
-                chunked = cls(small_target, block_size=block, **kwargs)
-                np.testing.assert_array_equal(
-                    chunked.evaluate_batch(coords, torsions), reference
-                )
+            batch = fn.evaluate_batch(coords, torsions)
+            np.testing.assert_array_equal(
+                batch[:128], fn.evaluate_batch(coords[:128], torsions[:128])
+            )
+            assert batch[128] == fn.evaluate(coords[128], torsions[128])
+        # The case tells the two sum orders apart.
+        last = vdw.evaluate(coords[128], torsions[128])
+        assert vdw.evaluate_batch(coords[127:], torsions[127:])[1] != last
 
 
 class TestVDWEnvironmentPruning:
@@ -295,22 +313,15 @@ class TestDistanceOverflowRegression:
 
 class TestBatchedCPUBackend:
     def test_batched_mode_matches_scalar_reference(
-        self, small_target, knowledge_base
+        self, small_target, knowledge_base, monkeypatch
     ):
         """Small-block batched scoring (3-member chunks over a population of
         8, the last chunk ragged) matches the scalar per-member reference."""
-        config = SamplingConfig(
-            population_size=8, n_complexes=2, iterations=1, kernel_block_size=3, seed=1
-        )
-        multi = default_multi_score(
-            small_target,
-            knowledge_base=knowledge_base,
-            block_size=config.kernel_block_size,
-        )
+        monkeypatch.setattr(pairwise, "DEFAULT_BLOCK_SIZE", 3)
+        config = SamplingConfig(population_size=8, n_complexes=2, iterations=1, seed=1)
+        multi = default_multi_score(small_target, knowledge_base=knowledge_base)
         scalar = make_backend("cpu", small_target, multi, config)
         batched = make_backend("gpu", small_target, multi, config)
-
-        from repro.loops.ramachandran import RamachandranModel
 
         torsions = RamachandranModel().sample_population(
             small_target.sequence, 8, np.random.default_rng(2)
@@ -328,49 +339,12 @@ class TestBatchedCPUBackend:
 
 class TestKernelBlockSizeConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SamplingConfig(population_size=8, n_complexes=2, kernel_block_size=-1)
-        config = SamplingConfig(population_size=8, n_complexes=2, kernel_block_size=32)
-        assert config.kernel_block_size == 32
-
-    def test_threaded_through_default_multi_score(self, small_target, knowledge_base):
-        multi = default_multi_score(
-            small_target, knowledge_base=knowledge_base, block_size=17
-        )
-        assert all(fn.block_size == 17 for fn in multi)
-
-    def test_gpu_backend_records_chunked_launches(
-        self, small_target, knowledge_base
-    ):
-        config = SamplingConfig(
-            population_size=8, n_complexes=2, iterations=1, kernel_block_size=4, seed=3
-        )
-        # The launch record must reflect the chunk size the scorers
-        # actually resolve, so build them with the config's block size the
-        # way the sampler does.
-        multi = default_multi_score(
-            small_target,
-            knowledge_base=knowledge_base,
-            block_size=config.kernel_block_size,
-        )
-        backend = make_backend("gpu", small_target, multi, config)
-        backend.profiler.keep_launches = True
-        from repro.loops.ramachandran import RamachandranModel
-
-        torsions = RamachandranModel().sample_population(
-            small_target.sequence, 8, np.random.default_rng(4)
-        )
-        closed = backend.close_loops(torsions)
-        backend.evaluate_scores(closed.coords, closed.torsions)
-        scoring = [
-            launch
-            for launch in backend.profiler.launches
-            if launch.spec.name.startswith("[Eval")
-        ]
-        assert scoring
-        for launch in scoring:
-            assert launch.block_size == 4
-            assert launch.chunks == 2
+        """The block size is no configuration: the field is gone, and
+        naming it is an error."""
+        fields = {field.name for field in dataclasses.fields(SamplingConfig)}
+        assert "kernel_block_size" not in fields
+        with pytest.raises(TypeError, match="kernel_block_size"):
+            SamplingConfig(population_size=8, n_complexes=2, kernel_block_size=32)
 
 
 class TestFusedBinnedTableSum:
@@ -405,13 +379,13 @@ class TestFusedBinnedTableSum:
         return points, first, second, pair_tables, sq_edges
 
     @pytest.mark.parametrize("block_size", [None, 1, 3, 16, 37, 1000])
-    def test_bit_identical_to_reference(self, problem, block_size):
+    def test_bit_identical_to_reference(self, problem, block_size, monkeypatch):
         from repro.scoring.pairwise import binned_table_sum
 
+        if block_size is not None:
+            monkeypatch.setattr(pairwise, "DEFAULT_BLOCK_SIZE", block_size)
         points, first, second, pair_tables, sq_edges = problem
-        fused = binned_table_sum(
-            points, first, second, pair_tables, sq_edges, block_size=block_size
-        )
+        fused = binned_table_sum(points, first, second, pair_tables, sq_edges)
         reference = self._reference(
             points, first, second, pair_tables, sq_edges, block_size
         )

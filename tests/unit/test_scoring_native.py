@@ -7,8 +7,9 @@ form of :meth:`~repro.scoring.pairwise.EnvironmentGrid.penalty_sum`
 (candidate pairs plus ``np.bincount``, the no-compiler route) and the
 dense test-only oracle.  Inputs carry NaN, infinities and 1e300, probes
 sit outside the grid box and exactly on cell boundaries, squared
-distances sit on every DIST edge and one ulp either side, at block sizes
-1, 7, 128 and the whole population, on one and two member threads.
+distances sit on every DIST edge and one ulp either side, at blocks of
+1, 7, 128 and the whole population (set through
+``pairwise.DEFAULT_BLOCK_SIZE``), on one and two member threads.
 Without a compiler every wrapper runs its numpy form, with the same
 bits and one warning.
 """
@@ -23,6 +24,7 @@ from repro import native
 from repro.loops.ramachandran import RamachandranModel
 from repro.loops.targets import get_target
 from repro.scoring.distance import DistanceScore
+from repro.scoring import pairwise
 from repro.scoring.knowledge import DISTANCE_SQ_EDGES, bin_squared_distances
 from repro.scoring.pairwise import (
     EnvironmentGrid,
@@ -101,16 +103,19 @@ def pair_problem():
 
 @pytest.mark.parametrize("threads", THREADS)
 @pytest.mark.parametrize("block", BLOCKS)
-def test_pair_penalty_matches_generic_kernel(lib, pair_problem, block, threads):
+def test_pair_penalty_matches_generic_kernel(
+    lib, pair_problem, block, threads, monkeypatch
+):
+    monkeypatch.setattr(pairwise, "DEFAULT_BLOCK_SIZE", block)
     for args in pair_problem:
         with using_member_threads(threads):
-            compiled = indexed_penalty_sum(*args, block_size=block)
-        generic = indexed_penalty_sum(*args, block_size=block, kernels=numpy_kernels())
+            compiled = indexed_penalty_sum(*args)
+        generic = indexed_penalty_sum(*args, kernels=numpy_kernels())
         assert_same_bits(compiled, generic)
         assert np.count_nonzero(compiled) > POP // 2  # the sums are not trivial
 
 
-def test_compiled_sums_do_not_depend_on_layout(lib, pair_problem):
+def test_compiled_sums_do_not_depend_on_layout(lib, pair_problem, monkeypatch):
     """The compiled route reads values, so Fortran-ordered points and a
     strided coordinate axis give the C-ordered bits (the generic kernel's
     sum order follows the layout numpy gives its gather)."""
@@ -121,13 +126,14 @@ def test_compiled_sums_do_not_depend_on_layout(lib, pair_problem):
     padded[..., 1:4] = points
     for layout in (np.asfortranarray(points), padded[..., 1:4]):
         for block in BLOCKS:
+            monkeypatch.setattr(pairwise, "DEFAULT_BLOCK_SIZE", block)
             assert_same_bits(
-                indexed_penalty_sum(layout, layout, first, second, sq_contacts, block),
-                indexed_penalty_sum(points, points, first, second, sq_contacts, block),
+                indexed_penalty_sum(layout, layout, first, second, sq_contacts),
+                indexed_penalty_sum(points, points, first, second, sq_contacts),
             )
             assert_same_bits(
-                binned_table_sum(layout, first, second, tables, sq_edges, block),
-                binned_table_sum(points, first, second, tables, sq_edges, block),
+                binned_table_sum(layout, first, second, tables, sq_edges),
+                binned_table_sum(points, first, second, tables, sq_edges),
             )
 
 
@@ -157,7 +163,8 @@ def wide_tables(rng, pairs: int, columns: int) -> np.ndarray:
 @pytest.mark.parametrize("threads", THREADS)
 @pytest.mark.parametrize("block", BLOCKS)
 @pytest.mark.parametrize("edges", ["uniform", "uneven"])
-def test_binned_sum_matches_generic_kernel(lib, block, threads, edges):
+def test_binned_sum_matches_generic_kernel(lib, block, threads, edges, monkeypatch):
+    monkeypatch.setattr(pairwise, "DEFAULT_BLOCK_SIZE", block)
     rng = np.random.default_rng(4)
     points = adversarial_points(20, seed=5)
     first, second = np.triu_indices(20, k=1)
@@ -167,9 +174,9 @@ def test_binned_sum_matches_generic_kernel(lib, block, threads, edges):
         sq_edges = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 30.0, 12))])
     tables = wide_tables(rng, first.size, sq_edges.size)
     with using_member_threads(threads):
-        compiled = binned_table_sum(points, first, second, tables, sq_edges, block)
+        compiled = binned_table_sum(points, first, second, tables, sq_edges)
     generic = binned_table_sum(
-        points, first, second, tables, sq_edges, block, kernels=numpy_kernels()
+        points, first, second, tables, sq_edges, kernels=numpy_kernels()
     )
     assert_same_bits(compiled, generic)
 
@@ -194,7 +201,7 @@ def _edge_points(targets):
     return points, np.array(reached)
 
 
-def test_every_dist_edge_and_its_neighbours_bin_as_numpy(lib):
+def test_every_dist_edge_and_its_neighbours_bin_as_numpy(lib, monkeypatch):
     """Squared distances on each DIST edge and one ulp either side take
     numpy's bin, and read the same table cell."""
     targets = []
@@ -207,10 +214,10 @@ def test_every_dist_edge_and_its_neighbours_bin_as_numpy(lib):
     first, second = np.array([0]), np.array([1])
     tables = np.arange(DISTANCE_SQ_EDGES.size, dtype=np.float64)[None, :] + 0.5
     for block in BLOCKS:
-        compiled = binned_table_sum(points, first, second, tables, DISTANCE_SQ_EDGES, block)
+        monkeypatch.setattr(pairwise, "DEFAULT_BLOCK_SIZE", block)
+        compiled = binned_table_sum(points, first, second, tables, DISTANCE_SQ_EDGES)
         generic = binned_table_sum(
-            points, first, second, tables, DISTANCE_SQ_EDGES, block,
-            kernels=numpy_kernels(),
+            points, first, second, tables, DISTANCE_SQ_EDGES, kernels=numpy_kernels()
         )
         assert_same_bits(compiled, generic)
         assert_same_bits(compiled, bin_squared_distances(reached, DISTANCE_SQ_EDGES) + 0.5)
@@ -253,16 +260,19 @@ def env_probes(grid: EnvironmentGrid) -> np.ndarray:
 
 @pytest.mark.parametrize("threads", THREADS)
 @pytest.mark.parametrize("block", BLOCKS)
-def test_env_penalty_matches_numpy_path(lib, grid, numpy_route, block, threads):
+def test_env_penalty_matches_numpy_path(
+    lib, grid, numpy_route, block, threads, monkeypatch
+):
+    monkeypatch.setattr(pairwise, "DEFAULT_BLOCK_SIZE", block)
     probes = env_probes(grid)
     contacts = np.random.default_rng(8).uniform(0.5, 3.0, size=(5, grid.n_atoms))
     sq_contacts = contacts * contacts
     with using_member_threads(threads):
-        compiled = grid.penalty_sum(probes, sq_contacts, block)
-    dense = env_oracle.penalty_sum(grid, probes, sq_contacts, block)
+        compiled = grid.penalty_sum(probes, sq_contacts)
+    dense = env_oracle.penalty_sum(grid, probes, sq_contacts)
     numpy_route()
     with using_member_threads(threads):
-        numpy_form = grid.penalty_sum(probes, sq_contacts, block)
+        numpy_form = grid.penalty_sum(probes, sq_contacts)
     assert_same_bits(compiled, numpy_form)
     assert_same_bits(compiled, dense)
     assert np.count_nonzero(compiled) > POP // 2

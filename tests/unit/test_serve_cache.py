@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.api import Session, campaign
+from repro.cli import sample_main
 from repro.config import SamplingConfig
 from repro.runtime import RunStore
 from repro.runtime.spec import campaign_cell_seed
@@ -86,6 +87,26 @@ class TestKeyStability:
             checkpoint_every=50,
         )
         assert cell_cache_key(base.cell(0)) == cell_cache_key(reseeded.cell(0))
+
+    def test_repro_sample_and_session_share_one_entry(self, monkeypatch, capsys):
+        """``repro-sample`` and a ``Session`` campaign of the same
+        :class:`SamplingConfig` address one cache entry, so either run
+        fills the other's cache."""
+        sampled = []
+        run = Session.run
+
+        def recording(self, grid, *args, **kwargs):
+            sampled.extend(grid.cells())
+            return run(self, grid, *args, **kwargs)
+
+        monkeypatch.setattr(Session, "run", recording)
+        argv = ["1cex(40:51)", "--population", "64", "--complexes", "4",
+                "--iterations", "1"]
+        assert sample_main(argv) == 0
+        config = SamplingConfig(population_size=64, n_complexes=4, iterations=1)
+        (cell,) = campaign("session", "1cex(40:51)", config, backends="gpu").cells()
+        (sampled_cell,) = sampled
+        assert cell_cache_key(sampled_cell) == cell_cache_key(cell)
 
     def test_backend_aliases_share_one_entry(self):
         keys = {

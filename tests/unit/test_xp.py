@@ -168,9 +168,9 @@ _FAULTS_SCRIPT = textwrap.dedent(
     coords = rng.normal(scale=6.0, size=(1024, 48, 3))
     first, second = np.triu_indices(48, k=4)
     contacts = np.full(first.size, 9.0)
-    indexed_penalty_sum(coords, coords, first, second, contacts, block_size=128)
+    indexed_penalty_sum(coords, coords, first, second, contacts)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    indexed_penalty_sum(coords, coords, first, second, contacts, block_size=128)
+    indexed_penalty_sum(coords, coords, first, second, contacts)
     print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     """
 )
