@@ -1,27 +1,30 @@
-"""The store-draining daemon behind asynchronous campaign submission.
+"""The store-draining daemon: the one path from pending cells to results.
 
-``Session.submit`` only writes a manifest; this module is what turns
-pending manifests into results.  :func:`drain_once` scans the store for
-cells without results (skipping cancelled campaigns), dispatches them —
-across every pending campaign — through one worker pool as its slots
-free, and returns a report.  Batching across campaigns matters: workers
-keep process-level caches of targets, knowledge bases and assembled
-scoring stacks (see :mod:`repro.runtime.executor`), so draining ten
-campaigns over the same benchmark in one pool builds each target's tables
-once, not ten times.
+:func:`drain_once` scans the store for cells without results (skipping
+cancelled campaigns), dispatches them — across every pending campaign, or
+only one when a ``campaign_id`` scopes the pass — through one worker pool
+as its slots free, and returns a report.  Every execution goes through
+it: ``repro-daemon`` and ``repro-serve`` fleets drain the whole store,
+and :meth:`~repro.api.session.Session.run` is a submit followed by
+in-process passes over its own campaign.  Batching across campaigns
+matters: workers keep process-level caches of targets, knowledge bases
+and assembled scoring stacks (see :mod:`repro.runtime.executor`), so
+draining ten campaigns over the same benchmark in one pool builds each
+target's tables once, not ten times.
 :func:`serve` holds one :class:`~repro.runtime.executor.PersistentPool`
 for its whole lifetime, so those worker caches survive *across* drain
 passes too — the pool is built once per daemon, not once per pass.
 
 :func:`serve` wraps ``drain_once`` in a poll loop for the ``repro-daemon``
-entry point.  Because cell execution is idempotent and checkpointed, a
-daemon killed mid-drain loses nothing: the next drain re-schedules only
-the unfinished cells, each resuming from its latest checkpoint.  Cells of
-a migrating archipelago (see :mod:`repro.islands`) may finish a pass in
-the *waiting* state — parked at a migration boundary until their source
-islands emit; they stay pending and the next pass resumes them, so an
-island campaign drains to completion over a handful of passes with no
-daemon-side coordination.
+entry point (``--drain-once`` is one cycle of it).  Because cell
+execution is idempotent and checkpointed, a daemon killed mid-drain loses
+nothing: the next drain re-schedules only the unfinished cells, each
+resuming from its latest checkpoint.  Cells of a migrating archipelago
+(see :mod:`repro.islands`) may finish a pass in the *waiting* state —
+parked at a migration boundary until their source islands emit; they stay
+pending, a pass dispatches them only once their source packets are on
+disk, so an island campaign drains to completion over a handful of passes
+with no daemon-side coordination.
 
 Scale-out (see :mod:`repro.serve`) plugs in through two optional
 collaborators, both riding the store rather than any new IPC:
@@ -79,7 +82,7 @@ if TYPE_CHECKING:  # imported lazily at runtime: repro.api must not pull
     from repro.serve.cache import ResultCache  # the serve HTTP stack in
     from repro.serve.leases import LeaseManager  # (circular-import hygiene)
 
-__all__ = ["DrainReport", "drain_once", "serve"]
+__all__ = ["DrainReport", "drain_once", "fill_from_cache", "serve"]
 
 _DEFAULTS = RuntimeConfig()
 
@@ -159,13 +162,18 @@ def _pending_cells(
     store: RunStore,
     progress: Optional[ProgressFn],
     max_attempts: Optional[int],
+    campaign_id: Optional[str] = None,
 ) -> tuple:
-    """Drainable cells plus the cancelled- and exhausted-cell counts."""
+    """Drainable cells plus the cancelled- and exhausted-cell counts.
+
+    ``campaign_id`` scopes the scan to one run; ``None`` scans the store.
+    """
     pending: List[CellSpec] = []
     skipped = 0
     exhausted = 0
     campaigns: List[str] = []
-    for run_id in store.list_runs():
+    run_ids = store.list_runs() if campaign_id is None else [campaign_id]
+    for run_id in run_ids:
         try:
             spec = store.load_manifest(run_id).spec
         except RunStoreError as exc:
@@ -274,6 +282,24 @@ def _pending_cells(
     return pending, skipped, exhausted, campaigns
 
 
+def fill_from_cache(
+    store: RunStore,
+    cache: "ResultCache",
+    cells: List[CellSpec],
+    progress: Optional[ProgressFn],
+) -> List[CellSpec]:
+    """Fill resultless ``cells`` from ``cache``; returns those still to run."""
+    remaining: List[CellSpec] = []
+    for cell in cells:
+        if store.has_shard_result(cell.run_id, cell.index):
+            continue
+        if cache.fill(store, cell) is None:
+            remaining.append(cell)
+        elif progress is not None:
+            progress(f"{cell.run_id}/{cell.name}: filled from cache")
+    return remaining
+
+
 def drain_once(
     store: RunStore,
     workers: Optional[int] = None,
@@ -283,6 +309,7 @@ def drain_once(
     leases: Optional["LeaseManager"] = None,
     cache: Optional["ResultCache"] = None,
     trace: bool = False,
+    campaign_id: Optional[str] = None,
 ) -> DrainReport:
     """Execute the drainable cells of the store through one worker pool.
 
@@ -294,8 +321,12 @@ def drain_once(
     :func:`serve` into a hot retry loop.  ``max_attempts=None`` retries
     without bound.  Cells that park themselves *waiting* at a migration
     boundary are neither failures nor completions: they count into
-    ``report.waiting`` and stay drainable.  ``pool`` reuses a persistent
-    worker pool across passes (see :func:`serve`).
+    ``report.waiting`` and stay drainable; a waiting island whose source
+    packets are not on disk yet is not dispatched at all (it would only
+    re-park) and counts into ``report.waiting`` too.  ``pool`` reuses a
+    persistent worker pool across passes (see :func:`serve`).
+    ``campaign_id`` limits the pass to one campaign (``None``: every run
+    in the store).
 
     With a ``cache``, cells whose content address is already cached are
     filled in-process before any scheduling (``report.cache_hits``), and
@@ -313,7 +344,7 @@ def drain_once(
     only — see :func:`repro.runtime.executor.run_cell`).
     """
     pending, skipped, exhausted, campaigns = _pending_cells(
-        store, progress, max_attempts
+        store, progress, max_attempts, campaign_id
     )
     report = DrainReport(
         skipped_cancelled=skipped,
@@ -327,29 +358,23 @@ def drain_once(
         return report
 
     if cache is not None:
-        remaining: List[CellSpec] = []
-        for cell in pending:
-            if cache.fill(store, cell) is not None:
-                report.cache_hits += 1
-                _CELLS.inc(outcome="cache_hit")
-                if progress is not None:
-                    progress(f"{cell.run_id}/{cell.name}: filled from cache")
-            else:
-                remaining.append(cell)
+        remaining = fill_from_cache(store, cache, pending, progress)
+        report.cache_hits = len(pending) - len(remaining)
+        if report.cache_hits:
+            _CELLS.inc(report.cache_hits, outcome="cache_hit")
         pending = remaining
 
-    if leases is not None:
-        ready: List[CellSpec] = []
-        for cell in pending:
-            status = store.read_shard_status(cell.run_id, cell.index)
-            if not ready_to_resume(store, cell.run_id, status):
-                # A waiting island without its packets would execute only
-                # to re-park; leave it unclaimed and stay non-idle.
-                report.waiting += 1
-                _CELLS.inc(outcome="waiting")
-                continue
-            ready.append(cell)
-        pending = ready
+    ready: List[CellSpec] = []
+    for cell in pending:
+        status = store.read_shard_status(cell.run_id, cell.index)
+        if not ready_to_resume(store, cell.run_id, status):
+            # A waiting island without its packets would execute only to
+            # re-park; leave it for a later pass and stay non-idle.
+            report.waiting += 1
+            _CELLS.inc(outcome="waiting")
+            continue
+        ready.append(cell)
+    pending = ready
 
     if not pending:
         return report

@@ -3,18 +3,20 @@
 A :class:`Session` binds a run store and turns declarative
 :class:`~repro.runtime.spec.Campaign` grids into results two ways:
 
-* :meth:`Session.run` — synchronous: execute every cell (resuming any
-  that already have checkpoints) and return a typed
-  :class:`~repro.api.results.CampaignResult`;
 * :meth:`Session.submit` — asynchronous: persist the manifest and return
   a :class:`CampaignHandle` immediately.  A ``repro-daemon`` process (or
   :func:`repro.api.daemon.drain_once`) executes the pending cells; the
   handle polls the store for :meth:`~CampaignHandle.status`,
-  :meth:`~CampaignHandle.result` and :meth:`~CampaignHandle.cancel`.
+  :meth:`~CampaignHandle.result` and :meth:`~CampaignHandle.cancel`;
+* :meth:`Session.run` — synchronous: the same submission followed by
+  in-process :func:`~repro.api.daemon.drain_once` passes over this one
+  campaign until every cell has a result (checkpointed cells resume),
+  returning a typed :class:`~repro.api.results.CampaignResult`.
 
-Submission and execution share the store as their only coupling, so the
-submitting process, the daemon and any number of status watchers can live
-in different processes (or outlive each other) without coordination.
+Both reach cells through the one drain path, and submission and execution
+share the store as their only coupling, so the submitting process, the
+daemon and any number of status watchers can live in different processes
+(or outlive each other) without coordination.
 """
 
 from __future__ import annotations
@@ -28,11 +30,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple, Union
 
+from repro.api import daemon
 from repro.config import RuntimeConfig
-from repro.runtime.executor import ShardExecutor
+from repro.runtime.executor import ShardFailure
 from repro.runtime.spec import Campaign, shard_name
 from repro.runtime.store import RunStore
 from repro.api.results import CampaignResult, TrajectoryResult
+from repro.utils.logging import get_logger
 
 if TYPE_CHECKING:  # runtime import stays lazy — repro.api must not pull
     from repro.serve.cache import ResultCache  # the serve stack eagerly
@@ -48,6 +52,8 @@ __all__ = [
 ]
 
 _DEFAULTS = RuntimeConfig()
+
+_LOGGER = get_logger("api.session")
 
 #: Peak bytes of a running cell per byte of its population arrays (2n
 #: float64 torsions plus 4n x 3 float64 backbone coordinates per member).
@@ -333,7 +339,8 @@ class Session:
         Worker-process override applied to synchronous :meth:`run` calls
         (``None`` defers to each campaign's own ``workers`` field).
     progress:
-        Optional callback receiving one line per scheduling event.
+        Optional callback receiving one line per scheduling event
+        (:meth:`run` logs them at INFO without one).
     cache:
         A :class:`~repro.serve.cache.ResultCache` (or a path to one, or
         ``None`` to disable).  With a cache bound, :meth:`submit` and
@@ -402,14 +409,6 @@ class Session:
     # Execution
     # ------------------------------------------------------------------
 
-    def _executor(self) -> ShardExecutor:
-        return ShardExecutor(
-            self.store,
-            workers=self.workers,
-            progress=self.progress,
-            trace=self.trace,
-        )
-
     @staticmethod
     def _validate(campaign: Campaign) -> None:
         """Fail fast on what a worker would only reject (or crash on) at run
@@ -464,41 +463,64 @@ class Session:
         """
         self._validate(campaign)
         self.store.create_run(campaign, exist_ok=True)
-        self._cache_fill(campaign)
+        if self.cache is not None:
+            daemon.fill_from_cache(
+                self.store, self.cache, campaign.cells(), self.progress
+            )
         return CampaignHandle(self.store, campaign.run_id)
-
-    def _cache_fill(self, campaign: Campaign) -> int:
-        """Fill resultless cells from the session cache; returns the hits."""
-        if self.cache is None:
-            return 0
-        hits = 0
-        for cell in campaign.cells():
-            if self.store.has_shard_result(campaign.run_id, cell.index):
-                continue
-            if self.cache.fill(self.store, cell) is not None:
-                hits += 1
-                if self.progress is not None:
-                    self.progress(
-                        f"{campaign.run_id}/{cell.name}: filled from cache"
-                    )
-        return hits
 
     def run(self, campaign: Campaign) -> CampaignResult:
         """Execute the campaign synchronously and return its typed result.
 
-        Equivalent to ``submit`` followed by a full drain in-process: cells
-        that already have results are skipped, checkpointed cells resume,
-        so ``run`` doubles as "finish this campaign now".  A session
-        ``cache`` short-circuits known cells and receives the fresh ones.
+        ``submit`` followed by in-process drain passes over this campaign
+        alone (other campaigns in the store stay pending): cells that
+        already have results are skipped and checkpointed cells resume, so
+        ``run`` doubles as "finish this campaign now".  Failed cells are
+        retried on every call, never parked; any failure in a pass raises
+        :class:`~repro.runtime.executor.ShardFailure`.  A cancelled
+        campaign raises :class:`CampaignError` without executing a cell.
+        A session ``cache`` short-circuits known cells and receives the
+        freshly executed ones.
         """
         self._validate(campaign)
         self.store.create_run(campaign, exist_ok=True)
-        self._cache_fill(campaign)
-        self._executor().execute(campaign)
-        if self.cache is not None:
-            for cell in campaign.cells():
-                self.cache.publish(self.store, cell)
-        return CampaignHandle(self.store, campaign.run_id).result()
+        handle = CampaignHandle(self.store, campaign.run_id)
+        workers = self.workers if self.workers is not None else campaign.workers
+        progress = self.progress if self.progress is not None else _LOGGER.info
+        previous = None
+        status = handle.status()
+        while not status.complete:
+            if status.cancelled:
+                raise CampaignError(
+                    f"campaign {campaign.run_id!r} is cancelled; "
+                    f"{status.n_cells - status.n_done} cell(s) left unrun"
+                )
+            if status == previous:
+                # Every dispatched cell completes, fails or parks at a later
+                # boundary, so an unchanged status means nothing could run.
+                raise ShardFailure(
+                    f"campaign {campaign.run_id!r} cannot make progress "
+                    f"(states: {status.counts})"
+                )
+            report = daemon.drain_once(
+                self.store,
+                workers=workers,
+                progress=progress,
+                max_attempts=None,
+                cache=self.cache,
+                trace=self.trace,
+                campaign_id=campaign.run_id,
+            )
+            if report.errors:
+                raise ShardFailure(
+                    f"{len(report.errors)} cell(s) of campaign "
+                    f"{campaign.run_id!r} failed: "
+                    + "; ".join(
+                        f"{name}: {error}" for name, error in report.errors.items()
+                    )
+                )
+            previous, status = status, handle.status()
+        return handle.result()
 
     def handle(self, campaign_id: str) -> CampaignHandle:
         """A handle to a previously submitted campaign."""

@@ -446,7 +446,9 @@ def _daemon_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--drain-once", action="store_true",
-        help="run one drain pass and exit (default: poll forever)",
+        help="run one cycle of the serve loop (a drain pass, the cache "
+        "prune and a heartbeat) and exit; same as --max-cycles 1 "
+        "(default: poll forever)",
     )
     parser.add_argument(
         "--interval", type=float, default=_DEFAULT_RUNTIME.poll_seconds,
@@ -504,7 +506,7 @@ def daemon_main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point of ``repro-daemon``."""
     configure_logging()
     args = _daemon_parser().parse_args(argv)
-    from repro.api import DEFAULT_MAX_ATTEMPTS, drain_once, serve
+    from repro.api import DEFAULT_MAX_ATTEMPTS, serve
     from repro.runtime import RunStore
 
     if args.max_attempts is None:
@@ -529,56 +531,20 @@ def daemon_main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.serve.cache import ResultCache
 
         cache = ResultCache(args.cache)
-    if args.drain_once:
-        report = drain_once(
-            store,
-            workers=args.workers,
-            progress=print,
-            max_attempts=max_attempts,
-            leases=leases,
-            cache=cache,
-            trace=args.trace,
-        )
-        if cache is not None and (
-            args.cache_max_entries is not None
-            or args.cache_max_age_days is not None
-        ):
-            pruned = cache.prune(
-                max_age_days=args.cache_max_age_days,
-                max_entries=args.cache_max_entries,
-            )
-            if pruned:
-                print(f"pruned {pruned} cache entries")
-        # Single passes heartbeat too, so even a cron-driven fleet of
-        # --drain-once daemons shows up in /v1/fleet and repro-top.
-        from repro.obs.fleet import default_daemon_id, write_heartbeat
-        from repro.obs.metrics import REGISTRY
-
-        write_heartbeat(
-            store,
-            args.daemon_id
-            or (leases.daemon_id if leases is not None else default_daemon_id()),
-            workers=args.workers,
-            cycle=1,
-            report=report.counts(),
-            cache_stats=cache.stats if cache is not None else None,
-            metrics=REGISTRY.snapshot(),
-        )
-    else:
-        report = serve(
-            store,
-            workers=args.workers,
-            poll_seconds=args.interval,
-            max_cycles=args.max_cycles,
-            progress=print,
-            max_attempts=max_attempts,
-            leases=leases,
-            cache=cache,
-            cache_max_entries=args.cache_max_entries,
-            cache_max_age_days=args.cache_max_age_days,
-            trace=args.trace,
-            daemon_id=args.daemon_id,
-        )
+    report = serve(
+        store,
+        workers=args.workers,
+        poll_seconds=args.interval,
+        max_cycles=1 if args.drain_once else args.max_cycles,
+        progress=print,
+        max_attempts=max_attempts,
+        leases=leases,
+        cache=cache,
+        cache_max_entries=args.cache_max_entries,
+        cache_max_age_days=args.cache_max_age_days,
+        trace=args.trace,
+        daemon_id=args.daemon_id,
+    )
     print(f"drained {report.executed} cell(s), {report.failed} failure(s), "
           f"{report.waiting} waiting on migration, "
           f"{report.cache_hits} filled from cache, "

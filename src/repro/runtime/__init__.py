@@ -13,12 +13,15 @@ schedulable, restartable unit:
   :class:`~repro.moscem.sampler.SamplerState` (``npz`` arrays + JSON
   manifest with a content hash), so an interrupted shard resumes
   bit-identically to an uninterrupted one;
-* :mod:`~repro.runtime.executor` — :class:`ShardExecutor`, the process-pool
-  fan-out that runs cells across workers and streams per-cell progress.
+* :mod:`~repro.runtime.executor` — :func:`run_cell`, which executes (or
+  resumes) one cell, and :func:`parallel_map`, the worker-pool fan-out.
 
 The user-facing surface is :mod:`repro.api` (``Session``, ``repro-campaign``,
-``repro-daemon``); the serving, caching and island-migration layers all plug
-in above the same executor and store.
+``repro-daemon``).  It reaches cells through one drain path,
+:func:`repro.api.daemon.drain_once`, whether ``Session.run`` drains its own
+campaign in-process or a daemon fleet drains the store; the serving,
+caching and island-migration layers all plug in above the same executor
+and store.
 """
 
 from repro.runtime.checkpoint import (
@@ -30,7 +33,6 @@ from repro.runtime.checkpoint import (
 )
 from repro.runtime.executor import (
     PersistentPool,
-    ShardExecutor,
     ShardFailure,
     parallel_map,
     run_cell,
@@ -50,7 +52,6 @@ __all__ = [
     "load_checkpoint_extra",
     "save_checkpoint",
     "PersistentPool",
-    "ShardExecutor",
     "ShardFailure",
     "parallel_map",
     "run_cell",

@@ -1,12 +1,15 @@
-"""Process-pool shard executor.
+"""Cell execution and the worker-pool fan-out beneath every drain.
 
-The executor fans the cells of a :class:`~repro.runtime.spec.Campaign` out
-across worker processes.  Each worker is self-sufficient: it rebuilds the
-target from its registry name, constructs its own backend through
-:func:`repro.backends.make_backend`, and talks to the run store only
-through the file system — the only data crossing the process boundary are
-small picklable dicts (cell payloads in, cell summaries out), so the
-executor scales to decoy sets far larger than a pipe buffer.  Workers keep a process-level cache of assembled scoring
+:func:`run_cell` executes one cell of a :class:`~repro.runtime.spec.Campaign`
+and :func:`parallel_map` fans many out across worker processes; the
+campaign drain (:func:`repro.api.daemon.drain_once`, behind
+``Session.run`` and every daemon) is their one caller.  Each worker is
+self-sufficient: it rebuilds the target from its registry name,
+constructs its own backend through :func:`repro.backends.make_backend`,
+and talks to the run store only through the file system — the only data
+crossing the process boundary are small picklable dicts (cell payloads
+in, cell summaries out), so a drain scales to decoy sets far larger than
+a pipe buffer.  Workers keep a process-level cache of assembled scoring
 stacks keyed by target name (targets and knowledge bases are
 already cached underneath), so a worker that executes many cells — or
 drains many campaigns in one daemon batch — pays the table-building cost
@@ -32,9 +35,6 @@ Execution of one cell:
    is new IPC: packets, events and checkpoints all ride the run store;
 5. harvest the structurally distinct non-dominated decoys and write the
    cell result (appending a ``cell-done`` event to the store journal).
-
-:func:`parallel_map` is the shared fan-out primitive; the experiment runner
-and the campaign daemon reuse it.
 """
 
 from __future__ import annotations
@@ -66,10 +66,9 @@ from repro.runtime.checkpoint import (
     load_checkpoint_extra,
     save_checkpoint,
 )
-from repro.runtime.spec import Campaign, CellSpec, shard_name
+from repro.runtime.spec import CellSpec
 from repro.runtime.store import RunStore
 from repro.scoring.pairwise import member_thread_count, using_member_threads
-from repro.utils.logging import get_logger
 from repro.utils.timing import TimingLedger
 
 if TYPE_CHECKING:  # heavy sampler imports stay lazy in worker processes
@@ -77,7 +76,6 @@ if TYPE_CHECKING:  # heavy sampler imports stay lazy in worker processes
 
 __all__ = [
     "PersistentPool",
-    "ShardExecutor",
     "ShardFailure",
     "cell_payload",
     "parallel_map",
@@ -87,12 +85,9 @@ __all__ = [
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
-#: Callback receiving one progress line per event.
-ProgressFn = Callable[[str], None]
-
 
 class ShardFailure(RuntimeError):
-    """One or more shards of a run failed."""
+    """One or more cells of a synchronously run campaign failed."""
 
 
 class _MigrationWait(Exception):
@@ -332,8 +327,8 @@ def run_cell(
 ) -> Dict[str, Any]:
     """Execute (or resume) one cell; returns its summary.
 
-    Runs inside a worker process, but is equally callable inline — the
-    executor with ``workers=1`` and the tests use the same code path.
+    Runs inside a worker process, but is equally callable inline — a
+    drain with ``workers=1`` and the tests use the same code path.
     Cells of a migrating archipelago may return a ``waiting`` summary
     instead of completing: the cell checkpointed at a migration boundary
     whose source packets are not on disk yet, and a later pass resumes it.
@@ -668,138 +663,3 @@ def _cell_task(payload: Dict[str, Any]) -> Dict[str, Any]:
             "error": f"{type(exc).__name__}: {exc}",
             "detail": detail,
         }
-
-
-# ---------------------------------------------------------------------------
-# The executor (runs in the submitting process)
-# ---------------------------------------------------------------------------
-
-
-class ShardExecutor:
-    """Fans the cells of a campaign out across worker processes."""
-
-    def __init__(
-        self,
-        store: RunStore,
-        workers: Optional[int] = None,
-        progress: Optional[ProgressFn] = None,
-        trace: bool = False,
-    ) -> None:
-        self.store = store
-        self.workers = workers
-        self.progress = progress
-        self.trace = bool(trace)
-        self._logger = get_logger("runtime.executor")
-
-    def _emit(self, line: str) -> None:
-        if self.progress is not None:
-            self.progress(line)
-        else:
-            self._logger.info("%s", line)
-
-    def execute(
-        self,
-        spec: Campaign,
-        indices: Optional[Sequence[int]] = None,
-    ) -> List[Dict[str, Any]]:
-        """Run the (remaining) cells of ``spec``; returns cell summaries.
-
-        Cells with results on disk are skipped (their stored summaries are
-        returned), which is what makes ``execute`` double as *resume*: a
-        killed campaign re-executes only its unfinished cells, each
-        continuing from its latest checkpoint.  Migrating campaigns are
-        driven in passes: a cell parked at a migration boundary rejoins the
-        next pass once its neighbours have emitted — the loop ends when
-        every cell completed or no pass makes progress (which, with all
-        islands schedulable, cannot happen; it guards subsetted
-        ``indices``).  Raises :class:`ShardFailure` if any cell errors.
-        """
-        if indices is None:
-            indices = range(spec.n_trajectories)
-        workers = self.workers if self.workers is not None else spec.workers
-        summaries: Dict[int, Dict[str, Any]] = {}
-        pending: List[int] = []
-        for index in indices:
-            index = int(index)
-            if self.store.has_shard_result(spec.run_id, index):
-                summaries[index] = self.store.load_shard_summary(spec.run_id, index)
-                self._emit(f"{spec.run_id}/{shard_name(index)}: already complete")
-            else:
-                pending.append(index)
-        self._emit(
-            f"{spec.run_id}: {len(pending)} shard(s) to run on "
-            f"{min(workers, max(len(pending), 1))} worker(s)"
-        )
-
-        def _report(_pos: int, summary: Dict[str, Any]) -> None:
-            shard = shard_name(summary.get("shard", -1))
-            if "error" in summary:
-                self._emit(f"{spec.run_id}/{shard}: FAILED {summary['error']}")
-            elif summary.get("waiting"):
-                self._emit(
-                    f"{spec.run_id}/{shard}: waiting at migration epoch "
-                    f"{summary.get('migration_epoch')} for packet(s) from "
-                    f"shard(s) {summary.get('waiting_on')}"
-                )
-            else:
-                resumed = summary.get("resumed_from")
-                suffix = f" (resumed from iter {resumed})" if resumed else ""
-                self._emit(
-                    f"{spec.run_id}/{shard}: done in "
-                    f"{summary.get('wall_seconds', 0.0):.2f}s, "
-                    f"{summary.get('n_decoys', 0)} decoys{suffix}"
-                )
-
-        previous_signature = None
-        while pending:
-            # parallel_map runs min(workers, items) cells at once.
-            slots = min(workers, len(pending))
-            payloads = [
-                cell_payload(self.store, spec.cell(index), self.trace, slots)
-                for index in pending
-            ]
-            fresh = [
-                summary  # no admit callback, so no slot is left None
-                for summary in parallel_map(
-                    _cell_task, payloads, workers, on_result=_report
-                )
-                if summary is not None
-            ]
-            failures = [s for s in fresh if "error" in s]
-            if failures:
-                raise ShardFailure(
-                    f"{len(failures)} shard(s) of run {spec.run_id!r} failed: "
-                    + "; ".join(
-                        f"shard {s['shard']}: {s['error']}" for s in failures
-                    )
-                )
-            waiting = [s for s in fresh if s.get("waiting")]
-            for summary in fresh:
-                if not summary.get("waiting"):
-                    summaries[int(summary["shard"])] = summary
-            if not waiting:
-                break
-            signature = tuple(
-                sorted(
-                    (
-                        int(s["shard"]),
-                        int(s.get("iteration", -1)),
-                        int(s.get("migration_epoch", -1)),
-                    )
-                    for s in waiting
-                )
-            )
-            progressed = (
-                len(waiting) < len(pending) or signature != previous_signature
-            )
-            if not progressed:
-                blocked = ", ".join(
-                    f"shard {s['shard']} on {s.get('waiting_on')}" for s in waiting
-                )
-                raise ShardFailure(
-                    f"run {spec.run_id!r} cannot make migration progress "
-                    f"({blocked}); are all islands of each group scheduled?"
-                )
-            previous_signature = signature
-            pending = sorted(int(s["shard"]) for s in waiting)
-        return [summaries[i] for i in sorted(summaries)]

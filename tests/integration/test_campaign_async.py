@@ -11,8 +11,11 @@ Covers the acceptance criteria of the campaign layer:
   still converges to the identical result; re-running a half-finished
   campaign skips its completed cells;
 * a failed cell raises out of ``Session.run`` and is reported by drains;
-* cancellation stops the daemon from scheduling pending cells, and runs in
-  the retired single-target manifest format are skipped, not fatal;
+* ``Session.run`` drains only its own campaign, and journals the same
+  records as a daemon drain;
+* cancellation stops the daemon from scheduling pending cells (and makes
+  ``Session.run`` refuse the campaign), and runs in the retired
+  single-target manifest format are skipped, not fatal;
 * the ``repro-campaign`` / ``repro-daemon`` CLI round trip works.
 
 When ``REPRO_CAMPAIGN_STORE`` is set (the CI job does this), the campaign
@@ -34,6 +37,7 @@ import pytest
 
 import repro.runtime.executor as executor_module
 from repro.api import (
+    CampaignError,
     CampaignIncomplete,
     Session,
     campaign,
@@ -120,8 +124,13 @@ class TestSubmitAndDrain:
 
         # Synchronous 1-worker reference in a separate store: cell outputs
         # do not depend on the worker count.
-        sync_result = Session(str(tmp_path / "sync"), workers=1).run(grid)
+        sync_session = Session(str(tmp_path / "sync"), workers=1)
+        sync_result = sync_session.run(grid)
         _assert_same_decoys(async_result, sync_result)
+        # Both paths append the same journal records.
+        assert store.canonical_journal(grid.campaign_id) == (
+            sync_session.store.canonical_journal(grid.campaign_id)
+        )
         # Per-cell metadata survives the round trip.
         for cell in async_result:
             assert cell.target in grid.targets
@@ -289,12 +298,57 @@ class TestKillAndRedrain:
         run_cell(store, grid.cell(0))  # cell 0 done, cell 1 untouched
         lines = []
         result = Session(store, workers=1, progress=lines.append).run(grid)
-        assert [line for line in lines if "already complete" in line] == [
-            "half/shard-0000: already complete"
-        ]
-        assert sum("done in" in line for line in lines) == 1
+        assert f"store {store.root}: 1 cell(s) to drain from 1 campaign(s)" in lines
+        done = [line for line in lines if "done in" in line]
+        assert len(done) == 1 and done[0].startswith("half/shard-0001: ")
         assert len(result) == 2
         assert store.has_shard_result("half", 1)
+
+    def test_run_drains_only_its_own_campaign(self, store_root, monkeypatch):
+        """``Session.run`` on a store holding another pending campaign
+        executes its own cells only; the other stays pending."""
+        store = RunStore(store_root)
+        other = Session(store).submit(
+            _smoke_campaign(campaign_id="other", targets="1cex(40:51)", seeds=2)
+        )
+        grid = _smoke_campaign(
+            campaign_id="mine", targets="1cex(40:51)", seeds=1, workers=1
+        )
+        built = []
+        original = executor_module._build_sampler
+
+        def counting(cell_):
+            built.append(cell_.run_id)
+            return original(cell_)
+
+        monkeypatch.setattr(executor_module, "_build_sampler", counting)
+        result = Session(store, workers=1, progress=lambda _l: None).run(grid)
+        assert len(result) == 1
+        assert built == ["mine"]
+        assert other.status().counts == {"pending": 2}
+
+    def test_run_refuses_a_cancelled_campaign(self, store_root, monkeypatch):
+        """``Session.run`` of a cancelled campaign names the cancellation
+        and executes no cell, as every daemon skips it."""
+        store = RunStore(store_root)
+        grid = _smoke_campaign(
+            campaign_id="cancelled", targets="1cex(40:51)", seeds=2, workers=1
+        )
+        handle = Session(store).submit(grid)
+        handle.cancel()
+        built = []
+        original = executor_module._build_sampler
+
+        def counting(cell_):
+            built.append(cell_.index)
+            return original(cell_)
+
+        monkeypatch.setattr(executor_module, "_build_sampler", counting)
+        with pytest.raises(CampaignError, match="cancelled") as raised:
+            Session(store, workers=1, progress=lambda _l: None).run(grid)
+        assert not isinstance(raised.value, CampaignIncomplete)
+        assert built == []
+        assert handle.status().counts == {"pending": 2}
 
     def test_deterministic_failures_get_parked(self, store_root):
         """A cell that always fails is retried up to the attempt cap, then

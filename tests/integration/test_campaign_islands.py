@@ -10,8 +10,10 @@ Covers the acceptance criteria of the islands subsystem:
   consistent;
 * killing the daemon mid-drain and re-draining reproduces the exact
   migration ledger and merged decoy sets of an uninterrupted run;
-* the synchronous executor path (:meth:`Session.run`) converges to the
-  same bits as the drained asynchronous path;
+* the synchronous path (:meth:`Session.run`, in-process drain passes)
+  converges to the same bits as the daemon-drained asynchronous path;
+* a pass dispatches a waiting island only once its source packets are on
+  disk, leased or not;
 * the ``repro-campaign --migration`` CLI flags switch a plain campaign
   file into an archipelago.
 
@@ -244,6 +246,57 @@ class TestKillAndRedrain:
             interrupted.migration_ledger, sort_keys=True
         ) == json.dumps(clean.migration_ledger, sort_keys=True)
         _assert_same_decoys(interrupted, clean)
+
+
+class TestReadiness:
+    def test_unleased_pass_skips_a_waiter_without_packets(
+        self, store_root, tmp_path, monkeypatch
+    ):
+        """A waiting island whose source packet is not on disk is not
+        dispatched by an unleased pass: it counts as waiting, never runs,
+        and the full drain still matches a clean run."""
+        grid = _grid(campaign_id="ready", seeds=2)
+        store = RunStore(store_root)
+        handle = Session(store).submit(grid)
+        built = []
+        failed_once = []
+        original = executor_module._build_sampler
+
+        def failing_island_0_once(cell_):
+            built.append(cell_.index)
+            if cell_.index == 0 and not failed_once:
+                failed_once.append(True)
+                raise RuntimeError("island 0 fails once")
+            return original(cell_)
+
+        monkeypatch.setattr(executor_module, "_build_sampler", failing_island_0_once)
+        # Island 0 fails before emitting; island 1 parks waiting on it.
+        report = drain_once(store, workers=1, progress=lambda _l: None)
+        assert report.failed == 1 and report.waiting == 1
+        assert store.read_shard_status("ready", 1)["waiting_on"] == [0]
+
+        # Island 1's source packet is still missing when this pass scans,
+        # so only island 0 is built.
+        built.clear()
+        report = drain_once(store, workers=1, progress=lambda _l: None)
+        assert built == [0]
+        assert report.failed == 0 and report.waiting == 2
+
+        _drain_to_completion(store, handle)
+        clean = Session(str(tmp_path / "clean"), workers=1).run(grid)
+        _assert_same_decoys(handle.result(), clean)
+
+        def without_failures(journal):
+            return [
+                line
+                for line in journal.splitlines()
+                if json.loads(line)["type"] != "cell-failed"
+            ]
+
+        clean_journal = RunStore(str(tmp_path / "clean")).canonical_journal("ready")
+        assert without_failures(store.canonical_journal("ready")) == (
+            without_failures(clean_journal)
+        )
 
 
 class TestStarvedIslands:
