@@ -164,11 +164,14 @@ def _pending_cells(
     max_attempts: Optional[int],
     campaign_id: Optional[str] = None,
 ) -> tuple:
-    """Drainable cells plus the cancelled- and exhausted-cell counts.
+    """Drainable cells, the cancelled- and exhausted-cell counts, the
+    campaigns they come from, and the status document read for each
+    drainable cell, keyed ``(run_id, index)``.
 
     ``campaign_id`` scopes the scan to one run; ``None`` scans the store.
     """
     pending: List[CellSpec] = []
+    drainable_statuses: Dict[tuple, Dict] = {}
     skipped = 0
     exhausted = 0
     campaigns: List[str] = []
@@ -262,6 +265,7 @@ def _pending_cells(
                     )
             else:
                 drainable.append(cell)
+                drainable_statuses[run_id, cell.index] = statuses[cell.index]
         # Migration-aware ordering: cells of one island group drain
         # consecutively (groups sorted by name, then shard index), so a
         # group's packet producers are scheduled alongside — not an entire
@@ -279,7 +283,7 @@ def _pending_cells(
         if drainable:
             campaigns.append(run_id)
             pending.extend(drainable)
-    return pending, skipped, exhausted, campaigns
+    return pending, skipped, exhausted, campaigns, drainable_statuses
 
 
 def fill_from_cache(
@@ -343,7 +347,7 @@ def drain_once(
     ``trace`` asks each executed cell to record a span trace (telemetry
     only — see :func:`repro.runtime.executor.run_cell`).
     """
-    pending, skipped, exhausted, campaigns = _pending_cells(
+    pending, skipped, exhausted, campaigns, statuses = _pending_cells(
         store, progress, max_attempts, campaign_id
     )
     report = DrainReport(
@@ -366,8 +370,8 @@ def drain_once(
 
     ready: List[CellSpec] = []
     for cell in pending:
-        status = store.read_shard_status(cell.run_id, cell.index)
-        if not ready_to_resume(store, cell.run_id, status):
+        # The scan's status read: one read per unfinished cell per pass.
+        if not ready_to_resume(store, cell.run_id, statuses[cell.run_id, cell.index]):
             # A waiting island without its packets would execute only to
             # re-park; leave it for a later pass and stay non-idle.
             report.waiting += 1

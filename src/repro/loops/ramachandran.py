@@ -13,9 +13,19 @@ table.  A basin is then drawn as ``cdf.searchsorted(rng.random(),
 side="right")``, which is what ``Generator.choice(len(basins), p=weights)``
 does internally (``cdf = p.cumsum(); cdf /= cdf[-1]``, one ``random()``
 per draw), so every draw, and the generator state after it, equals the
-``choice`` form bit for bit.  Draws stay scalar and sequential, member by
-member and residue by residue, because the basin of one residue conditions
-the next (``smoothness``).
+``choice`` form bit for bit.  Draws stay sequential, member by member and
+residue by residue, because the basin of one residue conditions the next
+(``smoothness``).
+
+Every draw form (:func:`sample_basin`, :func:`sample_loop_torsions`,
+:meth:`RamachandranModel.sample_population` and
+:meth:`RamachandranModel.sample_pairs`) runs one pass, :func:`_sample_rows`:
+the ``sample_rows`` pass of :mod:`repro.native`, which draws from the
+generator's own bit generator through numpy's compiled samplers
+(``random()`` as ``next_double``, ``normal`` as ``random_normal``), counts
+``cdf <= u`` for the lookup and wraps with ``wrap_angle``'s arithmetic.
+With no compiler, or for a ``Generator`` subclass, the Python loop below
+runs instead, with the same bits and the same generator state after it.
 """
 
 from __future__ import annotations
@@ -23,11 +33,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro import constants
+from repro import constants, native
 from repro.geometry.vectors import wrap_angle
 from repro.protein.residue import validate_sequence
 
@@ -49,6 +59,22 @@ def _basin_table(aa: str) -> _BasinTable:
     return cdf, tuple((float(b[0]), float(b[1]), float(b[2]), float(b[3])) for b in basins)
 
 
+@lru_cache(maxsize=None)
+def _sequence_tables(residues: Sequence[str]) -> Tuple[np.ndarray, ...]:
+    """``(offset, size, cdf, params)``: the basin tables of ``residues``
+    laid end to end for the compiled passes.  Residue ``i``'s cumulative
+    weights are ``cdf[offset[i]:offset[i] + size[i]]``, its basins the
+    same rows of the ``(rows, 4)`` ``params``."""
+    tables = [_basin_table(aa) for aa in residues]
+    size = np.array([len(cdf) for cdf, _ in tables], dtype=np.int64)
+    offset = np.concatenate([[0], np.cumsum(size)[:-1]]).astype(np.int64)
+    cdf = np.concatenate([cdf for cdf, _ in tables])
+    params = np.array([row for _, rows in tables for row in rows], dtype=np.float64)
+    for array in (size, offset, cdf, params):
+        array.flags.writeable = False
+    return offset, size, cdf, params
+
+
 def _wrap(angle: float) -> float:
     """:func:`~repro.geometry.vectors.wrap_angle` of one finite float, same arithmetic."""
     wrapped = angle - constants.TWO_PI * math.floor((angle + math.pi) / constants.TWO_PI)
@@ -62,20 +88,28 @@ def _check_smoothness(smoothness: float) -> None:
 
 def sample_basin(aa: str, rng: np.random.Generator) -> Tuple[float, float]:
     """Draw one (phi, psi) pair for residue type ``aa`` from its basin mixture."""
-    cdf, params = _basin_table(aa)
-    phi_mean, psi_mean, phi_sigma, psi_sigma = params[cdf.searchsorted(rng.random(), side="right")]
-    return _wrap(rng.normal(phi_mean, phi_sigma)), _wrap(rng.normal(psi_mean, psi_sigma))
+    phi, psi = _sample_rows((aa,), 1, rng, 0.0)[0]
+    return float(phi), float(psi)
 
 
 def _sample_rows(
-    sequence: str, rows: int, rng: np.random.Generator, smoothness: float
+    residues: Sequence[str], rows: int, rng: np.random.Generator, smoothness: float
 ) -> np.ndarray:
-    """``(rows, 2n)`` torsion vectors, drawn one row after another."""
-    seq = validate_sequence(sequence)
+    """``(rows, 2n)`` torsion vectors of the n ``residues``, drawn one row
+    after another."""
     _check_smoothness(smoothness)
-    tables = [_basin_table(aa) for aa in seq]
+    out = np.empty((rows, 2 * len(residues)), dtype=np.float64)
+    lib = native.draw_library(rng) if residues else None
+    if lib is not None:
+        offset, size, cdf, params = _sequence_tables(residues)
+        with native.bit_generator(rng) as bits:
+            lib.sample_rows(
+                bits, rows, len(residues), offset.ctypes.data, size.ctypes.data,
+                cdf.ctypes.data, params.ctypes.data, smoothness, out.ctypes.data,
+            )
+        return out
+    tables = [_basin_table(aa) for aa in residues]
     random, normal = rng.random, rng.normal
-    out = np.empty((rows, 2 * len(seq)), dtype=np.float64)
     for row in out:
         prev = -1
         k = 0
@@ -110,7 +144,7 @@ def sample_loop_torsions(
         predecessor, which produces runs of similar local structure (as real
         loops do) instead of independent per-residue draws.
     """
-    return _sample_rows(sequence, 1, rng, smoothness)[0]
+    return _sample_rows(validate_sequence(sequence), 1, rng, smoothness)[0]
 
 
 @dataclass
@@ -136,7 +170,7 @@ class RamachandranModel:
         """Sample a ``(P, 2n)`` population torsion matrix for ``sequence``."""
         if population_size <= 0:
             raise ValueError("population_size must be positive")
-        return _sample_rows(sequence, population_size, rng, self.smoothness)
+        return _sample_rows(validate_sequence(sequence), population_size, rng, self.smoothness)
 
     def log_density(self, aa: str, phi: float, psi: float) -> float:
         """Log of the (unnormalised) basin-mixture density at (phi, psi).
@@ -159,7 +193,4 @@ class RamachandranModel:
         self, aa: str, count: int, rng: np.random.Generator
     ) -> np.ndarray:
         """Sample ``count`` independent (phi, psi) pairs for residue type ``aa``."""
-        out = np.zeros((count, 2), dtype=np.float64)
-        for i in range(count):
-            out[i] = sample_basin(aa, rng)
-        return out
+        return _sample_rows((aa,), count, rng, 0.0)

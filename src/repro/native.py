@@ -1,7 +1,7 @@
 """The compiled kernels: one C library, built on first use.
 
 Every pass spells out, op for op, the numpy expression it replaced, so
-the compiled route and the numpy one give the same bits.  Three groups:
+the compiled route and the numpy one give the same bits.  Four groups:
 
 * **CCD** (:func:`repro.closure.ccd._sweep_atom_major`), two passes per
   pivot over the ``(3, rows, width)`` member-innermost coordinate
@@ -59,21 +59,51 @@ the compiled route and the numpy one give the same bits.  Three groups:
   Only comparisons and ``int64`` counts run here; each test is written
   ``!(a <= b)``, so a NaN fails it as it fails numpy's ``<=``.
 
+* **Host draws** (:mod:`repro.loops.ramachandran`,
+  :mod:`repro.moscem.mutation`), one call per population, drawing from
+  the caller's ``np.random.Generator`` through its ``bitgen_t``
+  (:func:`bit_generator`, which holds ``rng.bit_generator.lock`` around
+  the call as numpy does around its own draws).  The samplers are
+  numpy's own, linked from ``numpy/random/lib/libnpyrandom.a``:
+  ``random_standard_uniform`` (``next_double``) for ``random()``,
+  ``random_normal`` for ``normal(loc, scale)`` (element by element for
+  ``normal(0, sigma, size=k)``) and ``random_bounded_uint64`` in numpy's
+  Floyd branch of ``choice(n, k, replace=False)`` (``choose``: a hash set
+  of ``1 + mask`` slots, ``mask`` the bit-smear of ``1.2 * k``, then the
+  shuffle), so every draw and the generator's state after it equal the
+  Python calls':
+
+  - ``sample_rows`` -- the Ramachandran basin draws, row after row and
+    residue by residue (``cdf.searchsorted(u, side="right")`` as the
+    count of ``cdf <= u``);
+  - ``mutate_rows`` -- [Reproduction], member after member: ``random()``,
+    then a basin hop or a local normal move, and the CCD start.
+
+  ``distributions.h`` includes ``Python.h``, so ``bitgen_t`` and the
+  three prototypes are declared below.
+
 Only ``+``, ``-``, ``*``, ``/``, ``sqrt``, ``floor`` and comparisons run
-here, which IEEE 754 rounds exactly once each (or not at all), so both
-sides give the same bits.  ``-ffp-contract=off`` keeps the compiler from
-fusing ``a * b + c`` into one FMA rounding; ``-ffast-math`` and
-``-march=native`` must never be added.
+in this source, which IEEE 754 rounds exactly once each (or not at all),
+so both sides give the same bits.  The one exception is numpy's own
+code: the ziggurat tail and wedge tests of ``random_normal`` call libm's
+``log1p`` and ``exp``, the very calls numpy makes, so the draws are
+numpy's bits on every host (making them host-independent is ROADMAP
+item 2).
+``-ffp-contract=off`` keeps the compiler from fusing ``a * b + c`` into
+one FMA rounding; ``-ffast-math`` and ``-march=native`` must never be
+added.
 
 The library is compiled on the first kernel call (never at import) with
-``sysconfig``'s ``CC`` into ``__pycache__`` next to this file, named by
-the sha256 of the source, the flags, the compiler version and the
-machine, and written through a temp file and ``os.replace``, so racing
-processes each load a whole library.  A read-only package directory
-builds into a per-process temp directory instead.  :func:`library`
-returns ``None`` when no compiler works (logged once); the callers then
-run the numpy forms, which give the same bits.  ``ctypes`` releases the
-GIL for each call, so member threads run the passes in parallel.
+``sysconfig``'s ``CC`` into ``__pycache__`` next to this file, linked
+against numpy's ``libnpyrandom.a``, named by the sha256 of the source,
+the flags, the compiler version, the machine, the numpy version and the
+archive's bytes, and written through a temp file and ``os.replace``, so
+racing processes each load a whole library.  A read-only package
+directory builds into a per-process temp directory instead.
+:func:`library` returns ``None`` when no compiler works or numpy ships
+no ``libnpyrandom.a`` (logged once); the callers then run the numpy
+forms, which give the same bits.  ``ctypes`` releases the GIL for each
+call, so member threads run the passes in parallel.
 """
 
 from __future__ import annotations
@@ -87,13 +117,16 @@ import subprocess
 import sysconfig
 import tempfile
 import threading
+from contextlib import contextmanager
 from pathlib import Path
-from typing import List, Optional
+from typing import Iterator, List, Optional
+
+import numpy as np
 
 from repro.io import atomic_write
 from repro.utils.logging import get_logger
 
-__all__ = ["FLAGS", "SOURCE", "build", "library"]
+__all__ = ["FLAGS", "SOURCE", "bit_generator", "build", "draw_library", "library"]
 
 #: Compiler flags.  ``-ffp-contract=off`` is what makes the passes
 #: bit-identical to numpy; see the module docstring.
@@ -102,6 +135,9 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 SOURCE = r"""
 #include <limits.h>
 #include <math.h>
+#include <stdbool.h>
+#include <stdint.h>
+#include <string.h>
 
 /* ---- CCD: two passes per pivot ---- */
 
@@ -561,6 +597,180 @@ void fitness_against(const double *scores, long n, long k,
         }
     }
 }
+
+/* ---- Host draws: numpy's own samplers on the caller's generator ---- */
+
+/* numpy/random/bitgen.h and three samplers of numpy/random/distributions.h,
+   linked from numpy's libnpyrandom.a (the header itself includes
+   Python.h). */
+typedef struct bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+double random_standard_uniform(bitgen_t *bitgen_state);
+double random_normal(bitgen_t *bitgen_state, double loc, double scale);
+uint64_t random_bounded_uint64(bitgen_t *bitgen_state, uint64_t off,
+                               uint64_t rng, uint64_t mask, bool use_masked);
+
+#define PI 3.141592653589793
+#define TWO_PI (2.0 * PI)
+
+/* geometry.vectors.wrap_angle of one angle. */
+static double wrap(double angle)
+{
+    const double wrapped = angle - TWO_PI * floor((angle + PI) / TWO_PI);
+    return wrapped <= -PI ? wrapped + TWO_PI : wrapped;
+}
+
+/* The basin tables of a sequence: residue i's cumulative weights are
+   cdf[offset[i] .. offset[i] + size[i]) and basin b's
+   (phi_mean, psi_mean, phi_sigma, psi_sigma) is row offset[i] + b of
+   params ((rows, 4), C order). */
+struct basins {
+    const long *offset;
+    const long *size;
+    const double *cdf;
+    const double *params;
+};
+
+/* cdf.searchsorted(u, side="right") on a sorted table: the count of
+   entries <= u. */
+static long basin_of(const struct basins *t, long i, double u)
+{
+    const double *cdf = t->cdf + t->offset[i];
+    long count = 0;
+    for (long b = 0; b < t->size[i]; ++b) {
+        count += cdf[b] <= u;
+    }
+    return count;
+}
+
+/* The (phi, psi) draw of residue i from basin b into pair[0..1]. */
+static void draw_pair(bitgen_t *bg, const struct basins *t, long i, long b,
+                      double *pair)
+{
+    const double *p = t->params + 4 * (t->offset[i] + b);
+    pair[0] = wrap(random_normal(bg, p[0], p[2]));
+    pair[1] = wrap(random_normal(bg, p[1], p[3]));
+}
+
+/* `rows` torsion rows ((rows, 2n), C order) of the n-residue sequence
+   described by offset/size, drawn one row after another, residue by
+   residue: a residue re-uses its predecessor's basin when a uniform
+   falls below `smoothness`, else draws one from its table. */
+void sample_rows(bitgen_t *bg, long rows, long n, const long *offset,
+                 const long *size, const double *cdf, const double *params,
+                 double smoothness, double *out)
+{
+    const struct basins t = {offset, size, cdf, params};
+    for (long r = 0; r < rows; ++r) {
+        double *row = out + r * 2 * n;
+        long prev = -1;
+        for (long i = 0; i < n; ++i) {
+            long b;
+            if (prev >= 0 && prev < size[i]
+                && random_standard_uniform(bg) < smoothness) {
+                b = prev;
+            } else {
+                b = basin_of(&t, i, random_standard_uniform(bg));
+            }
+            draw_pair(bg, &t, i, b, row + 2 * i);
+            prev = b;
+        }
+    }
+}
+
+/* The smallest all-ones mask covering v (numpy's _gen_mask). */
+static uint64_t bit_smear(uint64_t v)
+{
+    v |= v >> 1;
+    v |= v >> 2;
+    v |= v >> 4;
+    v |= v >> 8;
+    v |= v >> 16;
+    v |= v >> 32;
+    return v;
+}
+
+/* Generator.choice(pop, k, replace=False) into idx[0..k): numpy's
+   Floyd branch (pop <= 10,000), a linear-probing set of 1 + mask slots
+   in `slots`, then its shuffle. */
+void choose(bitgen_t *bg, uint64_t pop, uint64_t k, uint64_t *slots,
+                   int64_t *idx)
+{
+    const uint64_t empty = UINT64_MAX;
+    const uint64_t mask = bit_smear((uint64_t)(1.2 * (double)k));
+    for (uint64_t s = 0; s <= mask; ++s) {
+        slots[s] = empty;
+    }
+    for (uint64_t j = pop - k; j < pop; ++j) {
+        const uint64_t val = random_bounded_uint64(bg, 0, j, 0, 0);
+        uint64_t loc = val & mask;
+        while (slots[loc] != empty && slots[loc] != val) {
+            loc = (loc + 1) & mask;
+        }
+        if (slots[loc] == empty) {
+            slots[loc] = val;
+            idx[j - pop + k] = (int64_t)val;
+        } else {
+            loc = j & mask;
+            while (slots[loc] != empty) {
+                loc = (loc + 1) & mask;
+            }
+            slots[loc] = j;
+            idx[j - pop + k] = (int64_t)j;
+        }
+    }
+    for (int64_t i = (int64_t)k - 1; i >= 1; --i) {
+        const uint64_t j = random_bounded_uint64(bg, 0, (uint64_t)i, 0, 0);
+        const int64_t held = idx[j];
+        idx[j] = idx[i];
+        idx[i] = held;
+    }
+}
+
+/* One mutation proposal per member of the (members, 2n) torsions into
+   `out`, and its CCD start into `starts`: a uniform below `hop` redraws
+   max(1, angles / 2) distinct residues from their basins, else `angles`
+   distinct torsions move by normal(0, sigma) and are wrapped.  The
+   start is the torsion after the last one moved, at most 2n - 1.
+   `slots` holds 1 + bit_smear(1.2 * angles) entries, `idx` angles. */
+void mutate_rows(bitgen_t *bg, long members, long n, const double *torsions,
+                 const long *offset, const long *size, const double *cdf,
+                 const double *params, long angles, double sigma, double hop,
+                 uint64_t *slots, int64_t *idx, double *out, long *starts)
+{
+    const struct basins t = {offset, size, cdf, params};
+    const long width = 2 * n;
+    for (long m = 0; m < members; ++m) {
+        const double *src = torsions + m * width;
+        double *dst = out + m * width;
+        int64_t last = 0;
+        memcpy(dst, src, (size_t)width * sizeof(double));
+        if (random_standard_uniform(bg) < hop) {
+            const long k = angles / 2 > 1 ? angles / 2 : 1;
+            choose(bg, (uint64_t)n, (uint64_t)k, slots, idx);
+            for (long r = 0; r < k; ++r) {
+                const long i = (long)idx[r];
+                draw_pair(bg, &t, i, basin_of(&t, i, random_standard_uniform(bg)),
+                          dst + 2 * i);
+                last = idx[r] > last ? idx[r] : last;
+            }
+            last = 2 * last + 1;
+        } else {
+            choose(bg, (uint64_t)width, (uint64_t)angles, slots, idx);
+            for (long r = 0; r < angles; ++r) {
+                dst[idx[r]] = wrap(src[idx[r]] + random_normal(bg, 0.0, sigma));
+                last = idx[r] > last ? idx[r] : last;
+            }
+        }
+        starts[m] = last + 1 < width - 1 ? (long)last + 1 : width - 1;
+    }
+}
 """
 
 _LOG = get_logger("native")
@@ -574,22 +784,35 @@ def _compiler() -> List[str]:
     return shlex.split(sysconfig.get_config_var("CC") or "")
 
 
+def _archive() -> Path:
+    """numpy's static sampler library, which the host draws link."""
+    return Path(np.random.__file__).with_name("lib") / "libnpyrandom.a"
+
+
 def _library_name(compiler: List[str]) -> str:
-    """The file name: sha256 of the source, flags, compiler version and
-    machine, so any change to one of them builds a new library."""
+    """The file name: sha256 of the source, flags, compiler version,
+    machine, numpy version and numpy's sampler archive, so any change to
+    one of them builds a new library."""
     version = subprocess.run(
         [*compiler, "--version"], capture_output=True, check=True, text=True
     ).stdout
+    archive = hashlib.sha256(_archive().read_bytes()).hexdigest()
     digest = hashlib.sha256()
-    for part in (SOURCE, " ".join(FLAGS), version, os.uname().machine):
+    for part in (
+        SOURCE, " ".join(FLAGS), version, os.uname().machine, np.__version__, archive
+    ):
         digest.update(part.encode() + b"\0")
     return f"kernels-{digest.hexdigest()}.so"
 
 
 def _compile(compiler: List[str], path: Path) -> None:
-    """Compile :data:`SOURCE` into the shared library ``path``."""
+    """Compile :data:`SOURCE` into the shared library ``path``, linked
+    against numpy's sampler archive."""
     subprocess.run(
-        [*compiler, *FLAGS, "-x", "c", "-", "-o", str(path), "-lm"],
+        [
+            *compiler, *FLAGS, "-x", "c", "-", "-o", str(path),
+            f"-L{_archive().parent}", "-lnpyrandom", "-lm",
+        ],
         input=SOURCE,
         capture_output=True,
         check=True,
@@ -606,6 +829,8 @@ def build(directory: Path) -> Path:
     compiler = _compiler()
     if not compiler:
         raise OSError("sysconfig names no C compiler")
+    if not _archive().is_file():
+        raise OSError(f"numpy ships no {_archive().name}")
     path = Path(directory) / _library_name(compiler)
     if not path.exists():
         atomic_write(path, lambda tmp: _compile(compiler, tmp))
@@ -642,6 +867,14 @@ def _load(path: Path) -> ctypes.CDLL:
         ptr, size, size, ptr, ptr, ptr, ptr, ptr, size, ptr
     ]
     lib.fitness_against.restype = None
+    lib.sample_rows.argtypes = [ptr, size, size, ptr, ptr, ptr, ptr, real, ptr]
+    lib.sample_rows.restype = None
+    lib.mutate_rows.argtypes = [
+        ptr, size, size, ptr, ptr, ptr, ptr, ptr, size, real, real, ptr, ptr, ptr, ptr
+    ]
+    lib.mutate_rows.restype = None
+    lib.choose.argtypes = [ptr, ctypes.c_uint64, ctypes.c_uint64, ptr, ptr]
+    lib.choose.restype = None
     return lib
 
 
@@ -660,7 +893,7 @@ def _build_and_load(cache: Path) -> ctypes.CDLL:
 
 def library() -> Optional[ctypes.CDLL]:
     """The compiled kernels, built on the first call; ``None`` when no
-    compiler works (logged once)."""
+    compiler works or numpy ships no sampler archive (logged once)."""
     global _library
     with _lock:
         if _library is _UNSET:
@@ -669,8 +902,24 @@ def library() -> Optional[ctypes.CDLL]:
             except (OSError, subprocess.CalledProcessError) as error:
                 detail = getattr(error, "stderr", None) or error
                 _LOG.warning(
-                    "no C compiler works (%s); the compiled kernels run their numpy forms",
+                    "the kernels cannot be compiled (%s); they run their numpy forms",
                     detail,
                 )
                 _library = None
         return _library  # type: ignore[return-value]
+
+
+def draw_library(rng: np.random.Generator) -> Optional[ctypes.CDLL]:
+    """:func:`library` when its host draws can stand in for ``rng``'s
+    methods: ``None`` for a ``Generator`` subclass, which may override
+    them, so only the numpy forms call them."""
+    return library() if type(rng) is np.random.Generator else None
+
+
+@contextmanager
+def bit_generator(rng: np.random.Generator) -> Iterator[int]:
+    """The address of ``rng``'s ``bitgen_t``, its lock held, as numpy
+    holds it around each of its own draws."""
+    bits = rng.bit_generator
+    with bits.lock:
+        yield bits.ctypes.bit_generator.value

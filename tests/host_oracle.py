@@ -2,9 +2,11 @@
 
 These are the NeRF step and chain build (``place_atom``,
 ``build_backbone``), the Ramachandran draws (``sample_basin``,
-``sample_loop_torsions``, and the per-member population stack) and the
-nested-loop ``build_knowledge_base`` as they shipped before the host paths
-were rewritten on Python floats, precomputed basin CDFs and ``np.bincount``.
+``sample_loop_torsions``, and the per-member population stack), the
+per-member mutation proposals (``mutate_torsions``, ``mutate_population``)
+and the nested-loop ``build_knowledge_base`` as they shipped before the
+host paths were rewritten on Python floats, precomputed basin CDFs,
+``np.bincount`` and the compiled draw passes of ``repro.native``.
 They are kept verbatim as the reference the production code must reproduce
 bit for bit (``np.array_equal`` on every output, and an equal
 ``rng.bit_generator.state`` after every draw).  ``generate_library`` is the
@@ -210,6 +212,73 @@ def sample_pairs(aa: str, count: int, rng: np.random.Generator) -> np.ndarray:
     for i in range(count):
         out[i] = sample_basin(aa, rng)
     return out
+
+
+# ----------------------------------------------------------------------
+# moscem/mutation.py
+# ----------------------------------------------------------------------
+
+
+def mutate_torsions(
+    torsions: np.ndarray,
+    sequence: str,
+    rng: np.random.Generator,
+    n_angles: int = 2,
+    sigma: float = np.radians(30.0),
+    basin_hop_probability: float = 0.3,
+) -> Tuple[np.ndarray, int]:
+    """Mutate one torsion vector; returns it and its CCD start."""
+    torsions = np.asarray(torsions, dtype=np.float64)
+    n_torsions = torsions.shape[0]
+    if n_torsions % 2 != 0 or n_torsions // 2 != len(sequence):
+        raise ValueError("torsions length does not match sequence")
+    n_angles = int(np.clip(n_angles, 1, n_torsions))
+
+    mutated = torsions.copy()
+    if rng.random() < basin_hop_probability:
+        # Redraw whole residues from the Ramachandran model.
+        n_res = max(1, n_angles // 2)
+        residues = rng.choice(len(sequence), size=n_res, replace=False)
+        for res in residues:
+            phi, psi = sample_basin(sequence[res], rng)
+            mutated[2 * res] = phi
+            mutated[2 * res + 1] = psi
+        first = int(np.min(residues)) * 2
+        last = int(np.max(residues)) * 2 + 1
+    else:
+        indices = rng.choice(n_torsions, size=n_angles, replace=False)
+        perturbation = rng.normal(0.0, sigma, size=n_angles)
+        mutated[indices] = wrap_angle(mutated[indices] + perturbation)
+        first = int(np.min(indices))
+        last = int(np.max(indices))
+
+    ccd_start = min(last + 1, n_torsions - 1)
+    return mutated, ccd_start
+
+
+def mutate_population(
+    torsions: np.ndarray,
+    sequence: str,
+    rng: np.random.Generator,
+    n_angles: int = 2,
+    sigma: float = np.radians(30.0),
+    basin_hop_probability: float = 0.3,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``mutate_population``: one ``mutate_torsions`` call per member."""
+    torsions = np.asarray(torsions, dtype=np.float64)
+    pop = torsions.shape[0]
+    mutated = np.empty_like(torsions)
+    starts = np.empty(pop, dtype=np.int64)
+    for i in range(pop):
+        mutated[i], starts[i] = mutate_torsions(
+            torsions[i],
+            sequence,
+            rng,
+            n_angles=n_angles,
+            sigma=sigma,
+            basin_hop_probability=basin_hop_probability,
+        )
+    return mutated, starts
 
 
 # ----------------------------------------------------------------------

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import uuid
 
 import numpy as np
@@ -297,6 +298,39 @@ class TestReadiness:
         assert without_failures(store.canonical_journal("ready")) == (
             without_failures(clean_journal)
         )
+
+
+    def test_unleased_pass_reads_each_status_once(self, store_root, monkeypatch):
+        """The scan's status reads feed the readiness filter: a pass reads
+        one status document per unfinished cell, not two."""
+        grid = _grid(campaign_id="reads", seeds=2)
+        store = RunStore(store_root)
+        Session(store).submit(grid)
+        original_build = executor_module._build_sampler
+
+        def failing_island_0(cell_):
+            if cell_.index == 0:
+                raise RuntimeError("island 0 fails")
+            return original_build(cell_)
+
+        monkeypatch.setattr(executor_module, "_build_sampler", failing_island_0)
+        drain_once(store, workers=1, progress=lambda _l: None)
+        assert store.read_shard_status("reads", 1)["state"] == "waiting"
+
+        reads = []
+        original_read = RunStore.read_shard_status
+
+        def counting_read(self, run_id, index):
+            if sys._getframe(1).f_globals["__name__"] == "repro.api.daemon":
+                reads.append(index)
+            return original_read(self, run_id, index)
+
+        monkeypatch.setattr(RunStore, "read_shard_status", counting_read)
+        for _ in range(2):
+            reads.clear()
+            report = drain_once(store, workers=1, progress=lambda _l: None)
+            assert report.failed == 1 and report.waiting == 1
+            assert sorted(reads) == [0, 1]
 
 
 class TestStarvedIslands:

@@ -379,7 +379,7 @@ class TestArchipelagoScaleOut:
         Session(store).submit(
             _smoke_campaign(campaign_id="grouped", seeds=3, migration="ring")
         )
-        pending, _skipped, _exhausted, campaigns = _pending_cells(
+        pending, _skipped, _exhausted, campaigns, _statuses = _pending_cells(
             store, progress=None, max_attempts=None
         )
         assert campaigns == ["grouped"]

@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import host_oracle as oracle
+from repro import native
 from repro.geometry.nerf import build_backbone, place_atom
 from repro.loops.library import LoopLibrary, LoopRecord, default_library
 from repro.loops.loop import canonical_n_anchor
@@ -188,22 +189,24 @@ class TestSampling:
 
     @pytest.mark.parametrize("basin_hop_probability", [0.3, 1.0])
     def test_mutation_basin_hops(self, monkeypatch, basin_hop_probability):
+        # Three routes: the compiled pass, the no-compiler Python loop and
+        # the oracle's per-member loop on the choice(p=...) basin draws.
         sequence = get_target(PAPER_TARGET).sequence
         torsions = RamachandranModel().sample_population(
             sequence, 64, np.random.default_rng(2)
         )
 
-        def mutate(rng):
-            mutated, starts = mutation.mutate_population(
-                torsions, sequence, rng, basin_hop_probability=basin_hop_probability
-            )
-            return np.concatenate([mutated, starts[:, None]], axis=1)
+        def mutate(module):
+            def draw(rng):
+                mutated, starts = module.mutate_population(
+                    torsions, sequence, rng, basin_hop_probability=basin_hop_probability
+                )
+                return np.concatenate([mutated, starts[:, None]], axis=1)
+            return draw
 
-        new_rng, old_rng = np.random.default_rng(9), np.random.default_rng(9)
-        got = mutate(new_rng)
-        monkeypatch.setattr(mutation, "sample_basin", oracle.sample_basin)
-        assert np.array_equal(got, mutate(old_rng))
-        assert new_rng.bit_generator.state == old_rng.bit_generator.state
+        compiled = assert_same_stream(mutate(mutation), mutate(oracle), 9)
+        monkeypatch.setattr(native, "_library", None)
+        assert np.array_equal(compiled, assert_same_stream(mutate(mutation), mutate(oracle), 9))
 
 
 class TestBackbone:
