@@ -17,7 +17,9 @@ The host is a share of a larger machine whose speed drifts, so the cell
 runs the repository benchmark's host-speed probe (``perfbench/pace.py``)
 and every time is also reported scaled to the probe's reference speed
 (``*_scaled`` rows).  Writes ``BENCH_trajectory.json`` at the repo root.
-The rows are informational: no bound is asserted yet.
+One bound is asserted, a loose regression tripwire: the median step,
+scaled, stays within :data:`STEP_S_SCALED_BOUND`; the other rows are
+informational.
 
 Run with ``pytest -m benchmarks benchmarks/test_trajectory_bench.py -s``;
 ``REPRO_BENCH_SCALE=paper`` runs the paper's 100 iterations.
@@ -48,6 +50,10 @@ _PACE_SPEC.loader.exec_module(pace)
 
 TARGET = "1cex(40:51)"
 ITERATIONS = {"smoke": 3, "default": 5, "paper": 100}
+#: Twice the scaled median step recorded once the CCD passes ran on SIMD
+#: lanes (0.4724 s at pop 15,360 / 120 on 2 member threads; the rows were
+#: recorded by two changes before a bound was set).
+STEP_S_SCALED_BOUND = 0.945
 
 #: Per-step rows and the ledger sections each one sums.
 SPLIT = {
@@ -141,3 +147,4 @@ def test_trajectory_benchmark(tmp_path, capsys):
     with capsys.disabled():
         print(f"\nwrote {OUTPUT}")
         print(json.dumps(report, indent=2, sort_keys=True))
+    assert report["rows"]["step_s_scaled"] <= STEP_S_SCALED_BOUND, report["rows"]

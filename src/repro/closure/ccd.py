@@ -21,15 +21,20 @@ The batched kernel has two execution paths that compute the same bits:
   the paper's one-thread-per-member ``[CCD]`` kernel lays it out.  Members
   are stable-sorted by start index once per call, so the members a pivot
   may move are a column prefix, and a member leaves the planes when it
-  converges.  Each pivot is two compiled passes over the planes
-  (:mod:`repro.native`): ``pivot_terms`` computes every member's
-  axis, squared norm and alignment terms ``(a, b)``, and ``rotate_tail``
-  applies the Rodrigues rotation in place to the rows the pivot moves,
-  skipping the members whose angle is excluded.  ``arctan2``, ``cos``,
-  ``sin`` and the exclusion masks run in numpy between the two.  The C
-  spells every expression out in the order of the masked kernel's numpy
-  (:func:`~repro.geometry.vectors.einsum_sum3` and its siblings, the
-  Rodrigues tree of
+  converges.  Each pivot is three compiled passes over the planes
+  (:mod:`repro.native`) around numpy's ``arctan2``, ``cos`` and ``sin``,
+  which write into preallocated buffers: ``pivot_terms`` computes every
+  member's axis, squared norm and alignment terms ``(a, b)``,
+  ``exclude_angles`` zeroes the excluded angles in place and flags the
+  rotating members, and ``rotate_tail`` applies the Rodrigues rotation
+  in place to the rows the pivot moves, leaving the other members
+  verbatim.  ``pivot_terms`` and ``rotate_tail`` run on SIMD lanes across
+  members on AVX-512F and AVX2 hosts, with the same bits as their scalar
+  loops.  After each sweep the members still converging are compacted
+  in place (``compact_columns``) into a contiguous prefix of the same
+  buffer.  The C spells every expression out in the order of the masked
+  kernel's numpy (:func:`~repro.geometry.vectors.einsum_sum3` and its
+  siblings, the Rodrigues tree of
   :func:`~repro.geometry.rotation._rotate_points_about_axes`), so both
   paths agree bit for bit.  The live members are split into strided
   stripes of the start-sorted order, one per member thread
@@ -99,23 +104,28 @@ _ATOMS = constants.BACKBONE_ATOMS_PER_RESIDUE
 _EAGER_BLOCK = 512
 #: Fewest live members per stripe of the threaded compiled path.  The
 #: compiled passes run without the GIL, but each stripe still pays the
-#: sweep's per-pivot numpy calls (``arctan2``, ``cos``, ``sin``, the
-#: exclusion masks) under it, so on the 2-vCPU host above two stripes gain
-#: from ~2,500 live members on.  Step-shaped calls (1cex(40:51) mutation
-#: proposals, median of 5 alternating runs), 1 vs 2 threads:
+#: sweep's per-pivot numpy calls (``arctan2``, ``cos``, ``sin``) under it,
+#: and since the passes run on SIMD lanes those calls are a larger share
+#: of a sweep, so on the 2-vCPU host above two stripes gain only from
+#: ~4,000 live members on (the split moved up from ~2,500).  Step-shaped
+#: calls (1cex(40:51) mutation proposals of a closed population, median of
+#: 5 alternating runs), 1 vs 2 threads, on a host whose second vCPU was
+#: shared (two threads of independent numpy work ran 1.41x as fast as
+#: one):
 #:
 #: ===========  ========  =========  =====
 #: live         1 thread  2 threads  ratio
 #: ===========  ========  =========  =====
-#: 511          0.037 s   0.077 s    0.49x
-#: 2,046        0.103 s   0.101 s    1.02x
-#: 2,558        0.123 s   0.112 s    1.10x
-#: 4,094        0.182 s   0.142 s    1.29x
-#: 5,118        0.219 s   0.163 s    1.34x
-#: 7,678        0.340 s   0.258 s    1.32x
-#: 15,352       0.747 s   0.426 s    1.75x
+#: 512          0.028 s   0.059 s    0.48x
+#: 2,048        0.080 s   0.088 s    0.91x
+#: 2,557        0.069 s   0.076 s    0.92x
+#: 3,070        0.084 s   0.086 s    0.97x
+#: 4,095        0.134 s   0.123 s    1.09x
+#: 5,117        0.158 s   0.128 s    1.24x
+#: 7,674        0.249 s   0.204 s    1.22x
+#: 15,352       0.416 s   0.288 s    1.45x
 #: ===========  ========  =========  =====
-_MIN_STRIPE = 1280
+_MIN_STRIPE = 2048
 #: The closure atoms: the last three rows of the flattened chain.
 _CLOSURE = slice(-3, None)
 
@@ -307,7 +317,7 @@ def _sweep_atom_major(
     planes: np.ndarray,
     starts: np.ndarray,
     anchors: np.ndarray,
-    terms: np.ndarray,
+    scratch: np.ndarray,
     lib: ctypes.CDLL,
 ) -> None:
     """One CCD sweep over every pivot, in place on atom-major planes.
@@ -315,44 +325,47 @@ def _sweep_atom_major(
     ``planes`` is ``(3, n*4+3, K)`` C-contiguous: one member-innermost
     plane per coordinate for the ``K`` members still converging, sorted by
     their ``starts`` so the members a pivot may move are a column prefix.
-    ``terms`` is ``(6, >= K)`` scratch for the compiled pivot terms.
+    ``scratch`` is ``(9, >= K)``: the six compiled pivot-term rows, then
+    the angles, their cosines and their sines.
     """
     _, rows, width = planes.shape
-    stride = terms.shape[1]
+    stride = scratch.shape[1]
     # The C indexes these buffers by the shapes it is given.
     if not all(
         array.dtype == np.float64 and array.flags.c_contiguous
-        for array in (planes, anchors, terms)
-    ) or anchors.shape != (3, 3) or terms.shape[0] != 6 or stride < width:
+        for array in (planes, anchors, scratch)
+    ) or anchors.shape != (3, 3) or scratch.shape[0] != 9 or stride < width:
         raise ValueError("the compiled sweep takes C-contiguous float64 planes, "
-                         "(3, 3) anchors and (6, >= K) terms")
+                         "(3, 3) anchors and (9, >= K) scratch")
+    tier = lib.lane_tier()
+    a, b, angles, c, s = scratch[4:]
+    rotating = np.empty(width, dtype=np.uint8)
+    data, terms, fixed = planes.ctypes.data, scratch.ctypes.data, anchors.ctypes.data
+    angle_data, cos_data, sin_data = (row.ctypes.data for row in (angles, c, s))
+    rotating_data = rotating.ctypes.data
     n_torsions = (rows - 3) // _ATOMS * 2
     prefixes = np.searchsorted(starts, np.arange(n_torsions), side="right")
-    for j in range(n_torsions):
-        k = int(prefixes[j])
+    for j, k in enumerate(prefixes.tolist()):
         if k == 0:
             continue
         b_idx, c_idx, move_start = _pivot_indices(j)
         lib.pivot_terms(
-            planes.ctypes.data, rows, width, k, b_idx, c_idx,
-            anchors.ctypes.data, terms.ctypes.data, stride,
+            tier, data, rows, width, k, b_idx, c_idx, fixed, terms, stride
         )
-        # The masked sweep's exclusions; the column prefix already applies
-        # its start-index and converged masks.
-        squared, a, b = terms[3:, :k]
-        angles = np.arctan2(b, a)
-        angles[((np.abs(a) < _EPS) & (np.abs(b) < _EPS)) | (squared < _EPS * _EPS)] = 0.0
-        rotating = np.abs(angles) > 1e-10
-        if not np.any(rotating):
+        # The masked sweep's exclusions, in place on the angles; the
+        # column prefix already applies its start-index and converged
+        # masks.
+        np.arctan2(b[:k], a[:k], out=angles[:k])
+        if lib.exclude_angles(angle_data, terms, stride, k, rotating_data) == 0:
             continue
-        # Excluded members are skipped, not rotated by zero:
+        # Excluded members keep their coordinates (skipped, or dropped
+        # by a select on the lanes), not rotated by zero:
         # ``(p - origin) + origin`` is a lossy round trip.
-        c = np.cos(angles)
-        s = np.sin(angles)
+        np.cos(angles[:k], out=c[:k])
+        np.sin(angles[:k], out=s[:k])
         lib.rotate_tail(
-            planes.ctypes.data, rows, width, k, b_idx, move_start,
-            terms.ctypes.data, stride, c.ctypes.data, s.ctypes.data,
-            rotating.ctypes.data,
+            tier, data, rows, width, k, b_idx, move_start, terms, stride,
+            cos_data, sin_data, rotating_data,
         )
 
 
@@ -373,15 +386,17 @@ def _close_atom_major(
     ``live`` lists members still converging, stable-sorted by start
     index; they are carried as atom-major planes and leave them (written
     back to ``moving``) as soon as they stop converging, since nothing
-    moves them afterwards.
+    moves them afterwards.  The members still going are then compacted
+    in place into a C-contiguous prefix of the same buffer.
     """
     if max_iterations <= 0 or live.size == 0:
         return
-    planes = np.ascontiguousarray(moving[live].T)  # (3, n*4+3, K)
+    planes = buffer = np.ascontiguousarray(moving[live].T)  # (3, n*4+3, K)
+    rows = buffer.shape[1]
     starts = start_indices[live]
-    terms = np.empty((6, live.size))
+    scratch = np.empty((9, live.size))
     for sweep in range(max_iterations):
-        _sweep_atom_major(planes, starts, anchors, terms, lib)
+        _sweep_atom_major(planes, starts, anchors, scratch, lib)
         swept = coordinate_rmsd_batch(planes[:, _CLOSURE, :].T, anchors)
         errors[live] = swept
         converged_at[live[swept <= tolerance]] = sweep + 1
@@ -389,9 +404,12 @@ def _close_atom_major(
         if not np.all(going):
             moving[live[~going]] = planes[:, :, ~going].T
             live, starts = live[going], starts[going]
-            planes = np.ascontiguousarray(planes[:, :, going])
             if live.size == 0:
                 return
+            lib.compact_columns(
+                planes.ctypes.data, 3 * rows, planes.shape[2], going.ctypes.data
+            )
+            planes = buffer.reshape(-1)[: 3 * rows * live.size].reshape(3, rows, live.size)
     moving[live] = planes.T
 
 

@@ -3,9 +3,8 @@
 Every pass spells out, op for op, the numpy expression it replaced, so
 the compiled route and the numpy one give the same bits.  Four groups:
 
-* **CCD** (:func:`repro.closure.ccd._sweep_atom_major`), two passes per
-  pivot over the ``(3, rows, width)`` member-innermost coordinate
-  planes:
+* **CCD** (:func:`repro.closure.ccd._sweep_atom_major`), four passes
+  over the ``(3, rows, width)`` member-innermost coordinate planes:
 
   - ``pivot_terms`` -- each member's unit pivot axis, the raw axis's
     squared norm and the alignment terms ``(a, b)``: the expressions of
@@ -14,13 +13,27 @@ the compiled route and the numpy one give the same bits.  Four groups:
     the order of :func:`~repro.geometry.vectors.einsum_sum3`,
     :func:`~repro.geometry.vectors.einsum_sum9` and
     :func:`~repro.geometry.vectors.reduce_sum3`, ``+ 0.0`` included;
+  - ``exclude_angles`` -- the masked sweep's exclusions, in place on the
+    ``arctan2`` angles numpy computed from those terms, and the
+    ``rotating`` flags (``|angle| > 1e-10``) with their count;
   - ``rotate_tail`` -- the Rodrigues tree of
     :func:`~repro.geometry.rotation._rotate_points_about_axes` on the
-    rows a pivot moves, skipping the members whose angle is excluded
-    (so they keep their coordinates verbatim).
+    rows a pivot moves, leaving the members that do not rotate
+    verbatim;
+  - ``compact_columns`` -- once per sweep, the members still converging
+    packed in place into a C-contiguous prefix of the planes' buffer.
 
-  ``arctan2``, ``cos``, ``sin`` and the exclusion masks stay in numpy,
-  between the two calls.
+  ``pivot_terms`` and ``rotate_tail`` run across members on SIMD lanes,
+  in GNU C vector types, one variant per x86 tier: 8 lanes on
+  AVX-512F, 4 on AVX2 (``target`` attributes, so no ``-m`` or
+  ``-march`` flag is needed), and the scalar loop on the baseline tier
+  and on other machines.  ``lane_tier()`` names the widest tier the
+  host runs (``__builtin_cpu_supports``) and each pass takes a tier, so
+  tests run every tier the host has.  Each lane runs the scalar form's
+  operations in its order, and a member that does not rotate keeps its
+  coordinates through a bitwise select, not a branch, so every tier
+  gives the same bits.  ``arctan2``, ``cos`` and ``sin`` stay in numpy,
+  into preallocated buffers.
 
 * **Scoring** (:mod:`repro.scoring.pairwise`), one call per population
   block of the member threads:
@@ -82,22 +95,26 @@ the compiled route and the numpy one give the same bits.  Four groups:
   ``distributions.h`` includes ``Python.h``, so ``bitgen_t`` and the
   three prototypes are declared below.
 
-Only ``+``, ``-``, ``*``, ``/``, ``sqrt``, ``floor`` and comparisons run
-in this source, which IEEE 754 rounds exactly once each (or not at all),
-so both sides give the same bits.  The one exception is numpy's own
+Only ``+``, ``-``, ``*``, ``/``, ``sqrt``, ``fabs``, ``floor``,
+comparisons and bitwise selects run in this source, which IEEE 754 rounds exactly once
+each (or not at all), on a vector lane as on a scalar, so both sides
+give the same bits.  The one exception is numpy's own
 code: the ziggurat tail and wedge tests of ``random_normal`` call libm's
 ``log1p`` and ``exp``, the very calls numpy makes, so the draws are
 numpy's bits on every host (making them host-independent is ROADMAP
 item 2).
 ``-ffp-contract=off`` keeps the compiler from fusing ``a * b + c`` into
-one FMA rounding; ``-ffast-math`` and ``-march=native`` must never be
-added.
+one FMA rounding, in every tier (``test_no_fma_in_any_tier`` and CI
+disassemble the library to check); ``-ffast-math`` and ``-march=native``
+must never be added: the first reorders sums, the second would build one
+host's tier only and let FMA back in through it.
 
 The library is compiled on the first kernel call (never at import) with
 ``sysconfig``'s ``CC`` into ``__pycache__`` next to this file, linked
 against numpy's ``libnpyrandom.a``, named by the sha256 of the source,
-the flags, the compiler version, the machine, the numpy version and the
-archive's bytes, and written through a temp file and ``os.replace``, so
+the flags, the compiler (its argv and its driver's resolved path, size
+and ``mtime_ns``, so loading a built library starts no process), the
+machine, the numpy version and the archive's bytes, and written through a temp file and ``os.replace``, so
 racing processes each load a whole library.  A read-only package
 directory builds into a per-process temp directory instead.
 :func:`library` returns ``None`` when no compiler works or numpy ships
@@ -132,6 +149,162 @@ __all__ = ["FLAGS", "SOURCE", "bit_generator", "build", "draw_library", "library
 #: bit-identical to numpy; see the module docstring.
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
+#: The vector forms of the two CCD passes, in the names of one x86 tier:
+#: ``TIER(name)`` is ``name_<tier>``, ``TARGET`` the target attribute and
+#: ``LANES`` the members per vector (see the ``SOURCE`` note above its use).
+_LANE_PASSES = r"""
+#define VEC CAT(lanes, LANES)
+#define MASK CAT(mask, LANES)
+/* Lane by lane, `yes` where the mask's bits are set, else `no`. */
+#define SELECT(mask, yes, no) \
+    ((VEC)((((MASK)(yes)) & (mask)) | (((MASK)(no)) & ~(mask))))
+
+/* pivot_terms_scalar on LANES members at a time, the scalar form on
+   the last k % LANES. */
+__attribute__((target(TARGET))) static void
+TIER(pivot_terms)(const double *planes, long rows, long width, long k,
+                  long b_idx, long c_idx, const double *anchors,
+                  double *terms, long stride)
+{
+    const long plane = rows * width;
+    const double *closure = planes + (rows - 3) * width;
+    long m = 0;
+    for (; m + LANES <= k; m += LANES) {
+        VEC o[3], raw[3], r[3][3], f[3][3], r_ax[3], f_ax[3];
+        VEC rf[3][3], cx[3], cy[3], cz[3], norm, head;
+        for (int i = 0; i < 3; ++i) {
+            LOAD(o[i], planes + i * plane + b_idx * width + m);
+            LOAD(head, planes + i * plane + c_idx * width + m);
+            raw[i] = head - o[i];
+        }
+        const VEC squared = EINSUM_SUM3(raw[0] * raw[0], raw[1] * raw[1],
+                                        raw[2] * raw[2]);
+        for (int l = 0; l < LANES; ++l) {
+            norm[l] = sqrt(squared[l]);
+        }
+        const VEC one = (VEC){0.0} + 1.0;
+        const VEC safe = SELECT((MASK)(norm < EPS), one, norm);
+        const VEC ax = raw[0] / safe;
+        const VEC ay = raw[1] / safe;
+        const VEC az = raw[2] / safe;
+        for (int i = 0; i < 3; ++i) {
+            for (int q = 0; q < 3; ++q) {
+                LOAD(head, closure + i * plane + q * width + m);
+                r[i][q] = head - o[i];
+                f[i][q] = anchors[q * 3 + i] - o[i];
+            }
+        }
+        for (int q = 0; q < 3; ++q) {
+            r_ax[q] = EINSUM_SUM3(r[0][q] * ax, r[1][q] * ay, r[2][q] * az);
+            f_ax[q] = EINSUM_SUM3(f[0][q] * ax, f[1][q] * ay, f[2][q] * az);
+        }
+        for (int i = 0; i < 3; ++i) {
+            for (int q = 0; q < 3; ++q) {
+                rf[i][q] = r[i][q] * f[i][q];
+            }
+        }
+        const VEC rf9 = (((((rf[0][2] + rf[1][1]) + rf[2][0]) + rf[0][0])
+                          + rf[2][2])
+                         + (((rf[1][2] + rf[2][1]) + rf[0][1]) + rf[1][0]))
+                        + 0.0;
+        const VEC a = rf9 - EINSUM_SUM3(r_ax[0] * f_ax[0], r_ax[1] * f_ax[1],
+                                        r_ax[2] * f_ax[2]);
+        for (int q = 0; q < 3; ++q) {
+            cx[q] = r[1][q] * f[2][q] - r[2][q] * f[1][q];
+            cy[q] = r[2][q] * f[0][q] - r[0][q] * f[2][q];
+            cz[q] = r[0][q] * f[1][q] - r[1][q] * f[0][q];
+        }
+        const VEC b = (ax * REDUCE_SUM3(cx[0], cx[1], cx[2])
+                       + ay * REDUCE_SUM3(cy[0], cy[1], cy[2]))
+                      + az * REDUCE_SUM3(cz[0], cz[1], cz[2]);
+        STORE(terms + m, ax);
+        STORE(terms + stride + m, ay);
+        STORE(terms + 2 * stride + m, az);
+        STORE(terms + 3 * stride + m, squared);
+        STORE(terms + 4 * stride + m, a);
+        STORE(terms + 5 * stride + m, b);
+    }
+    pivot_terms_scalar(planes, rows, width, m, k, b_idx, c_idx, anchors,
+                       terms, stride);
+}
+
+/* rotate_tail_scalar on LANES members at a time, the scalar form on
+   the last k % LANES.  Each block's rotating flags become lane masks
+   once, before its rows. */
+__attribute__((target(TARGET))) static void
+TIER(rotate_tail)(double *planes, long rows, long width, long k,
+                  long b_idx, long move_start, const double *terms,
+                  long stride, const double *c, const double *s,
+                  const unsigned char *rotating)
+{
+    const long plane = rows * width;
+    const double *ox = planes + b_idx * width;
+    const double *oy = ox + plane;
+    const double *oz = oy + plane;
+    const long end = k / LANES * LANES;
+    long long keep[BLOCK];
+    for (long b0 = 0; b0 < end; b0 += BLOCK) {
+        const long b1 = b0 + BLOCK < end ? b0 + BLOCK : end;
+        for (long m = b0; m < b1; ++m) {
+            keep[m - b0] = rotating[m] ? -1 : 0;
+        }
+        for (long row = move_start; row < rows; ++row) {
+            double *px = planes + row * width;
+            double *py = px + plane;
+            double *pz = py + plane;
+            for (long m = b0; m < b1; m += LANES) {
+                VEC kx, ky, kz, cm, sm, qx, qy, qz, x0, y0, z0;
+                MASK mask;
+                LOAD(kx, terms + m);
+                LOAD(ky, terms + stride + m);
+                LOAD(kz, terms + 2 * stride + m);
+                LOAD(cm, c + m);
+                LOAD(sm, s + m);
+                LOAD(qx, ox + m);
+                LOAD(qy, oy + m);
+                LOAD(qz, oz + m);
+                LOAD(x0, px + m);
+                LOAD(y0, py + m);
+                LOAD(z0, pz + m);
+                LOAD(mask, keep + (m - b0));
+                const VEC x = x0 - qx;
+                const VEC y = y0 - qy;
+                const VEC z = z0 - qz;
+                const VEC t = ((x * kx + y * ky) + z * kz) * (1.0 - cm);
+                const VEC nx = ((x * cm + (ky * z - kz * y) * sm) + kx * t) + qx;
+                const VEC ny = ((y * cm + (kz * x - kx * z) * sm) + ky * t) + qy;
+                const VEC nz = ((z * cm + (kx * y - ky * x) * sm) + kz * t) + qz;
+                const VEC outx = SELECT(mask, nx, x0);
+                const VEC outy = SELECT(mask, ny, y0);
+                const VEC outz = SELECT(mask, nz, z0);
+                STORE(px + m, outx);
+                STORE(py + m, outy);
+                STORE(pz + m, outz);
+            }
+        }
+    }
+    rotate_tail_scalar(planes, rows, width, end, k, b_idx, move_start, terms,
+                       stride, c, s, rotating);
+}
+
+#undef SELECT
+#undef MASK
+#undef VEC
+"""
+
+#: The x86 tiers of :data:`_LANE_PASSES`: name, target attribute, lanes.
+_TIERS = (("avx512", "avx512f", 8), ("avx2", "avx2", 4))
+
+
+def _tier_source(tier: str, target: str, lanes: int) -> str:
+    """:data:`_LANE_PASSES` in the names of one tier."""
+    return (
+        f'#define TIER(name) name##_{tier}\n#define TARGET "{target}"\n'
+        f"#define LANES {lanes}\n{_LANE_PASSES}"
+        "#undef LANES\n#undef TARGET\n#undef TIER\n"
+    )
+
+
 SOURCE = r"""
 #include <limits.h>
 #include <math.h>
@@ -139,37 +312,33 @@ SOURCE = r"""
 #include <stdint.h>
 #include <string.h>
 
-/* ---- CCD: two passes per pivot ---- */
+/* ---- CCD: the passes of each pivot ---- */
 
 #define EPS 1e-12
+#define CAT_(a, b) a##b
+#define CAT(a, b) CAT_(a, b)
 /* Members per block of rotate_tail: the block's axes, angles and
    origins stay in L1 while its rows are rotated. */
 #define BLOCK 512
 
 /* geometry.vectors.einsum_sum3: t0 + t1 + t2 as np.einsum adds it. */
-static double einsum_sum3(double t0, double t1, double t2)
-{
-    return ((t0 + t2) + t1) + 0.0;
-}
-
+#define EINSUM_SUM3(t0, t1, t2) ((((t0) + (t2)) + (t1)) + 0.0)
 /* geometry.vectors.reduce_sum3: t0 + t1 + t2 as .sum(axis=1) adds it. */
-static double reduce_sum3(double t0, double t1, double t2)
-{
-    return ((t0 + t1) + t2) + 0.0;
-}
+#define REDUCE_SUM3(t0, t1, t2) ((((t0) + (t1)) + (t2)) + 0.0)
 
-/* The pivot terms of members [0, k) of the (3, rows, width) planes.
-   Writes six rows of `terms` (row stride `stride`): the unit axis
-   (x, y, z), the raw axis's squared norm, and the alignment terms a, b
-   of the closure atoms (the last three plane rows) against `anchors`,
-   (3 atoms, 3 coordinates) row-major. */
-void pivot_terms(const double *planes, long rows, long width, long k,
-                 long b_idx, long c_idx, const double *anchors,
-                 double *terms, long stride)
+/* The pivot terms of members [m0, k) of the (3, rows, width) planes,
+   one member at a time.  Writes six rows of `terms` (row stride
+   `stride`): the unit axis (x, y, z), the raw axis's squared norm, and
+   the alignment terms a, b of the closure atoms (the last three plane
+   rows) against `anchors`, (3 atoms, 3 coordinates) row-major. */
+static void pivot_terms_scalar(const double *planes, long rows, long width,
+                               long m0, long k, long b_idx, long c_idx,
+                               const double *anchors, double *terms,
+                               long stride)
 {
     const long plane = rows * width;
     const double *closure = planes + (rows - 3) * width;
-    for (long m = 0; m < k; ++m) {
+    for (long m = m0; m < k; ++m) {
         double o[3], raw[3], r[3][3], f[3][3], r_ax[3], f_ax[3];
         double rf[3][3], cx[3], cy[3], cz[3];
         for (int i = 0; i < 3; ++i) {
@@ -177,7 +346,7 @@ void pivot_terms(const double *planes, long rows, long width, long k,
             raw[i] = planes[i * plane + c_idx * width + m] - o[i];
         }
         /* rotation._normalize_last_axis */
-        const double squared = einsum_sum3(raw[0] * raw[0], raw[1] * raw[1],
+        const double squared = EINSUM_SUM3(raw[0] * raw[0], raw[1] * raw[1],
                                            raw[2] * raw[2]);
         const double norm = sqrt(squared);
         const double safe = norm < EPS ? 1.0 : norm;
@@ -192,8 +361,8 @@ void pivot_terms(const double *planes, long rows, long width, long k,
             }
         }
         for (int q = 0; q < 3; ++q) {
-            r_ax[q] = einsum_sum3(r[0][q] * ax, r[1][q] * ay, r[2][q] * az);
-            f_ax[q] = einsum_sum3(f[0][q] * ax, f[1][q] * ay, f[2][q] * az);
+            r_ax[q] = EINSUM_SUM3(r[0][q] * ax, r[1][q] * ay, r[2][q] * az);
+            f_ax[q] = EINSUM_SUM3(f[0][q] * ax, f[1][q] * ay, f[2][q] * az);
         }
         for (int i = 0; i < 3; ++i) {
             for (int q = 0; q < 3; ++q) {
@@ -205,7 +374,7 @@ void pivot_terms(const double *planes, long rows, long width, long k,
                              + rf[2][2])
                             + (((rf[1][2] + rf[2][1]) + rf[0][1]) + rf[1][0]))
                            + 0.0;
-        const double a = rf9 - einsum_sum3(r_ax[0] * f_ax[0],
+        const double a = rf9 - EINSUM_SUM3(r_ax[0] * f_ax[0],
                                            r_ax[1] * f_ax[1],
                                            r_ax[2] * f_ax[2]);
         for (int q = 0; q < 3; ++q) {
@@ -213,9 +382,9 @@ void pivot_terms(const double *planes, long rows, long width, long k,
             cy[q] = r[2][q] * f[0][q] - r[0][q] * f[2][q];
             cz[q] = r[0][q] * f[1][q] - r[1][q] * f[0][q];
         }
-        const double b = (ax * reduce_sum3(cx[0], cx[1], cx[2])
-                          + ay * reduce_sum3(cy[0], cy[1], cy[2]))
-                         + az * reduce_sum3(cz[0], cz[1], cz[2]);
+        const double b = (ax * REDUCE_SUM3(cx[0], cx[1], cx[2])
+                          + ay * REDUCE_SUM3(cy[0], cy[1], cy[2]))
+                         + az * REDUCE_SUM3(cz[0], cz[1], cz[2]);
         terms[m] = ax;
         terms[stride + m] = ay;
         terms[2 * stride + m] = az;
@@ -225,26 +394,28 @@ void pivot_terms(const double *planes, long rows, long width, long k,
     }
 }
 
-/* Rodrigues rotation of rows [move_start, rows) of members [0, k) about
-   each member's unit axis (rows 0-2 of `terms`) through the origin row
-   b_idx, by the angle whose cosine and sine are c, s.  Members with
-   rotating[m] == 0 are left untouched. */
-void rotate_tail(double *planes, long rows, long width, long k,
-                 long b_idx, long move_start, const double *terms,
-                 long stride, const double *c, const double *s,
-                 const unsigned char *rotating)
+/* Rodrigues rotation of rows [move_start, rows) of members [m0, k)
+   about each member's unit axis (rows 0-2 of `terms`) through the
+   origin row b_idx, by the angle whose cosine and sine are c, s, one
+   member at a time.  Members with rotating[m] == 0 are left
+   untouched. */
+static void rotate_tail_scalar(double *planes, long rows, long width,
+                               long m0, long k, long b_idx, long move_start,
+                               const double *terms, long stride,
+                               const double *c, const double *s,
+                               const unsigned char *rotating)
 {
     const long plane = rows * width;
     const double *ox = planes + b_idx * width;
     const double *oy = ox + plane;
     const double *oz = oy + plane;
-    for (long m0 = 0; m0 < k; m0 += BLOCK) {
-        const long m1 = m0 + BLOCK < k ? m0 + BLOCK : k;
+    for (long b0 = m0; b0 < k; b0 += BLOCK) {
+        const long b1 = b0 + BLOCK < k ? b0 + BLOCK : k;
         for (long row = move_start; row < rows; ++row) {
             double *px = planes + row * width;
             double *py = px + plane;
             double *pz = py + plane;
-            for (long m = m0; m < m1; ++m) {
+            for (long m = b0; m < b1; ++m) {
                 if (!rotating[m]) {
                     continue;
                 }
@@ -263,6 +434,146 @@ void rotate_tail(double *planes, long rows, long width, long k,
             }
         }
     }
+}
+
+/* The same two passes on several members at once, in GNU C vector
+   types, compiled once per x86 tier (the target attributes of
+   _LANE_PASSES): 8 lanes on AVX-512F, 4 on AVX2.  Every lane runs the
+   scalar form's + - * / in its order (sqrt lane by lane), so each
+   lane's bits are the scalar form's.  An excluded member's lane is
+   computed and then dropped by a bitwise select, so the member keeps
+   its coordinates verbatim.  No function takes or returns a vector, so
+   no vector crosses a call between tiers (nor draws GCC's -Wpsabi
+   note).  The baseline x86 tier and other machines run the scalar
+   form: 4 lanes emulated on SSE2 are slower than it. */
+#ifndef LANE_TIERS
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+#define LANE_TIERS 1
+#else
+#define LANE_TIERS 0
+#endif
+#endif
+#if LANE_TIERS
+typedef double lanes8 __attribute__((vector_size(8 * sizeof(double))));
+typedef long long mask8 __attribute__((vector_size(8 * sizeof(long long))));
+typedef double lanes4 __attribute__((vector_size(4 * sizeof(double))));
+typedef long long mask4 __attribute__((vector_size(4 * sizeof(long long))));
+#define LOAD(v, p) memcpy(&(v), (p), sizeof(v))
+#define STORE(p, v) memcpy((p), &(v), sizeof(v))
+""" + "".join(_tier_source(*tier) for tier in _TIERS) + r"""#endif
+
+/* The lane tiers: 0 scalar, 1 AVX2, 2 AVX-512F.  lane_tier() is the
+   widest this host runs. */
+int lane_tier(void)
+{
+#if LANE_TIERS
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f")) {
+        return 2;
+    }
+    if (__builtin_cpu_supports("avx2")) {
+        return 1;
+    }
+#endif
+    return 0;
+}
+
+/* The pivot terms of members [0, k) on lane tier `tier` (at most
+   lane_tier(); a wider one runs the widest the host has). */
+void pivot_terms(int tier, const double *planes, long rows, long width,
+                 long k, long b_idx, long c_idx, const double *anchors,
+                 double *terms, long stride)
+{
+    const int host = lane_tier();
+    switch (tier < host ? tier : host) {
+#if LANE_TIERS
+    case 2:
+        pivot_terms_avx512(planes, rows, width, k, b_idx, c_idx, anchors,
+                           terms, stride);
+        return;
+    case 1:
+        pivot_terms_avx2(planes, rows, width, k, b_idx, c_idx, anchors,
+                         terms, stride);
+        return;
+#endif
+    default:
+        pivot_terms_scalar(planes, rows, width, 0, k, b_idx, c_idx, anchors,
+                           terms, stride);
+    }
+}
+
+/* The masked sweep's exclusions of members [0, k), in place on their
+   arctan2 angles: zero the angle where both alignment terms (rows 4, 5
+   of `terms`) are below EPS or the squared axis norm (row 3) is below
+   EPS * EPS, then set rotating[m] where |angle| > 1e-10.  Returns the
+   number of rotating members. */
+long exclude_angles(double *angles, const double *terms, long stride, long k,
+                    unsigned char *rotating)
+{
+    const double *squared = terms + 3 * stride;
+    const double *a = terms + 4 * stride;
+    const double *b = terms + 5 * stride;
+    long count = 0;
+    for (long m = 0; m < k; ++m) {
+        if ((fabs(a[m]) < EPS && fabs(b[m]) < EPS) || squared[m] < EPS * EPS) {
+            angles[m] = 0.0;
+        }
+        rotating[m] = fabs(angles[m]) > 1e-10;
+        count += rotating[m];
+    }
+    return count;
+}
+
+/* The Rodrigues rotation of the pivot's tail rows for members [0, k) on
+   lane tier `tier` (see pivot_terms); members with rotating[m] == 0
+   keep their coordinates verbatim. */
+void rotate_tail(int tier, double *planes, long rows, long width, long k,
+                 long b_idx, long move_start, const double *terms,
+                 long stride, const double *c, const double *s,
+                 const unsigned char *rotating)
+{
+    const int host = lane_tier();
+    switch (tier < host ? tier : host) {
+#if LANE_TIERS
+    case 2:
+        rotate_tail_avx512(planes, rows, width, k, b_idx, move_start, terms,
+                           stride, c, s, rotating);
+        return;
+    case 1:
+        rotate_tail_avx2(planes, rows, width, k, b_idx, move_start, terms,
+                         stride, c, s, rotating);
+        return;
+#endif
+    default:
+        rotate_tail_scalar(planes, rows, width, 0, k, b_idx, move_start,
+                           terms, stride, c, s, rotating);
+    }
+}
+
+/* Keep the columns of the (rows, width) row-major matrix whose
+   keep[m] is 1, packed in order into a (rows, kept) row-major prefix
+   of the same buffer; returns kept.  Every element is written to the
+   next free slot, which advances only past kept ones (no branch on the
+   mask).  That slot's index is never above the element's own, and every
+   element before it has been read, so the copy never overwrites one it
+   has yet to read. */
+long compact_columns(double *matrix, long rows, long width,
+                     const unsigned char *keep)
+{
+    long kept = 0;
+    for (long m = 0; m < width; ++m) {
+        kept += keep[m];
+    }
+    double *out = matrix;
+    for (long row = 0; row < rows; ++row) {
+        const double *in = matrix + row * width;
+        for (long m = 0; m < width; ++m) {
+            const double value = in[m];
+            *out = value;
+            out += keep[m];
+        }
+    }
+    return kept;
 }
 
 /* ---- Scoring: one call per population block ---- */
@@ -288,7 +599,7 @@ static double sq_distance(const double *p, const double *q)
     const double dx = p[0] - q[0];
     const double dy = p[1] - q[1];
     const double dz = p[2] - q[2];
-    return einsum_sum3(dx * dx, dy * dy, dz * dz);
+    return EINSUM_SUM3(dx * dx, dy * dy, dz * dz);
 }
 
 /* A contiguous row summed as np.einsum("pk->p") sums it (numpy's
@@ -789,17 +1100,27 @@ def _archive() -> Path:
     return Path(np.random.__file__).with_name("lib") / "libnpyrandom.a"
 
 
+def _compiler_identity(compiler: List[str]) -> str:
+    """The compiler argv and its driver's resolved path, size and
+    ``mtime_ns``: a compiler upgrade replaces the driver, and no process
+    is started to ask for its version."""
+    driver = shutil.which(compiler[0])
+    if driver is None:
+        raise OSError(f"no compiler {compiler[0]!r}")
+    resolved = Path(driver).resolve()
+    stat = resolved.stat()
+    return f"{shlex.join(compiler)}\0{resolved}\0{stat.st_size}\0{stat.st_mtime_ns}"
+
+
 def _library_name(compiler: List[str]) -> str:
-    """The file name: sha256 of the source, flags, compiler version,
+    """The file name: sha256 of the source, flags, compiler identity,
     machine, numpy version and numpy's sampler archive, so any change to
     one of them builds a new library."""
-    version = subprocess.run(
-        [*compiler, "--version"], capture_output=True, check=True, text=True
-    ).stdout
     archive = hashlib.sha256(_archive().read_bytes()).hexdigest()
     digest = hashlib.sha256()
     for part in (
-        SOURCE, " ".join(FLAGS), version, os.uname().machine, np.__version__, archive
+        SOURCE, " ".join(FLAGS), _compiler_identity(compiler), os.uname().machine,
+        np.__version__, archive,
     ):
         digest.update(part.encode() + b"\0")
     return f"kernels-{digest.hexdigest()}.so"
@@ -840,12 +1161,21 @@ def build(directory: Path) -> Path:
 def _load(path: Path) -> ctypes.CDLL:
     lib = ctypes.CDLL(str(path))
     ptr, size = ctypes.c_void_p, ctypes.c_long
-    lib.pivot_terms.argtypes = [ptr, size, size, size, size, size, ptr, ptr, size]
+    tier = ctypes.c_int
+    lib.lane_tier.argtypes = []
+    lib.lane_tier.restype = tier
+    lib.pivot_terms.argtypes = [
+        tier, ptr, size, size, size, size, size, ptr, ptr, size
+    ]
     lib.pivot_terms.restype = None
+    lib.exclude_angles.argtypes = [ptr, ptr, size, size, ptr]
+    lib.exclude_angles.restype = size
     lib.rotate_tail.argtypes = [
-        ptr, size, size, size, size, size, ptr, size, ptr, ptr, ptr
+        tier, ptr, size, size, size, size, size, ptr, size, ptr, ptr, ptr
     ]
     lib.rotate_tail.restype = None
+    lib.compact_columns.argtypes = [ptr, size, size, ptr]
+    lib.compact_columns.restype = size
     real = ctypes.c_double
     lib.pair_penalty.argtypes = [
         ptr, size, ptr, size, size, ptr, ptr, size, ptr, ptr

@@ -4,15 +4,23 @@
 :func:`~repro.scoring.pairwise._alignment_sums` forms, and ``rotate_tail``
 the Rodrigues tree of
 :func:`~repro.geometry.rotation._rotate_points_about_axes`, on adversarial
-planes as well as ordinary ones.  Without a working compiler,
+planes as well as ordinary ones, on every lane tier the host runs (not
+only the one the passes pick), at widths that are no multiple of the
+lane count.  ``exclude_angles`` must equal the masked sweep's exclusion
+masks and ``compact_columns`` numpy's boolean indexing.  No tier may
+contain an FMA instruction, and the source must compile without its
+vector tiers, as on a host that is not x86.  Without a working compiler,
 ``ccd_close_batch`` runs the masked sweep and still gives the compiled
-bits; racing builds into one cache directory leave one whole library.
+bits; racing builds into one cache directory leave one whole library,
+and loading a built library starts no process.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
+import re
+import shutil
 import subprocess
 import sys
 import time
@@ -47,6 +55,11 @@ def lib():
     return compiled
 
 
+def host_tiers(lib):
+    """Every lane tier this host runs: 0 (scalar) up to the widest."""
+    return range(lib.lane_tier() + 1)
+
+
 def assert_same_bits(got, want):
     """Equal bit patterns, NaN payloads aside (IEEE leaves them open)."""
     got, want = np.asarray(got), np.asarray(want)
@@ -73,11 +86,11 @@ def adversarial_planes(width: int, seed: int = 0) -> np.ndarray:
     return planes
 
 
-def c_pivot_terms(lib, planes, k, b_idx, c_idx, anchors, stride):
+def c_pivot_terms(lib, tier, planes, k, b_idx, c_idx, anchors, stride):
     terms = np.full((6, stride), 7.0)
     lib.pivot_terms(
-        planes.ctypes.data, planes.shape[1], planes.shape[2], k, b_idx, c_idx,
-        anchors.ctypes.data, terms.ctypes.data, stride,
+        tier, planes.ctypes.data, planes.shape[1], planes.shape[2], k, b_idx,
+        c_idx, anchors.ctypes.data, terms.ctypes.data, stride,
     )
     return terms
 
@@ -106,10 +119,18 @@ def test_pivot_terms_match_numpy(lib, anchor_kind, width, k):
         "negative_zero": np.full((3, 3), -0.0),
         "huge": np.random.default_rng(2).normal(size=(3, 3)) * 1e300,
     }[anchor_kind]
+    for tier in host_tiers(lib):
+        check_pivot_terms(lib, tier, planes, k, anchors)
+
+
+def check_pivot_terms(lib, tier, planes, k, anchors):
+    """Tier ``tier``'s pivot terms of every pivot equal numpy's."""
     with np.errstate(all="ignore"):
         for j in range(2 * RESIDUES):
             b_idx, c_idx, _ = _pivot_indices(j)
-            terms = c_pivot_terms(lib, planes, k, b_idx, c_idx, anchors, width + 3)
+            terms = c_pivot_terms(
+                lib, tier, planes, k, b_idx, c_idx, anchors, planes.shape[2] + 3
+            )
             axes, squared, a, b = numpy_pivot_terms(planes, k, b_idx, c_idx, anchors)
             assert_same_bits(terms[:3, :k], axes)
             assert_same_bits(terms[3, :k], squared)
@@ -118,22 +139,28 @@ def test_pivot_terms_match_numpy(lib, anchor_kind, width, k):
             assert np.all(terms[:, k:] == 7.0)  # nothing past the prefix
 
 
-@pytest.mark.parametrize("adversarial", [False, True])
-def test_rotate_tail_matches_rodrigues(lib, adversarial):
-    width, k = 40, 33
-    rng = np.random.default_rng(3)
-    planes = (
-        adversarial_planes(width, seed=3)
-        if adversarial
-        else rng.normal(scale=5.0, size=(3, ROWS, width))
-    )
-    raw = rng.normal(size=(3, width))
-    terms = np.zeros((6, width + 2))
-    terms[:3, :width] = raw / np.sqrt(einsum_sum3(raw[0] ** 2, raw[1] ** 2, raw[2] ** 2))
-    angles = rng.uniform(-np.pi, np.pi, size=k)
-    rotating = rng.random(k) < 0.7
-    rotating[:8] = True  # the adversarial columns all rotate
+@pytest.mark.parametrize("width", range(1, 10))
+def test_pivot_terms_on_every_tier_at_small_widths(lib, width):
+    """Widths 1-9 and every prefix k <= width, so the lane tiers run
+    their scalar remainder and k < lane count; the window slides over
+    the adversarial columns (degenerate axes, NaN, infinities)."""
+    wide = adversarial_planes(16, seed=width)
+    anchors = np.random.default_rng(width).normal(size=(3, 3))
+    for offset in range(0, 16 - width + 1, max(1, width // 2)):
+        planes = np.ascontiguousarray(wide[:, :, offset:offset + width])
+        for k in range(1, width + 1):
+            for tier in host_tiers(lib):
+                check_pivot_terms(lib, tier, planes, k, anchors)
+
+
+def check_rotate_tail(lib, tier, planes, k, terms, angles, rotating):
+    """Tier ``tier``'s rotation of every pivot's tail equals the numpy
+    Rodrigues tree on the rotating members and leaves every other byte
+    as it was."""
+    rows, width = planes.shape[1:]
     c, s = np.cos(angles), np.sin(angles)
+    rotating = rotating.astype(np.uint8)
+    moved = np.flatnonzero(rotating)
     for j in range(2 * RESIDUES):
         b_idx, _, move_start = _pivot_indices(j)
         before = planes.copy()
@@ -147,18 +174,113 @@ def test_rotate_tail_matches_rodrigues(lib, adversarial):
                 normalized=True,
             ).T  # (3, tail rows, k)
         lib.rotate_tail(
-            planes.ctypes.data, ROWS, width, k, b_idx, move_start,
+            tier, planes.ctypes.data, rows, width, k, b_idx, move_start,
             terms.ctypes.data, terms.shape[1], c.ctypes.data, s.ctypes.data,
             rotating.ctypes.data,
         )
         want = before.copy()
-        want[:, move_start:, np.flatnonzero(rotating)] = rotated[:, :, rotating]
+        want[:, move_start:, moved] = rotated[:, :, moved]
         assert_same_bits(planes, want)
         # Excluded members, rows above the tail and columns past the
         # prefix stay byte-unchanged.
-        untouched = np.ones((3, ROWS, width), dtype=bool)
-        untouched[:, move_start:, np.flatnonzero(rotating)] = False
+        untouched = np.ones((3, rows, width), dtype=bool)
+        untouched[:, move_start:, moved] = False
         assert before[untouched].tobytes() == planes[untouched].tobytes()
+
+
+def unit_axes(rng, width, stride):
+    raw = rng.normal(size=(3, width))
+    terms = np.zeros((6, stride))
+    terms[:3, :width] = raw / np.sqrt(einsum_sum3(raw[0] ** 2, raw[1] ** 2, raw[2] ** 2))
+    return terms
+
+
+@pytest.mark.parametrize("adversarial", [False, True])
+def test_rotate_tail_matches_rodrigues(lib, adversarial):
+    width, k = 40, 33
+    rng = np.random.default_rng(3)
+    original = (
+        adversarial_planes(width, seed=3)
+        if adversarial
+        else rng.normal(scale=5.0, size=(3, ROWS, width))
+    )
+    terms = unit_axes(rng, width, width + 2)
+    angles = rng.uniform(-np.pi, np.pi, size=k)
+    rotating = rng.random(k) < 0.7
+    rotating[:8] = True  # the adversarial columns all rotate
+    for tier in host_tiers(lib):
+        check_rotate_tail(lib, tier, original.copy(), k, terms, angles, rotating)
+
+
+@pytest.mark.parametrize("mask", ["none", "all", "mixed"])
+@pytest.mark.parametrize("width", range(1, 10))
+def test_rotate_tail_on_every_tier_at_small_widths(lib, width, mask):
+    """Widths 1-9, every prefix k <= width, and all-false, all-true and
+    mixed ``rotating`` masks, on plain and adversarial columns."""
+    rng = np.random.default_rng(width)
+    wide = adversarial_planes(16, seed=width)
+    terms = unit_axes(rng, width, width)
+    terms[:3, 0] = np.nan  # a lane whose rotation is all NaN
+    for offset in (0, 16 - width):
+        original = np.ascontiguousarray(wide[:, :, offset:offset + width])
+        for k in range(1, width + 1):
+            angles = rng.uniform(-np.pi, np.pi, size=k)
+            rotating = {
+                "none": np.zeros(k, dtype=bool),
+                "all": np.ones(k, dtype=bool),
+                "mixed": np.arange(k) % 3 != 1,
+            }[mask]
+            for tier in host_tiers(lib):
+                check_rotate_tail(lib, tier, original.copy(), k, terms, angles, rotating)
+
+
+def test_exclude_angles_matches_the_masked_sweep(lib):
+    """The exclusions in place, and the rotating mask and its count, as
+    the masked sweep's numpy computes them."""
+    rng = np.random.default_rng(17)
+    k = 203
+    terms = rng.normal(size=(6, k + 5))
+    special = np.array([0.0, -0.0, 1e-12, -1e-12, 9e-13, 1e-13, 1e-300, np.nan, np.inf, -np.inf])
+    terms[3, :k] = rng.choice(np.concatenate([special ** 2, [1e-24, 2e-24, 0.5]]), size=k)
+    terms[4, :k] = rng.choice(np.concatenate([special, [0.3]]), size=k)
+    terms[5, :k] = rng.choice(np.concatenate([special, [-0.7]]), size=k)
+    squared, a, b = terms[3:, :k]
+    with np.errstate(all="ignore"):
+        angles = np.arctan2(b, a)
+    angles[:20] = rng.choice([1e-10, -1e-10, 1.1e-10, -1.1e-10, 5e-11, np.nan], size=20)
+    want = angles.copy()
+    want[((np.abs(a) < _EPS) & (np.abs(b) < _EPS)) | (squared < _EPS * _EPS)] = 0.0
+    want_rotating = np.abs(want) > 1e-10
+    got = angles.copy()
+    rotating = np.full(k, 7, dtype=np.uint8)
+    count = lib.exclude_angles(
+        got.ctypes.data, terms.ctypes.data, terms.shape[1], k, rotating.ctypes.data
+    )
+    assert_same_bits(got, want)
+    assert rotating.tolist() == want_rotating.astype(np.uint8).tolist()
+    assert count == int(want_rotating.sum())
+    assert 0 < count < k
+
+
+@pytest.mark.parametrize("width", [1, 2, 7, 8, 9, 64])
+def test_compact_columns_matches_boolean_indexing(lib, width):
+    rng = np.random.default_rng(width)
+    planes = rng.normal(size=(3, ROWS, width))
+    for keep in (
+        np.ones(width, dtype=bool),
+        np.zeros(width, dtype=bool),
+        rng.random(width) < 0.5,
+        np.arange(width) == width - 1,
+        np.arange(width) == 0,
+    ):
+        want = planes[:, :, keep]
+        buffer = planes.copy()
+        kept = lib.compact_columns(
+            buffer.ctypes.data, 3 * ROWS, width, keep.ctypes.data
+        )
+        assert kept == int(keep.sum())
+        got = buffer.reshape(-1)[: 3 * ROWS * kept].reshape(3, ROWS, kept)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_sweep_matches_numpy_oracle_sweep(lib):
@@ -172,9 +294,9 @@ def test_sweep_matches_numpy_oracle_sweep(lib):
     planes = np.ascontiguousarray(moving.T)
     expected = planes.copy()
     anchors = np.ascontiguousarray(target.c_anchor)
-    terms = np.empty((6, 64))
+    scratch = np.empty((9, 64))
     for _ in range(3):
-        _sweep_atom_major(planes, starts, anchors, terms, lib)
+        _sweep_atom_major(planes, starts, anchors, scratch, lib)
         oracle.sweep_atom_major(expected, starts, anchors)
         assert planes.tobytes() == expected.tobytes()
 
@@ -275,8 +397,55 @@ def test_sweep_rejects_buffers_the_c_cannot_index(lib):
     starts = np.zeros(4, dtype=np.int64)
     anchors = np.zeros((3, 3))
     with pytest.raises(ValueError):
-        _sweep_atom_major(np.asfortranarray(planes), starts, anchors, np.empty((6, 4)), lib)
+        _sweep_atom_major(np.asfortranarray(planes), starts, anchors, np.empty((9, 4)), lib)
     with pytest.raises(ValueError):
-        _sweep_atom_major(planes, starts, anchors, np.empty((6, 3)), lib)
+        _sweep_atom_major(planes, starts, anchors, np.empty((9, 3)), lib)
     with pytest.raises(ValueError):
-        _sweep_atom_major(planes, starts, anchors.astype(np.float32), np.empty((6, 4)), lib)
+        _sweep_atom_major(planes, starts, anchors, np.empty((6, 4)), lib)
+    with pytest.raises(ValueError):
+        _sweep_atom_major(planes, starts, anchors.astype(np.float32), np.empty((9, 4)), lib)
+
+
+def test_no_fma_in_any_tier(lib):
+    """``-ffp-contract=off`` and no ``-march`` flag: no clone of any pass
+    fuses a multiply and an add into one rounding."""
+    objdump = shutil.which("objdump")
+    if objdump is None:
+        pytest.skip("no objdump")
+    listing = subprocess.run(
+        [objdump, "-d", "--no-show-raw-insn", lib._name],
+        capture_output=True, check=True, text=True,
+    ).stdout
+    assert "pivot_terms" in listing and "rotate_tail" in listing
+    fused = re.findall(r"\bv?f(?:n?madd|n?msub)\w*", listing)
+    assert not fused, sorted(set(fused))
+
+
+def test_source_compiles_without_lane_tiers(lib, tmp_path):
+    """A host that is not x86 compiles only the scalar passes; the
+    source must still build there without a warning."""
+    out = tmp_path / "scalar.so"
+    subprocess.run(
+        [
+            *native._compiler(), *native.FLAGS, "-Wall", "-Wextra", "-Werror",
+            "-DLANE_TIERS=0", "-x", "c", "-", "-o", str(out),
+            f"-L{native._archive().parent}", "-lnpyrandom", "-lm",
+        ],
+        input=native.SOURCE, capture_output=True, check=True, text=True,
+    )
+    scalar = ctypes.CDLL(str(out))
+    assert scalar.lane_tier() == 0
+
+
+def test_loading_a_built_library_starts_no_process(lib, monkeypatch):
+    """Once the library is built, a fresh process names and loads it
+    without running the compiler (not even ``--version``)."""
+    def refuse(*args, **kwargs):
+        pytest.fail(f"started a process: {args}")
+
+    monkeypatch.setattr(native, "_library", native._UNSET)
+    monkeypatch.setattr(subprocess, "run", refuse)
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    loaded = native.library()
+    assert isinstance(loaded, ctypes.CDLL)
+    assert loaded._name == lib._name
