@@ -326,8 +326,10 @@ def drain_once(
     without bound.  Cells that park themselves *waiting* at a migration
     boundary are neither failures nor completions: they count into
     ``report.waiting`` and stay drainable; a waiting island whose source
-    packets are not on disk yet is not dispatched at all (it would only
-    re-park) and counts into ``report.waiting`` too.  ``pool`` reuses a
+    packets are not on disk when a worker slot frees for it is not
+    dispatched at all (it would only re-park) and counts into
+    ``report.waiting`` too, while one whose sources emitted earlier in the
+    same pass runs in it.  ``pool`` reuses a
     persistent worker pool across passes (see :func:`serve`).
     ``campaign_id`` limits the pass to one campaign (``None``: every run
     in the store).
@@ -341,8 +343,8 @@ def drain_once(
     finishes or parks.  Cells held by live sibling daemons count into
     ``report.skipped_leased``; a cell whose result appeared since the scan
     (a sibling finished it) is released and skipped; waiting islands whose
-    source packets are not on disk are left unclaimed for whichever daemon
-    completes the sources.
+    source packets are not on disk at dispatch are left unclaimed for
+    whichever daemon completes the sources.
 
     ``trace`` asks each executed cell to record a span trace (telemetry
     only — see :func:`repro.runtime.executor.run_cell`).
@@ -368,18 +370,6 @@ def drain_once(
             _CELLS.inc(report.cache_hits, outcome="cache_hit")
         pending = remaining
 
-    ready: List[CellSpec] = []
-    for cell in pending:
-        # The scan's status read: one read per unfinished cell per pass.
-        if not ready_to_resume(store, cell.run_id, statuses[cell.run_id, cell.index]):
-            # A waiting island without its packets would execute only to
-            # re-park; leave it for a later pass and stay non-idle.
-            report.waiting += 1
-            _CELLS.inc(outcome="waiting")
-            continue
-        ready.append(cell)
-    pending = ready
-
     if not pending:
         return report
 
@@ -398,9 +388,20 @@ def drain_once(
     payloads = [cell_payload(store, cell, trace, slots) for cell in pending]
     busy = {"seconds": 0.0}
 
-    def _claim(pos: int) -> bool:
-        """Claim a cell's lease as a worker slot frees (claim on dispatch)."""
+    def _admit(pos: int) -> bool:
+        """Dispatch a cell as a worker slot frees for it, if it can make
+        progress now; under leases, claim it there (claim on dispatch)."""
         cell = pending[pos]
+        # The scan's status read: one read per unfinished cell per pass.
+        # Packets emitted earlier in this pass count.
+        if not ready_to_resume(store, cell.run_id, statuses[cell.run_id, cell.index]):
+            # A waiting island without its packets would execute only to
+            # re-park; leave it for a later pass and stay non-idle.
+            report.waiting += 1
+            _CELLS.inc(outcome="waiting")
+            return False
+        if leases is None:
+            return True
         if not leases.claim(cell.run_id, cell.index):
             report.skipped_leased += 1
             _CELLS.inc(outcome="skipped_leased")
@@ -459,7 +460,7 @@ def drain_once(
             pool=pool,
             on_tick=tick,
             tick_seconds=tick_seconds,
-            admit=_claim if leases is not None else None,
+            admit=_admit,
         )
     finally:
         if leases is not None:

@@ -54,7 +54,6 @@ class CPUBackend(BatchedBackend):
                 torsions[i],
                 self.target,
                 start_index=int(start_indices[i]),
-                max_iterations=self.config.ccd_iterations,
                 tolerance=self.config.ccd_tolerance,
             )
             closed[i] = result.torsions

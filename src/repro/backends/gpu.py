@@ -94,7 +94,6 @@ class BatchedBackend(SamplingBackend):
             torsions,
             self.target,
             start_indices=start_indices,
-            max_iterations=self.config.ccd_iterations,
             tolerance=self.config.ccd_tolerance,
             kernels=self.kernels,
         )

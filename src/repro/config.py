@@ -29,44 +29,27 @@ class SamplingConfig:
     iterations:
         Number of MOSCEM outer iterations (fitness assignment + complex
         evolution + assembly).
-    temperature:
-        Initial Metropolis temperature on the fitness landscape.
-    temperature_min / temperature_max:
-        Bounds for the adaptive temperature schedule.
-    target_acceptance:
-        Target Metropolis acceptance rate used by the annealing controller.
-    mutation_angles:
-        Number of torsion angles mutated when proposing a new conformation.
-    mutation_sigma:
-        Standard deviation (radians) of the Gaussian torsion perturbation.
-    ccd_iterations:
-        Maximum CCD sweeps applied to close a proposed loop.
     ccd_tolerance:
         Anchor RMSD (A) below which the loop is considered closed.
-    require_closure:
-        When true (the default), the Metropolis step only accepts proposals
-        whose closure error is within ``closure_tolerance_factor`` times the
-        CCD tolerance — the paper's "reasonable loop models are those
-        satisfying the loop closure condition".
     closure_tolerance_factor:
         Multiple of ``ccd_tolerance`` a proposal's closure error may reach
-        and still be accepted.
+        and still be accepted: the Metropolis step only accepts proposals
+        within it -- the paper's "reasonable loop models are those
+        satisfying the loop closure condition".  ``math.inf`` admits every
+        proposal (no closure gate).
     seed:
         Seed of the trajectory master RNG.
+
+    The temperature schedule, mutation and CCD sweep budget take the
+    defaults of :class:`~repro.moscem.metropolis.TemperatureSchedule`,
+    :func:`~repro.moscem.mutation.mutate_population` and
+    :func:`~repro.closure.ccd.ccd_close_batch`.
     """
 
     population_size: int = 256
     n_complexes: int = 8
     iterations: int = 20
-    temperature: float = 1.0
-    temperature_min: float = 0.05
-    temperature_max: float = 10.0
-    target_acceptance: float = 0.3
-    mutation_angles: int = 2
-    mutation_sigma: float = math.radians(30.0)
-    ccd_iterations: int = 30
     ccd_tolerance: float = 0.25
-    require_closure: bool = True
     closure_tolerance_factor: float = 2.0
     seed: int = 0
 
@@ -82,13 +65,10 @@ class SamplingConfig:
             )
         if self.iterations < 0:
             raise ValueError("iterations must be non-negative")
-        if not (0.0 < self.target_acceptance < 1.0):
-            raise ValueError("target_acceptance must be in (0, 1)")
-        if self.mutation_angles <= 0:
-            raise ValueError("mutation_angles must be positive")
-        if self.ccd_iterations < 0:
-            raise ValueError("ccd_iterations must be non-negative")
-        if self.closure_tolerance_factor <= 0.0:
+        if not (0.0 < self.ccd_tolerance < math.inf):
+            raise ValueError("ccd_tolerance must be positive and finite")
+        # +inf is legal: the ungated step.  NaN fails the comparison.
+        if not self.closure_tolerance_factor > 0.0:
             raise ValueError("closure_tolerance_factor must be positive")
 
     @property

@@ -168,7 +168,6 @@ class CCDAblationExperiment(Experiment):
         ccd = ccd_close_batch(
             torsions,
             target,
-            max_iterations=config.ccd_iterations,
             tolerance=config.ccd_tolerance,
         )
         closed_errors = ccd.closure_error
@@ -264,7 +263,6 @@ class BatchKernelAblationExperiment(Experiment):
                 ccd_close(
                     torsions[i],
                     target,
-                    max_iterations=config.ccd_iterations,
                     tolerance=config.ccd_tolerance,
                 )
 
@@ -274,7 +272,6 @@ class BatchKernelAblationExperiment(Experiment):
             ccd_close_batch,
             torsions,
             target,
-            max_iterations=config.ccd_iterations,
             tolerance=config.ccd_tolerance,
         )
         table.add_row(

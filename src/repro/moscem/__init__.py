@@ -40,13 +40,6 @@ from repro.moscem.decoys import Decoy, DecoySet
 from repro.moscem.trajectory import TrajectoryRecorder, TrajectorySnapshot
 from repro.moscem.sampler import MOSCEMSampler, SamplingResult
 from repro.moscem.baseline import SimulatedAnnealingBaseline, BaselineResult
-from repro.moscem.diagnostics import (
-    ConvergenceReport,
-    acceptance_trend,
-    diagnose,
-    split_half_agreement,
-    temperature_stability,
-)
 
 __all__ = [
     "Population",
@@ -69,9 +62,4 @@ __all__ = [
     "SamplingResult",
     "SimulatedAnnealingBaseline",
     "BaselineResult",
-    "ConvergenceReport",
-    "acceptance_trend",
-    "temperature_stability",
-    "split_half_agreement",
-    "diagnose",
 ]

@@ -19,6 +19,7 @@ import numpy as np
 from repro.config import SamplingConfig
 from repro.loops.loop import LoopTarget
 from repro.loops.ramachandran import RamachandranModel
+from repro.moscem.metropolis import TemperatureSchedule
 from repro.moscem.mutation import mutate_population
 from repro.scoring.base import MultiScore, ScoringFunction
 from repro.scoring.composite import WeightedSumScore
@@ -100,28 +101,22 @@ class SimulatedAnnealingBaseline:
         ccd = ccd_close_batch(
             torsions,
             self.target,
-            max_iterations=config.ccd_iterations,
             tolerance=config.ccd_tolerance,
         )
         torsions, coords = ccd.torsions, ccd.coords
         scores = self.objective.evaluate_batch(coords, torsions)
 
-        temperature = config.temperature
+        temperature = TemperatureSchedule().temperature
         history: List[float] = [float(scores.min())]
 
         for _iteration in range(config.iterations):
             proposals, starts = mutate_population(
-                torsions,
-                self.target.sequence,
-                mutation_rng,
-                n_angles=config.mutation_angles,
-                sigma=config.mutation_sigma,
+                torsions, self.target.sequence, mutation_rng
             )
             ccd = ccd_close_batch(
                 proposals,
                 self.target,
                 start_indices=starts,
-                max_iterations=config.ccd_iterations,
                 tolerance=config.ccd_tolerance,
             )
             proposal_scores = self.objective.evaluate_batch(ccd.coords, ccd.torsions)

@@ -267,12 +267,7 @@ class MOSCEMSampler:
         if host_ledger is None:
             host_ledger = TimingLedger()
 
-        schedule = TemperatureSchedule(
-            temperature=config.temperature,
-            target_acceptance=config.target_acceptance,
-            minimum=config.temperature_min,
-            maximum=config.temperature_max,
-        )
+        schedule = TemperatureSchedule()
 
         with host_ledger.section("Initialization"):
             torsions = self.initialize_population(init_rng)
@@ -317,25 +312,19 @@ class MOSCEMSampler:
         # [Reproduction] on the host: propose a mutation for every member.
         with host_ledger.section("Reproduction"):
             proposals, ccd_starts = mutate_population(
-                population.torsions,
-                self.target.sequence,
-                state.mutation_rng,
-                n_angles=config.mutation_angles,
-                sigma=config.mutation_sigma,
+                population.torsions, self.target.sequence, state.mutation_rng
             )
         self.backend.sync_to_device(population)
 
         # [CCD] + scoring kernels.
         ccd = self.backend.close_loops(proposals, ccd_starts)
-        admissible = None
-        if config.require_closure:
-            # Only proposals satisfying the loop-closure condition are
-            # admissible loop models (Section III.C of the paper).  The
-            # others are rejected whatever they score, so only admissible
-            # proposals are scored and fitness-queried.
-            admissible = ccd.closure_error <= (
-                config.ccd_tolerance * config.closure_tolerance_factor
-            )
+        # Only proposals satisfying the loop-closure condition are
+        # admissible loop models (Section III.C of the paper).  The others
+        # are rejected whatever they score, so only admissible proposals
+        # are scored and fitness-queried.
+        admissible = ccd.closure_error <= (
+            config.ccd_tolerance * config.closure_tolerance_factor
+        )
         proposal_scores = self.backend.evaluate_scores(
             ccd.coords, ccd.torsions, members=admissible
         )
@@ -349,8 +338,7 @@ class MOSCEMSampler:
         accept = metropolis_accept(
             current_fit, proposal_fit, schedule.temperature, state.metropolis_rng
         )
-        if admissible is not None:
-            accept &= admissible
+        accept &= admissible
 
         with host_ledger.section("Assemble"):
             accepted = np.where(accept)[0]

@@ -171,9 +171,10 @@ def load_checkpoint(
 ) -> SamplerState:
     """Restore a :class:`SamplerState` from ``directory`` for ``sampler``.
 
-    The sampler supplies the configuration the schedule bounds and
-    validation come from; a checkpoint whose population shape disagrees
-    with the sampler's configuration is rejected.
+    The sampler supplies the configuration the validation comes from; a
+    checkpoint whose population shape disagrees with the sampler's
+    configuration is rejected.  The schedule resumes at the stored
+    temperature with :class:`TemperatureSchedule`'s default bounds.
     """
     paths = checkpoint_paths(Path(directory))
     payload = _load_payload(paths)
@@ -219,12 +220,7 @@ def load_checkpoint(
     except ValueError as exc:
         raise CheckpointError(f"inconsistent checkpoint arrays: {exc}") from exc
 
-    schedule = TemperatureSchedule(
-        temperature=float(payload["temperature"]),
-        target_acceptance=config.target_acceptance,
-        minimum=config.temperature_min,
-        maximum=config.temperature_max,
-    )
+    schedule = TemperatureSchedule(temperature=float(payload["temperature"]))
     seed = payload.get("seed")
     streams = RandomStreams(None if seed is None else int(seed))
     state = SamplerState(

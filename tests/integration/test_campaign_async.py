@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import uuid
 from pathlib import Path
@@ -60,6 +61,19 @@ def store_root(tmp_path):
         os.makedirs(root, exist_ok=True)
         return root
     return str(tmp_path / "store")
+
+
+#: The retired sampling fields with the defaults pre-change manifests hold.
+RETIRED_SAMPLING_DEFAULTS = {
+    "temperature": 1.0,
+    "temperature_min": 0.05,
+    "temperature_max": 10.0,
+    "target_acceptance": 0.3,
+    "mutation_angles": 2,
+    "mutation_sigma": math.radians(30.0),
+    "ccd_iterations": 30,
+    "require_closure": True,
+}
 
 
 def _smoke_campaign(**overrides):
@@ -186,6 +200,40 @@ class TestSubmitAndDrain:
         skipped = [line for line in lines if line.startswith("blocked:")]
         assert len(skipped) == 1
         assert "skipping" in skipped[0] and "kernel_block_size" in skipped[0]
+
+    def test_drain_skips_runs_naming_retired_sampling_fields(self, store_root):
+        """Every manifest stored while the schedule, mutation, CCD budget
+        and gate switch were sampling fields names them (``asdict`` writes
+        the defaults too).  Such a manifest no longer loads (the error
+        names the field); the daemon skips each such run and drains the
+        others in the store."""
+        store = RunStore(store_root)
+        for name, value in RETIRED_SAMPLING_DEFAULTS.items():
+            run_id = "retired-" + name.replace("_", "-")
+            Session(store).submit(
+                _smoke_campaign(campaign_id=run_id, seeds=1, targets="1cex(40:51)")
+            )
+            path = store.run_dir(run_id) / RunStore.MANIFEST_NAME
+            manifest = json.loads(path.read_text())
+            for entry in manifest["spec"]["configs"] + manifest["cells"]:
+                entry["config"][name] = value
+            path.write_text(json.dumps(manifest))
+            with pytest.raises(RunStoreError, match=name):
+                store.load_manifest(run_id)
+
+        handle = Session(store).submit(
+            _smoke_campaign(campaign_id="fresh", seeds=1, targets="1cex(40:51)")
+        )
+        lines = []
+        report = drain_once(store, workers=1, progress=lines.append)
+        assert report.executed == 1 and report.failed == 0
+        assert report.campaigns == ["fresh"]
+        assert handle.status().complete
+        for name in RETIRED_SAMPLING_DEFAULTS:
+            prefix = "retired-" + name.replace("_", "-") + ":"
+            skipped = [line for line in lines if line.startswith(prefix)]
+            assert len(skipped) == 1
+            assert "skipping" in skipped[0] and name in skipped[0]
 
     def test_drain_skips_retired_single_target_runs(self, store_root):
         """A format-1 manifest (the retired single-target batch CLI) next

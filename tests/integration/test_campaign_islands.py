@@ -253,35 +253,44 @@ class TestReadiness:
     def test_unleased_pass_skips_a_waiter_without_packets(
         self, store_root, tmp_path, monkeypatch
     ):
-        """A waiting island whose source packet is not on disk is not
-        dispatched by an unleased pass: it counts as waiting, never runs,
-        and the full drain still matches a clean run."""
+        """A waiting island whose source packet is not on disk when its
+        turn comes is not dispatched by an unleased pass: it counts as
+        waiting, never runs; once the source emits earlier in a pass, the
+        waiter runs in that same pass, and the full drain still matches a
+        clean run."""
         grid = _grid(campaign_id="ready", seeds=2)
         store = RunStore(store_root)
         handle = Session(store).submit(grid)
         built = []
-        failed_once = []
+        failures = []
         original = executor_module._build_sampler
 
-        def failing_island_0_once(cell_):
+        def failing_island_0_twice(cell_):
             built.append(cell_.index)
-            if cell_.index == 0 and not failed_once:
-                failed_once.append(True)
-                raise RuntimeError("island 0 fails once")
+            if cell_.index == 0 and len(failures) < 2:
+                failures.append(True)
+                raise RuntimeError("island 0 fails")
             return original(cell_)
 
-        monkeypatch.setattr(executor_module, "_build_sampler", failing_island_0_once)
+        monkeypatch.setattr(executor_module, "_build_sampler", failing_island_0_twice)
         # Island 0 fails before emitting; island 1 parks waiting on it.
         report = drain_once(store, workers=1, progress=lambda _l: None)
         assert report.failed == 1 and report.waiting == 1
         assert store.read_shard_status("ready", 1)["waiting_on"] == [0]
 
-        # Island 1's source packet is still missing when this pass scans,
-        # so only island 0 is built.
+        # Island 0 fails again, so island 1's source packet is still
+        # missing at its dispatch: only island 0 is built.
         built.clear()
         report = drain_once(store, workers=1, progress=lambda _l: None)
         assert built == [0]
-        assert report.failed == 0 and report.waiting == 2
+        assert report.failed == 1 and report.waiting == 1
+
+        # Island 0 emits before island 1's turn, so island 1 runs in the
+        # same pass.
+        built.clear()
+        report = drain_once(store, workers=1, progress=lambda _l: None)
+        assert built == [0, 1]
+        assert report.failed == 0
 
         _drain_to_completion(store, handle)
         clean = Session(str(tmp_path / "clean"), workers=1).run(grid)
@@ -299,6 +308,24 @@ class TestReadiness:
             without_failures(clean_journal)
         )
 
+
+    def test_ring_drains_in_two_unleased_passes(self, store_root, monkeypatch):
+        """Readiness is checked at dispatch, not at the scan: a waiter whose
+        sources emit earlier in the same pass runs in it.  The 2-epoch ring
+        drains in two passes (a scan-time check takes three) with no more
+        sampler builds."""
+        store = RunStore(store_root)
+        handle = Session(store).submit(_grid(campaign_id="ring2"))
+        built = []
+        original = executor_module._build_sampler
+
+        def counting(cell_):
+            built.append(cell_.index)
+            return original(cell_)
+
+        monkeypatch.setattr(executor_module, "_build_sampler", counting)
+        assert _drain_to_completion(store, handle) == 2
+        assert len(built) == 5
 
     def test_unleased_pass_reads_each_status_once(self, store_root, monkeypatch):
         """The scan's status reads feed the readiness filter: a pass reads

@@ -149,6 +149,32 @@ class TestErrors:
         assert "kernel_block_size" in str(excinfo.value)
         assert store.list_runs() == []
 
+    @pytest.mark.parametrize("name", ["temperature", "require_closure"])
+    def test_retired_sampling_field_is_400(self, served, name):
+        client, store = served
+        document = _document(campaign_id="retired")
+        document["configs"]["tiny"][name] = 1
+        with pytest.raises(ServeError) as excinfo:
+            client.submit(document)
+        assert excinfo.value.status == 400
+        assert name in str(excinfo.value)
+        assert store.list_runs() == []
+
+    @pytest.mark.parametrize(
+        "name, value", [("ccd_tolerance", -1.0), ("closure_tolerance_factor", 0.0)]
+    )
+    def test_outside_tolerance_is_400(self, served, name, value):
+        """A tolerance no member can meet is refused before anything is
+        written, not accepted into a campaign that never closes a loop."""
+        client, store = served
+        document = _document(campaign_id="tolerance")
+        document["configs"]["tiny"][name] = value
+        with pytest.raises(ServeError) as excinfo:
+            client.submit(document)
+        assert excinfo.value.status == 400
+        assert name in str(excinfo.value)
+        assert store.list_runs() == []
+
     def test_non_positive_iterations_is_400(self, served):
         client, store = served
         with pytest.raises(ServeError) as excinfo:

@@ -6,13 +6,14 @@ fitness-queries only the proposals the closure gate admits;
 trajectories must agree bit for bit (``np.array_equal``) on the
 population (torsions, coordinates, closure atoms, scores, fitness), the
 acceptance and temperature histories and both RNG streams -- on the gpu
-and xp backends, with the gate on and off, at 1 and 2 member threads.
-Steps in which no proposal, or every proposal, is admissible still launch
-every scorer exactly once.
+and xp backends, with the gate on and off (``closure_tolerance_factor``
+``inf``), at 1 and 2 member threads.  Steps in which no proposal, or
+every proposal, is admissible still launch every scorer exactly once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -89,19 +90,25 @@ def small_stripes(monkeypatch):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("require_closure", [True, False], ids=["gate", "no-gate"])
+@pytest.mark.parametrize(
+    "factor", [CONFIG.closure_tolerance_factor, math.inf], ids=["gate", "no-gate"]
+)
 @pytest.mark.parametrize("kind", ["gpu", "xp"])
 def test_trajectory_equals_oracle(
-    paper_target, knowledge_base, small_stripes, kind, require_closure, threads
+    paper_target, knowledge_base, small_stripes, kind, factor, threads
 ):
-    config = replace(CONFIG, require_closure=require_closure)
+    config = replace(CONFIG, closure_tolerance_factor=factor)
     new, old, admitted = _trajectories(
         paper_target, knowledge_base, config, kind, threads
     )
     assert_same_state(new, old)
-    # The gate both admitted and rejected proposals: the skipped rows
-    # were exercised.
-    assert all(0 < count < config.population_size for count in admitted)
+    if factor == math.inf:
+        # No gate: every proposal is scored and may be accepted.
+        assert admitted == [config.population_size] * config.iterations
+    else:
+        # The gate both admitted and rejected proposals: the skipped rows
+        # were exercised.
+        assert all(0 < count < config.population_size for count in admitted)
     assert any(rate > 0.0 for rate in new.acceptance_history)
 
 

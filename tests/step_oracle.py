@@ -46,11 +46,7 @@ def step(
     # [Reproduction] on the host: propose a mutation for every member.
     with host_ledger.section("Reproduction"):
         proposals, ccd_starts = mutate_population(
-            population.torsions,
-            sampler.target.sequence,
-            state.mutation_rng,
-            n_angles=config.mutation_angles,
-            sigma=config.mutation_sigma,
+            population.torsions, sampler.target.sequence, state.mutation_rng
         )
     sampler.backend.sync_to_device(population)
 
@@ -65,13 +61,12 @@ def step(
     accept = metropolis_accept(
         current_fit, proposal_fit, schedule.temperature, state.metropolis_rng
     )
-    if config.require_closure:
-        # Only proposals satisfying the loop-closure condition are
-        # admissible loop models (Section III.C of the paper).
-        closed = ccd.closure_error <= (
-            config.ccd_tolerance * config.closure_tolerance_factor
-        )
-        accept &= closed
+    # Only proposals satisfying the loop-closure condition are
+    # admissible loop models (Section III.C of the paper).
+    closed = ccd.closure_error <= (
+        config.ccd_tolerance * config.closure_tolerance_factor
+    )
+    accept &= closed
 
     with host_ledger.section("Assemble"):
         accepted = np.where(accept)[0]

@@ -343,6 +343,49 @@ class TestCampaignBuilders:
         with pytest.raises(ValueError, match="unknown sampling fields.*kernel_block_size"):
             load_campaign(toml_path)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("temperature", 1.0),
+            ("temperature_min", 0.05),
+            ("temperature_max", 10.0),
+            ("target_acceptance", 0.3),
+            ("mutation_angles", 2),
+            ("mutation_sigma", 0.5235987755982988),
+            ("ccd_iterations", 30),
+            ("require_closure", True),
+        ],
+    )
+    def test_retired_sampling_field_rejected(self, tmp_path, name, value):
+        """The schedule, mutation and CCD budget live in their callees'
+        defaults and the gate is ``closure_tolerance_factor``: a campaign
+        document naming a retired field is rejected as JSON and as TOML."""
+        body = {
+            "campaign": {"id": "file", "targets": ["1cex(40:51)"]},
+            "configs": {"default": {"population_size": 16, "n_complexes": 4, name: value}},
+        }
+        json_path = tmp_path / "c.json"
+        json_path.write_text(json.dumps(body))
+        with pytest.raises(ValueError, match=f"unknown sampling fields.*{name}"):
+            load_campaign(json_path)
+        toml_path = tmp_path / "c.toml"
+        toml_path.write_text(
+            "\n".join(
+                [
+                    "[campaign]",
+                    'id = "file"',
+                    'targets = ["1cex(40:51)"]',
+                    "[configs.default]",
+                    "population_size = 16",
+                    "n_complexes = 4",
+                    f"{name} = {json.dumps(value)}",
+                ]
+            )
+        )
+        pytest.importorskip("tomllib")
+        with pytest.raises(ValueError, match=f"unknown sampling fields.*{name}"):
+            load_campaign(toml_path)
+
     def test_example_table_iv_document_loads(self):
         pytest.importorskip("tomllib")
         from pathlib import Path

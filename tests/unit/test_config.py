@@ -1,10 +1,24 @@
 """Unit tests for the run-configuration dataclasses."""
 
+import dataclasses
 import math
 
 import pytest
 
 from repro.config import PaperConfig, SamplingConfig
+
+#: Fields that no longer configure a trajectory; each value lives in the
+#: default of the function that uses it.
+RETIRED_FIELDS = (
+    "temperature",
+    "temperature_min",
+    "temperature_max",
+    "target_acceptance",
+    "mutation_angles",
+    "mutation_sigma",
+    "ccd_iterations",
+    "require_closure",
+)
 
 
 class TestSamplingConfig:
@@ -24,10 +38,13 @@ class TestSamplingConfig:
             {"population_size": -4},
             {"n_complexes": 0},
             {"iterations": -1},
-            {"target_acceptance": 0.0},
-            {"target_acceptance": 1.0},
-            {"mutation_angles": 0},
-            {"ccd_iterations": -1},
+            {"ccd_tolerance": 0.0},
+            {"ccd_tolerance": -1.0},
+            {"ccd_tolerance": math.nan},
+            {"ccd_tolerance": math.inf},
+            {"closure_tolerance_factor": 0.0},
+            {"closure_tolerance_factor": -1.0},
+            {"closure_tolerance_factor": math.nan},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -64,8 +81,26 @@ class TestSamplingConfig:
         scaled = config.scaled(0.01)
         assert scaled.population_size >= scaled.n_complexes
 
-    def test_mutation_sigma_default_is_thirty_degrees(self):
-        assert SamplingConfig().mutation_sigma == pytest.approx(math.radians(30.0))
+    def test_infinite_closure_factor_is_the_ungated_step(self):
+        config = SamplingConfig(closure_tolerance_factor=math.inf)
+        assert config.ccd_tolerance * config.closure_tolerance_factor == math.inf
+
+    def test_fields(self):
+        """One home per sampling constant: the schedule, mutation and CCD
+        budget take their callees' defaults, and the closure gate is a
+        tolerance (``inf`` disables it), not a switch."""
+        names = [field.name for field in dataclasses.fields(SamplingConfig)]
+        assert names == [
+            "population_size",
+            "n_complexes",
+            "iterations",
+            "ccd_tolerance",
+            "closure_tolerance_factor",
+            "seed",
+        ]
+        for name in RETIRED_FIELDS:
+            with pytest.raises(TypeError, match=name):
+                SamplingConfig(**{name: 1})
 
 
 class TestPaperConfig:

@@ -153,6 +153,13 @@ class TestMutation:
             assert changed[0] % 2 == 0
             assert changed[1] == changed[0] + 1
 
+    def test_mutation_sigma_default_is_thirty_degrees(self):
+        """The sampler mutates with ``mutate_population``'s defaults."""
+        import inspect
+
+        sigma = inspect.signature(mutate_population).parameters["sigma"].default
+        assert sigma == math.radians(30.0)
+
     def test_angles_stay_wrapped(self, rng):
         torsions = np.full(12, math.pi - 1e-3)
         mutated, _ = mutate_torsions(

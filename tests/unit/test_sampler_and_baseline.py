@@ -78,11 +78,11 @@ class TestMOSCEMSampler:
         self, small_target, small_multi_score, tiny_config
     ):
         import dataclasses
+        import math
 
-        gated_config = dataclasses.replace(tiny_config, require_closure=True)
-        open_config = dataclasses.replace(tiny_config, require_closure=False)
+        open_config = dataclasses.replace(tiny_config, closure_tolerance_factor=math.inf)
         gated = MOSCEMSampler(
-            small_target, config=gated_config, multi_score=small_multi_score
+            small_target, config=tiny_config, multi_score=small_multi_score
         ).run(seed=13)
         ungated = MOSCEMSampler(
             small_target, config=open_config, multi_score=small_multi_score
