@@ -16,46 +16,68 @@ representations stay consistent.
 The batched kernel has two execution paths that compute the same bits:
 
 * **Atom-major** (the default, ``kernels=None``; the ``gpu`` backend's
-  path).  The chain of the members still converging is carried as three
-  coordinate planes of shape ``(n*4+3, K)``, member index innermost, as
-  the paper's one-thread-per-member ``[CCD]`` kernel lays it out.  Members
-  are stable-sorted by start index once per call, so the members a pivot
-  may move are a column prefix, and a member leaves the planes when it
-  converges.  Each pivot is three compiled passes over the planes
-  (:mod:`repro.native`) around numpy's ``arctan2``, ``cos`` and ``sin``,
-  which write into preallocated buffers: ``pivot_terms`` computes every
-  member's axis, squared norm and alignment terms ``(a, b)``,
-  ``exclude_angles`` zeroes the excluded angles in place and flags the
-  rotating members, and ``rotate_tail`` applies the Rodrigues rotation
-  in place to the rows the pivot moves, leaving the other members
-  verbatim.  ``pivot_terms`` and ``rotate_tail`` run on SIMD lanes across
-  members on AVX-512F and AVX2 hosts, with the same bits as their scalar
-  loops.  After each sweep the members still converging are compacted
-  in place (``compact_columns``) into a contiguous prefix of the same
-  buffer.  The C spells every expression out in the order of the masked
-  kernel's numpy (:func:`~repro.geometry.vectors.einsum_sum3` and its
-  siblings, the Rodrigues tree of
-  :func:`~repro.geometry.rotation._rotate_points_about_axes`), so both
-  paths agree bit for bit.  The live members are split into strided
-  stripes of the start-sorted order, one per member thread
-  (:func:`~repro.scoring.pairwise.map_members`), each swept on its own
-  planes and written back to its own rows; the compiled passes release
-  the GIL.  A stripe is never smaller than :data:`_MIN_STRIPE` members,
-  below which the per-pivot numpy calls outweigh the second core.  When
-  no C compiler works, this path runs the masked sweep on the numpy
-  bundle instead (logged once), which gives the same bits.
-* **Masked** (a :class:`~repro.xp.dispatch.KernelBundle` is supplied).
-  Each sweep runs the generic :func:`_ccd_sweep` kernel over the
-  member-major ``(P, n*4+3, 3)`` chain: every member is swept, and
-  excluded members get a ``0.0`` angle and keep their original
-  coordinates through a ``where`` selection.  Every array shape stays
-  static, which lets the jax tier compile one sweep of the whole
-  population as one ``jit`` unit; an eager namespace (the ``xp``
-  backend's numpy) calls it on blocks of members instead.  Its sweeps
-  run on the calling thread.
+  path).  The members are stable-sorted by start index once per call and
+  split into strided stripes of that order, one per member thread
+  (:func:`~repro.scoring.pairwise.map_members`).  Each stripe is one
+  task, as the paper's one-thread-per-member ``[CCD]`` kernel runs a
+  conformation from its chain build to its closed torsions, and every
+  step of it is a compiled pass of :mod:`repro.native`, which releases
+  the GIL:
 
-Both paths re-measure the closed torsions in contiguous blocks over the
-member threads.
+  - ``build_planes`` places the stripe's chains straight into three
+    coordinate planes of shape ``(n*4+3, K)``, member index innermost,
+    from numpy's ``cos`` and ``sin`` of the call's angle matrix (one call
+    each, before the split);
+  - ``check_closure`` measures each member's closure RMSD on the planes;
+    a member that stops converging (at build or after a sweep) is
+    written to the ``(P, n*4+3, 3)`` chain the result views, and masked
+    out of rotation;
+  - each sweep's pivots are three passes around numpy's ``arctan2``,
+    ``cos`` and ``sin``, which write into preallocated buffers:
+    ``pivot_terms`` computes every member's axis, squared norm and
+    alignment terms ``(a, b)``, ``exclude_angles`` zeroes the excluded
+    angles (the masked-out members' included) in place and flags the
+    rotating members, and ``rotate_tail`` applies the Rodrigues rotation
+    in place to the rows the pivot moves, leaving the other members
+    verbatim.  The start-sorted order makes the members a pivot may move
+    a column prefix;
+  - ``compact_columns`` packs the members still converging into a
+    contiguous prefix of the planes once their count has fallen by
+    :data:`_COMPACT_FRACTION`;
+  - ``write_columns`` writes the members still converging after the
+    last sweep, and ``dihedral_terms`` computes the ``(x, y)`` terms of
+    every closed torsion from the chain, followed by one numpy
+    ``arctan2`` per stripe.
+
+  ``build_planes``, ``pivot_terms``, ``rotate_tail`` and
+  ``dihedral_terms`` run on SIMD lanes across members on AVX-512F and
+  AVX2 hosts, with the same bits as their scalar loops.  The C spells every expression out in the order of the
+  numpy it stands for (:func:`~repro.geometry.vectors.einsum_sum3` and
+  its siblings, ``np.cross``, the NeRF step of
+  :func:`~repro.geometry.nerf._place_atoms`, the Rodrigues tree of
+  :func:`~repro.geometry.rotation._rotate_points_about_axes`,
+  :func:`~repro.geometry.rmsd.coordinate_rmsd_batch` and
+  :func:`~repro.geometry.vectors.dihedral_angles_batch`), so both paths
+  agree bit for bit; each column is swept independently, so no
+  partition into stripes moves a bit.  Only the per-pivot ``arctan2``,
+  ``cos`` and ``sin``, the angle matrix's ``cos``/``sin`` and the
+  re-measure's ``arctan2`` stay in numpy.  A stripe is never smaller than
+  :data:`_MIN_STRIPE` members, below which the per-pivot numpy calls
+  outweigh the second core.  When no C compiler works, this path runs
+  the masked route on the numpy bundle instead (logged once), which
+  gives the same bits.
+* **Masked** (a :class:`~repro.xp.dispatch.KernelBundle` is supplied).
+  The chain is built by ``target.build_batch``, and each sweep runs the
+  generic :func:`_ccd_sweep` kernel over the member-major
+  ``(P, n*4+3, 3)`` chain: every member is swept, and excluded members
+  get a ``0.0`` angle and keep their original coordinates through a
+  ``where`` selection.  Every array shape stays static, which lets the
+  jax tier compile one sweep of the whole population as one ``jit``
+  unit; an eager namespace (the ``xp`` backend's numpy) calls it on
+  blocks of members instead.  Its sweeps run on the calling thread, and
+  it re-measures the closed torsions with
+  :func:`~repro.geometry.internal.backbone_torsions_batch` in contiguous
+  blocks over the member threads.
 
 The member-major subset path the atom-major one replaced, and the numpy
 atom-major sweep the compiled passes replaced, are kept in the test-only
@@ -73,6 +95,7 @@ import numpy as np
 from repro import constants
 from repro import native
 from repro.geometry.internal import backbone_torsions, backbone_torsions_batch
+from repro.geometry.nerf import _C_N, _C_O, _CA_C, _N_CA
 from repro.geometry.rmsd import coordinate_rmsd, coordinate_rmsd_batch
 from repro.geometry.rotation import (
     _normalize_last_axis,
@@ -102,32 +125,41 @@ _ATOMS = constants.BACKBONE_ATOMS_PER_RESIDUE
 #: temporaries spill the cache; 128-member blocks gain only ~1.3x, as
 #: each block pays the sweep's ~1,000 numpy calls again.
 _EAGER_BLOCK = 512
-#: Fewest live members per stripe of the threaded compiled path.  The
-#: compiled passes run without the GIL, but each stripe still pays the
-#: sweep's per-pivot numpy calls (``arctan2``, ``cos``, ``sin``) under it,
-#: and since the passes run on SIMD lanes those calls are a larger share
-#: of a sweep, so on the 2-vCPU host above two stripes gain only from
-#: ~4,000 live members on (the split moved up from ~2,500).  Step-shaped
-#: calls (1cex(40:51) mutation proposals of a closed population, median of
-#: 5 alternating runs), 1 vs 2 threads, on a host whose second vCPU was
-#: shared (two threads of independent numpy work ran 1.41x as fast as
-#: one):
+#: Fewest members per stripe of the threaded compiled path.  The compiled
+#: passes run without the GIL, but each stripe still pays the sweep's
+#: per-pivot numpy calls (``arctan2``, ``cos``, ``sin``) under it, so on
+#: the 2-vCPU host above two stripes gain only from ~3,000-5,000 members
+#: on.  Step-shaped calls (1cex(40:51) mutation proposals of a closed
+#: population, median of 7 alternating runs), 1 vs 2 threads, each stripe
+#: building, sweeping and re-measuring its own members, on a host whose
+#: second vCPU was shared (two threads of independent numpy work ran
+#: 1.0-2.0x as fast as one during the runs; a run on a busier host put
+#: the crossover between 4,096 and 5,120 members, so the split point of
+#: 4,096 stays):
 #:
 #: ===========  ========  =========  =====
-#: live         1 thread  2 threads  ratio
+#: members      1 thread  2 threads  ratio
 #: ===========  ========  =========  =====
-#: 512          0.028 s   0.059 s    0.48x
-#: 2,048        0.080 s   0.088 s    0.91x
-#: 2,557        0.069 s   0.076 s    0.92x
-#: 3,070        0.084 s   0.086 s    0.97x
-#: 4,095        0.134 s   0.123 s    1.09x
-#: 5,117        0.158 s   0.128 s    1.24x
-#: 7,674        0.249 s   0.204 s    1.22x
-#: 15,352       0.416 s   0.288 s    1.45x
+#: 512          0.024 s   0.047 s    0.50x
+#: 2,048        0.062 s   0.072 s    0.85x
+#: 2,560        0.073 s   0.076 s    0.96x
+#: 3,072        0.085 s   0.079 s    1.07x
+#: 4,096        0.111 s   0.095 s    1.17x
+#: 5,120        0.138 s   0.106 s    1.31x
+#: 7,680        0.200 s   0.134 s    1.50x
+#: 15,360       0.397 s   0.237 s    1.68x
 #: ===========  ========  =========  =====
 _MIN_STRIPE = 2048
-#: The closure atoms: the last three rows of the flattened chain.
-_CLOSURE = slice(-3, None)
+#: Fall in a stripe's live count, as a fraction of its planes' width,
+#: at which the compiled path compacts the planes.  Until then the
+#: members that left stay in place, masked out of rotation.  A
+#: compaction costs about a fifth of a sweep; of 0 (every sweep), 1/16,
+#: 1/8 and 1/4, 1/16 gave the fastest pop-7,680 calls.
+_COMPACT_FRACTION = 0.0625
+#: The scalars ``(-length * cos(angle), length * sin(angle),
+#: -length * sin(angle))`` of ``nerf._place_atoms`` for the four bonds
+#: the chain build places, in ``build_planes``' order.
+_BONDS = np.array([(d0, s, -s) for d0, s in (_CA_C, _C_O, _C_N, _N_CA)])
 
 
 @dataclass
@@ -319,14 +351,17 @@ def _sweep_atom_major(
     anchors: np.ndarray,
     scratch: np.ndarray,
     lib: ctypes.CDLL,
+    active: np.ndarray,
 ) -> None:
     """One CCD sweep over every pivot, in place on atom-major planes.
 
     ``planes`` is ``(3, n*4+3, K)`` C-contiguous: one member-innermost
-    plane per coordinate for the ``K`` members still converging, sorted by
-    their ``starts`` so the members a pivot may move are a column prefix.
-    ``scratch`` is ``(9, >= K)``: the six compiled pivot-term rows, then
-    the angles, their cosines and their sines.
+    plane per coordinate for ``K`` members, sorted by their ``starts`` so
+    the members a pivot may move are a column prefix.  ``scratch`` is
+    ``(9, >= K)``: the six compiled pivot-term rows, then the angles,
+    their cosines and their sines.  ``active`` is the ``(K,)`` ``uint8``
+    mask of the members still converging; the others keep their
+    coordinates verbatim.
     """
     _, rows, width = planes.shape
     stride = scratch.shape[1]
@@ -334,15 +369,17 @@ def _sweep_atom_major(
     if not all(
         array.dtype == np.float64 and array.flags.c_contiguous
         for array in (planes, anchors, scratch)
-    ) or anchors.shape != (3, 3) or scratch.shape[0] != 9 or stride < width:
+    ) or anchors.shape != (3, 3) or scratch.shape[0] != 9 or stride < width or (
+        active.dtype != np.uint8 or active.shape != (width,)
+    ):
         raise ValueError("the compiled sweep takes C-contiguous float64 planes, "
-                         "(3, 3) anchors and (9, >= K) scratch")
+                         "(3, 3) anchors, (9, >= K) scratch and a (K,) uint8 mask")
     tier = lib.lane_tier()
     a, b, angles, c, s = scratch[4:]
     rotating = np.empty(width, dtype=np.uint8)
     data, terms, fixed = planes.ctypes.data, scratch.ctypes.data, anchors.ctypes.data
     angle_data, cos_data, sin_data = (row.ctypes.data for row in (angles, c, s))
-    rotating_data = rotating.ctypes.data
+    active_data, rotating_data = active.ctypes.data, rotating.ctypes.data
     n_torsions = (rows - 3) // _ATOMS * 2
     prefixes = np.searchsorted(starts, np.arange(n_torsions), side="right")
     for j, k in enumerate(prefixes.tolist()):
@@ -353,10 +390,11 @@ def _sweep_atom_major(
             tier, data, rows, width, k, b_idx, c_idx, fixed, terms, stride
         )
         # The masked sweep's exclusions, in place on the angles; the
-        # column prefix already applies its start-index and converged
-        # masks.
+        # column prefix already applies its start-index mask.
         np.arctan2(b[:k], a[:k], out=angles[:k])
-        if lib.exclude_angles(angle_data, terms, stride, k, rotating_data) == 0:
+        if lib.exclude_angles(
+            angle_data, terms, stride, k, active_data, rotating_data
+        ) == 0:
             continue
         # Excluded members keep their coordinates (skipped, or dropped
         # by a select on the lanes), not rotated by zero:
@@ -369,48 +407,157 @@ def _sweep_atom_major(
         )
 
 
-def _close_atom_major(
-    moving: np.ndarray,
-    anchors: np.ndarray,
-    live: np.ndarray,
+@dataclass
+class _Call:
+    """What every stripe of one compiled ``ccd_close_batch`` call shares:
+    its inputs, and the ``(P, ...)`` outputs each stripe writes only its
+    own rows of."""
+
+    n: int
+    cos_t: np.ndarray  # (P, 3n+2) cosines of the chain's angles
+    sin_t: np.ndarray
+    n_anchor: np.ndarray  # (3, 3)
+    anchors: np.ndarray  # (3, 3), the C-terminal anchor
+    bonds: np.ndarray  # (4, 3), ``place``'s scalars of the four bonds
+    start_indices: np.ndarray
+    max_iterations: int
+    tolerance: float
+    chain: np.ndarray  # (P, n*4+3, 3)
+    errors: np.ndarray
+    converged_at: np.ndarray
+    torsions: np.ndarray  # (P, 2n), the closed torsions
+
+
+def _build_planes(call: _Call, members: np.ndarray, lib: ctypes.CDLL) -> np.ndarray:
+    """The ``(3, n*4+3, K)`` atom-major chains of the ``K`` ``members``
+    (C-contiguous ``int64``), built by the compiled ``build_planes``."""
+    planes = np.empty((3, call.n * _ATOMS + 3, members.size))
+    lib.build_planes(
+        lib.lane_tier(), planes.ctypes.data, call.n, members.size,
+        members.ctypes.data,
+        call.cos_t.ctypes.data, call.sin_t.ctypes.data,
+        call.n_anchor.ctypes.data, call.bonds.ctypes.data,
+    )
+    return planes
+
+
+def _close_stripe(call: _Call, members: np.ndarray, lib: ctypes.CDLL) -> None:
+    """Close the start-sorted ``members``, writing only their rows of the
+    call's outputs.
+
+    Their chains are built straight into atom-major planes and checked
+    for closure; the members still converging are swept, and a member
+    that stops converging is written to the chain and masked out of
+    rotation.  The planes are compacted only once the live count has
+    fallen by :data:`_COMPACT_FRACTION`.  Last, the closed torsions are
+    re-measured from the chain.
+    """
+    members = np.ascontiguousarray(members, dtype=np.int64)
+    planes = buffer = _build_planes(call, members, lib)
+    _, rows, width = planes.shape
+    active = np.ones(width, dtype=np.uint8)
+
+    def check_closure(sweeps: int) -> int:
+        return lib.check_closure(
+            planes.ctypes.data, rows, planes.shape[2], call.anchors.ctypes.data,
+            active.ctypes.data, members.ctypes.data, call.tolerance, sweeps,
+            call.errors.ctypes.data, call.converged_at.ctypes.data,
+            call.chain.ctypes.data,
+        )
+
+    live = check_closure(0)
+    swept, starts = members, call.start_indices[members]
+    scratch = np.empty((9, width))
+    for sweep in range(call.max_iterations):
+        if live == 0:
+            break
+        if live <= (1.0 - _COMPACT_FRACTION) * planes.shape[2]:
+            lib.compact_columns(
+                planes.ctypes.data, 3 * rows, planes.shape[2], active.ctypes.data
+            )
+            keep = active.view(bool)
+            members, starts = members[keep], starts[keep]
+            planes = buffer.reshape(-1)[: 3 * rows * live].reshape(3, rows, live)
+            active = np.ones(live, dtype=np.uint8)
+        _sweep_atom_major(planes, starts, call.anchors, scratch, lib, active)
+        live = check_closure(sweep + 1)
+    lib.write_columns(
+        planes.ctypes.data, rows, planes.shape[2], active.ctypes.data,
+        members.ctypes.data, call.chain.ctypes.data,
+    )
+    del planes, buffer, scratch
+    x = np.empty((2 * call.n, swept.size))
+    y = np.empty_like(x)
+    lib.dihedral_terms(
+        lib.lane_tier(), call.chain.ctypes.data, call.n, swept.size,
+        swept.ctypes.data, call.n_anchor.ctypes.data, x.ctypes.data,
+        y.ctypes.data,
+    )
+    call.torsions[swept] = np.arctan2(y, x).T
+
+
+def _new_call(
+    torsions: np.ndarray,
+    target: LoopTarget,
     start_indices: np.ndarray,
-    errors: np.ndarray,
-    converged_at: np.ndarray,
+    max_iterations: int,
+    tolerance: float,
+) -> _Call:
+    """The shared inputs and empty outputs of one compiled call."""
+    pop, two_n = torsions.shape
+    n = two_n // 2
+    # The angles of nerf._build_backbone_chain's placements, one column
+    # each: phi (C), psi + pi (O), psi (N), omega (CA), then end_phi.
+    angles = np.empty((pop, 3 * n + 2))
+    angles[:, :n] = torsions[:, 0::2]
+    np.add(torsions[:, 1::2], np.pi, out=angles[:, n:2 * n])
+    angles[:, 2 * n:3 * n] = torsions[:, 1::2]
+    angles[:, 3 * n] = constants.OMEGA_TRANS
+    angles[:, 3 * n + 1] = target.end_phi
+    return _Call(
+        n=n,
+        cos_t=np.cos(angles),
+        sin_t=np.sin(angles),
+        n_anchor=np.ascontiguousarray(target.n_anchor, dtype=np.float64),
+        anchors=np.ascontiguousarray(target.c_anchor, dtype=np.float64),
+        bonds=_BONDS,
+        start_indices=start_indices,
+        max_iterations=max_iterations,
+        tolerance=float(tolerance),
+        chain=np.empty((pop, n * _ATOMS + 3, 3)),
+        errors=np.empty(pop),
+        converged_at=np.full(pop, max_iterations, dtype=np.int64),
+        torsions=np.empty((pop, 2 * n)),
+    )
+
+
+def _close_compiled(
+    torsions: np.ndarray,
+    target: LoopTarget,
+    start_indices: np.ndarray,
     max_iterations: int,
     tolerance: float,
     lib: ctypes.CDLL,
-) -> None:
-    """The compiled CCD sweeps of the members ``live``, updating only their
-    rows of ``moving``, ``errors`` and ``converged_at`` in place.
-
-    ``live`` lists members still converging, stable-sorted by start
-    index; they are carried as atom-major planes and leave them (written
-    back to ``moving``) as soon as they stop converging, since nothing
-    moves them afterwards.  The members still going are then compacted
-    in place into a C-contiguous prefix of the same buffer.
-    """
-    if max_iterations <= 0 or live.size == 0:
-        return
-    planes = buffer = np.ascontiguousarray(moving[live].T)  # (3, n*4+3, K)
-    rows = buffer.shape[1]
-    starts = start_indices[live]
-    scratch = np.empty((9, live.size))
-    for sweep in range(max_iterations):
-        _sweep_atom_major(planes, starts, anchors, scratch, lib)
-        swept = coordinate_rmsd_batch(planes[:, _CLOSURE, :].T, anchors)
-        errors[live] = swept
-        converged_at[live[swept <= tolerance]] = sweep + 1
-        going = swept > tolerance
-        if not np.all(going):
-            moving[live[~going]] = planes[:, :, ~going].T
-            live, starts = live[going], starts[going]
-            if live.size == 0:
-                return
-            lib.compact_columns(
-                planes.ctypes.data, 3 * rows, planes.shape[2], going.ctypes.data
-            )
-            planes = buffer.reshape(-1)[: 3 * rows * live.size].reshape(3, rows, live.size)
-    moving[live] = planes.T
+) -> CCDResult:
+    """The compiled path of :func:`ccd_close_batch`: one
+    :func:`_close_stripe` task per member thread."""
+    call = _new_call(torsions, target, start_indices, max_iterations, tolerance)
+    # Strided stripes of the start-sorted members, one per member
+    # thread: each stripe is start-sorted itself and gets an even share
+    # of every start index.
+    order = np.argsort(start_indices, kind="stable")
+    stripes = _split(order.size)
+    map_members(
+        lambda stripe: _close_stripe(call, order[stripe::stripes], lib), stripes
+    )
+    pop, n = order.size, call.n
+    return CCDResult(
+        torsions=call.torsions,
+        coords=call.chain[:, : n * _ATOMS, :].reshape(pop, n, _ATOMS, 3),
+        closure=call.chain[:, n * _ATOMS:, :],
+        closure_error=call.errors,
+        iterations=call.converged_at,
+    )
 
 
 def _split(members: int) -> int:
@@ -448,10 +595,12 @@ def ccd_close_batch(
     tolerance:
         Closure RMSD below which a member stops being updated.
     kernels:
-        Optional :class:`~repro.xp.dispatch.KernelBundle`: sweeps run as
-        the masked :func:`_ccd_sweep` kernel (one jit unit per sweep on a
-        compiling namespace, blocks of members on an eager one) instead
-        of the compiled atom-major path.  Both paths produce the same bits.
+        Optional :class:`~repro.xp.dispatch.KernelBundle`: the chain is
+        built by ``target.build_batch``, sweeps run as the masked
+        :func:`_ccd_sweep` kernel (one jit unit per sweep on a compiling
+        namespace, blocks of members on an eager one) and the torsions
+        are re-measured in numpy, instead of the compiled atom-major
+        path.  Both paths produce the same bits.
     """
     torsions = np.asarray(torsions, dtype=np.float64)
     n = target.n_residues
@@ -468,6 +617,15 @@ def ccd_close_batch(
         if np.any((start_indices < 0) | (start_indices >= 2 * n)):
             raise ValueError("start_indices out of range")
 
+    lib = native.library() if kernels is None else None
+    if lib is not None:
+        return _close_compiled(
+            torsions, target, start_indices, max_iterations, tolerance, lib
+        )
+    if kernels is None:
+        # No compiler works: the masked sweep gives the same bits.
+        kernels = numpy_kernels()
+
     coords, closure = target.build_batch(torsions)
     moving = np.concatenate(
         [coords.reshape(pop, -1, 3), closure], axis=1
@@ -480,46 +638,27 @@ def ccd_close_batch(
     errors = coordinate_rmsd_batch(moving[:, -3:, :], anchors)
     converged_at = np.where(errors <= tolerance, 0, max_iterations).astype(np.int64)
 
-    lib = native.library() if kernels is None else None
-    if kernels is None and lib is None:
-        # No compiler works: the masked sweep gives the same bits.
-        kernels = numpy_kernels()
-    if lib is not None:
-        # Strided stripes of the start-sorted live set, one per member
-        # thread: each stripe is start-sorted itself, gets an even share
-        # of the converging members and sweeps its own planes.
-        order = np.argsort(start_indices, kind="stable")
-        live = order[errors[order] > tolerance]
-        stripes = _split(live.size)
-        map_members(
-            lambda stripe: _close_atom_major(
-                moving, anchors, live[stripe::stripes], start_indices,
-                errors, converged_at, max_iterations, tolerance, lib,
-            ),
-            stripes,
-        )
-    else:
-        # Members sweep independently, so an eager namespace sweeps them
-        # in blocks; a compiling one sweeps the whole population as one
-        # jit unit of one shape.
-        size = pop if kernels.namespace.can_jit else _EAGER_BLOCK
-        for sweep in range(max_iterations):
-            active = errors > tolerance
-            if not np.any(active):
-                break
-            for block in population_blocks(pop, size):
-                moving[block] = kernels.to_numpy(
-                    kernels.ccd_sweep(
-                        moving[block],
-                        anchors,
-                        start_indices[block],
-                        active[block],
-                        2 * n,
-                    )
+    # Members sweep independently, so an eager namespace sweeps them in
+    # blocks; a compiling one sweeps the whole population as one jit unit
+    # of one shape.
+    size = pop if kernels.namespace.can_jit else _EAGER_BLOCK
+    for sweep in range(max_iterations):
+        active = errors > tolerance
+        if not np.any(active):
+            break
+        for block in population_blocks(pop, size):
+            moving[block] = kernels.to_numpy(
+                kernels.ccd_sweep(
+                    moving[block],
+                    anchors,
+                    start_indices[block],
+                    active[block],
+                    2 * n,
                 )
-            errors = coordinate_rmsd_batch(moving[:, -3:, :], anchors)
-            newly = (errors <= tolerance) & (converged_at == max_iterations)
-            converged_at[newly] = sweep + 1
+            )
+        errors = coordinate_rmsd_batch(moving[:, -3:, :], anchors)
+        newly = (errors <= tolerance) & (converged_at == max_iterations)
+        converged_at[newly] = sweep + 1
 
     coords = moving[:, : n * _ATOMS, :].reshape(pop, n, _ATOMS, 3)
     closure = moving[:, n * _ATOMS:, :]

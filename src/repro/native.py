@@ -3,37 +3,59 @@
 Every pass spells out, op for op, the numpy expression it replaced, so
 the compiled route and the numpy one give the same bits.  Four groups:
 
-* **CCD** (:func:`repro.closure.ccd._sweep_atom_major`), four passes
-  over the ``(3, rows, width)`` member-innermost coordinate planes:
+* **CCD** (:mod:`repro.closure.ccd`), one member-thread task per stripe
+  of the start-sorted members, over the stripe's ``(3, rows, width)``
+  member-innermost coordinate planes:
 
-  - ``pivot_terms`` -- each member's unit pivot axis, the raw axis's
-    squared norm and the alignment terms ``(a, b)``: the expressions of
-    :func:`~repro.geometry.rotation._normalize_last_axis` and
-    :func:`~repro.scoring.pairwise._alignment_sums`, with every sum in
-    the order of :func:`~repro.geometry.vectors.einsum_sum3`,
+  - ``build_planes`` -- the chain build of
+    :func:`~repro.geometry.nerf._build_backbone_chain` straight into the
+    planes: each NeRF step of :func:`~repro.geometry.nerf._place_atoms`
+    (the ``einsum_sum3`` norm and ``norm < EPS`` guard of
+    ``_normalize_last_axis``, ``np.cross``'s ``a1*b2 - a2*b1``
+    components, ``((c + d0*bc) + d1*m) + d2*n``) on numpy's cosines and
+    sines of the angles and the bond scalars numpy computed;
+  - ``check_closure`` -- the closure RMSD of
+    :func:`~repro.geometry.rmsd.coordinate_rmsd_batch` (each atom's
+    ``.sum(-1)``, then ``np.mean``, then ``sqrt``), the converged sweep,
+    and the write-back of the members that stop converging into the
+    ``(P, rows, 3)`` chain, which leave the ``active`` mask;
+  - per pivot, ``pivot_terms`` -- each member's unit pivot axis, the raw
+    axis's squared norm and the alignment terms ``(a, b)``: the
+    expressions of :func:`~repro.geometry.rotation._normalize_last_axis`
+    and :func:`~repro.scoring.pairwise._alignment_sums`, with every sum
+    in the order of :func:`~repro.geometry.vectors.einsum_sum3`,
     :func:`~repro.geometry.vectors.einsum_sum9` and
     :func:`~repro.geometry.vectors.reduce_sum3`, ``+ 0.0`` included;
-  - ``exclude_angles`` -- the masked sweep's exclusions, in place on the
-    ``arctan2`` angles numpy computed from those terms, and the
-    ``rotating`` flags (``|angle| > 1e-10``) with their count;
-  - ``rotate_tail`` -- the Rodrigues tree of
+    ``exclude_angles`` -- the masked sweep's exclusions (the ``active``
+    mask's included), in place on the ``arctan2`` angles numpy computed
+    from those terms, and the ``rotating`` flags (``|angle| > 1e-10``)
+    with their count; ``rotate_tail`` -- the Rodrigues tree of
     :func:`~repro.geometry.rotation._rotate_points_about_axes` on the
     rows a pivot moves, leaving the members that do not rotate
     verbatim;
-  - ``compact_columns`` -- once per sweep, the members still converging
-    packed in place into a C-contiguous prefix of the planes' buffer.
+  - ``compact_columns`` -- the members still converging packed in place
+    into a C-contiguous prefix of the planes' buffer, once their count
+    has fallen by a fixed fraction;
+  - ``write_columns`` -- the members still converging after the last
+    sweep, into the chain;
+  - ``dihedral_terms`` -- the ``(x, y)`` terms of
+    :func:`~repro.geometry.vectors.dihedral_angles_batch` for every
+    torsion of :func:`~repro.geometry.internal.backbone_torsions_batch`,
+    read from the chain (``np.cross`` order, ``normalize``'s norm and
+    guard, the ``einsum_sum3`` dot).
 
-  ``pivot_terms`` and ``rotate_tail`` run across members on SIMD lanes,
-  in GNU C vector types, one variant per x86 tier: 8 lanes on
-  AVX-512F, 4 on AVX2 (``target`` attributes, so no ``-m`` or
-  ``-march`` flag is needed), and the scalar loop on the baseline tier
-  and on other machines.  ``lane_tier()`` names the widest tier the
-  host runs (``__builtin_cpu_supports``) and each pass takes a tier, so
-  tests run every tier the host has.  Each lane runs the scalar form's
-  operations in its order, and a member that does not rotate keeps its
-  coordinates through a bitwise select, not a branch, so every tier
-  gives the same bits.  ``arctan2``, ``cos`` and ``sin`` stay in numpy,
-  into preallocated buffers.
+  ``build_planes``, ``pivot_terms``, ``rotate_tail`` and
+  ``dihedral_terms`` run across members on SIMD lanes, in GNU C vector
+  types, one variant per x86
+  tier: 8 lanes on AVX-512F, 4 on AVX2 (``target`` attributes, so no
+  ``-m`` or ``-march`` flag is needed), and the scalar loop on the
+  baseline tier and on other machines.  ``lane_tier()`` names the widest
+  tier the host runs (``__builtin_cpu_supports``) and each pass takes a
+  tier, so tests run every tier the host has.  Each lane runs the scalar
+  form's operations in its order, and a member that does not rotate
+  keeps its coordinates through a bitwise select, not a branch, so every
+  tier gives the same bits.  ``arctan2``, ``cos`` and ``sin`` stay in
+  numpy, into preallocated buffers.
 
 * **Scoring** (:mod:`repro.scoring.pairwise`), one call per population
   block of the member threads:
@@ -287,6 +309,176 @@ TIER(rotate_tail)(double *planes, long rows, long width, long k,
                        stride, c, s, rotating);
 }
 
+/* place() on LANES members at a time: each lane runs its operations
+   in its order (sqrt lane by lane). */
+__attribute__((target(TARGET))) static inline void
+TIER(unit3)(VEC v[3])
+{
+    const VEC squared = EINSUM_SUM3(v[0] * v[0], v[1] * v[1], v[2] * v[2]);
+    VEC norm;
+    for (int l = 0; l < LANES; ++l) {
+        norm[l] = sqrt(squared[l]);
+    }
+    const VEC one = (VEC){0.0} + 1.0;
+    const VEC safe = SELECT((MASK)(norm < EPS), one, norm);
+    for (int i = 0; i < 3; ++i) {
+        v[i] = v[i] / safe;
+    }
+}
+
+__attribute__((target(TARGET))) static inline void
+TIER(place)(const VEC a[3], const VEC b[3], const VEC c[3],
+            const double *bond, const VEC *cos_t, const VEC *sin_t,
+            VEC d[3])
+{
+    VEC bc[3], ab[3], n[3], m[3];
+    for (int i = 0; i < 3; ++i) {
+        bc[i] = c[i] - b[i];
+        ab[i] = b[i] - a[i];
+    }
+    TIER(unit3)(bc);
+    CROSS3(ab, bc, n);
+    TIER(unit3)(n);
+    CROSS3(n, bc, m);
+    const VEC d1 = bond[1] * *cos_t;
+    const VEC d2 = bond[2] * *sin_t;
+    for (int i = 0; i < 3; ++i) {
+        d[i] = ((c[i] + bond[0] * bc[i]) + d1 * m[i]) + d2 * n[i];
+    }
+}
+
+/* build_planes_scalar on LANES members at a time, the scalar form on
+   the last width % LANES.  Each lane gathers its member's cosines and
+   sines; the placed atoms of LANES adjacent columns store as one
+   vector. */
+__attribute__((target(TARGET))) static void
+TIER(build_planes)(double *planes, long n, long width, const long *members,
+                   const double *cos_t, const double *sin_t,
+                   const double *n_anchor, const double *bonds)
+{
+    const long rows = 4 * n + 3;
+    const long cols = 3 * n + 2;
+    long m = 0;
+    for (; m + LANES <= width; m += LANES) {
+        const double *c[LANES], *s[LANES];
+        for (int l = 0; l < LANES; ++l) {
+            c[l] = cos_t + members[m + l] * cols;
+            s[l] = sin_t + members[m + l] * cols;
+        }
+        VEC prev_c[3], n_i[3], ca_i[3], c_i[3], o_i[3], n_next[3], ca_next[3];
+        for (int i = 0; i < 3; ++i) {
+            prev_c[i] = (VEC){0.0} + n_anchor[i];
+            n_i[i] = (VEC){0.0} + n_anchor[3 + i];
+            ca_i[i] = (VEC){0.0} + n_anchor[6 + i];
+        }
+#define ANGLE(t, col) \
+    for (int l = 0; l < LANES; ++l) { \
+        t##_c[l] = c[l][col]; \
+        t##_s[l] = s[l][col]; \
+    }
+#define PUT(row, atom) \
+    for (int xyz = 0; xyz < 3; ++xyz) { \
+        STORE(planes + (xyz * rows + (row)) * width + m, atom[xyz]); \
+    }
+        VEC phi_c, phi_s, o_c, o_s, psi_c, psi_s, omega_c, omega_s;
+        ANGLE(omega, 3 * n)
+        for (long i = 0; i < n; ++i) {
+            ANGLE(phi, i)
+            ANGLE(o, n + i)
+            ANGLE(psi, 2 * n + i)
+            TIER(place)(prev_c, n_i, ca_i, bonds, &phi_c, &phi_s, c_i);
+            TIER(place)(n_i, ca_i, c_i, bonds + 3, &o_c, &o_s, o_i);
+            TIER(place)(n_i, ca_i, c_i, bonds + 6, &psi_c, &psi_s, n_next);
+            TIER(place)(ca_i, c_i, n_next, bonds + 9, &omega_c, &omega_s,
+                        ca_next);
+            PUT(4 * i, n_i)
+            PUT(4 * i + 1, ca_i)
+            PUT(4 * i + 2, c_i)
+            PUT(4 * i + 3, o_i)
+            for (int j = 0; j < 3; ++j) {
+                prev_c[j] = c_i[j];
+                n_i[j] = n_next[j];
+                ca_i[j] = ca_next[j];
+            }
+        }
+        ANGLE(phi, 3 * n + 1)
+        TIER(place)(prev_c, n_i, ca_i, bonds, &phi_c, &phi_s, c_i);
+        PUT(4 * n, n_i)
+        PUT(4 * n + 1, ca_i)
+        PUT(4 * n + 2, c_i)
+#undef PUT
+#undef ANGLE
+    }
+    build_planes_scalar(planes, n, width, m, members, cos_t, sin_t, n_anchor,
+                        bonds);
+}
+
+/* dihedral_terms_of on LANES members at a time. */
+__attribute__((target(TARGET))) static inline void
+TIER(dihedral_terms_of)(const VEC a[3], const VEC b[3], const VEC c[3],
+                        const VEC d[3], VEC *x, VEC *y)
+{
+    VEC b1[3], b2[3], b3[3], n1[3], n2[3], b2n[3], m1[3];
+    for (int i = 0; i < 3; ++i) {
+        b1[i] = b[i] - a[i];
+        b2[i] = c[i] - b[i];
+        b3[i] = d[i] - c[i];
+        b2n[i] = b2[i];
+    }
+    CROSS3(b1, b2, n1);
+    CROSS3(b2, b3, n2);
+    TIER(unit3)(b2n);
+    CROSS3(n1, b2n, m1);
+    *x = EINSUM_SUM3(n1[0] * n2[0], n1[1] * n2[1], n1[2] * n2[2]);
+    *y = EINSUM_SUM3(m1[0] * n2[0], m1[1] * n2[1], m1[2] * n2[2]);
+}
+
+/* dihedral_terms_scalar on LANES members at a time, the scalar form on
+   the last count % LANES: each lane gathers its member's atoms, and the
+   terms of LANES adjacent members store as one vector. */
+__attribute__((target(TARGET))) static void
+TIER(dihedral_terms)(const double *chain, long n, long count,
+                     const long *members, const double *n_anchor, double *x,
+                     double *y)
+{
+    const long rows = 4 * n + 3;
+    long m = 0;
+    for (; m + LANES <= count; m += LANES) {
+        const double *atoms[LANES];
+        for (int l = 0; l < LANES; ++l) {
+            atoms[l] = chain + members[m + l] * rows * 3;
+        }
+#define GATHER(v, row) \
+    for (int xyz = 0; xyz < 3; ++xyz) { \
+        for (int l = 0; l < LANES; ++l) { \
+            v[xyz][l] = atoms[l][(row) * 3 + xyz]; \
+        } \
+    }
+        VEC prev_c[3], n_i[3], ca_i[3], c_i[3], next_n[3], tx, ty;
+        for (int xyz = 0; xyz < 3; ++xyz) {
+            prev_c[xyz] = (VEC){0.0} + n_anchor[xyz];
+        }
+        GATHER(n_i, 0)
+        for (long i = 0; i < n; ++i) {
+            GATHER(ca_i, 4 * i + 1)
+            GATHER(c_i, 4 * i + 2)
+            GATHER(next_n, 4 * i + 4)
+            TIER(dihedral_terms_of)(prev_c, n_i, ca_i, c_i, &tx, &ty);
+            STORE(x + 2 * i * count + m, tx);
+            STORE(y + 2 * i * count + m, ty);
+            TIER(dihedral_terms_of)(n_i, ca_i, c_i, next_n, &tx, &ty);
+            STORE(x + (2 * i + 1) * count + m, tx);
+            STORE(y + (2 * i + 1) * count + m, ty);
+            for (int xyz = 0; xyz < 3; ++xyz) {
+                prev_c[xyz] = c_i[xyz];
+                n_i[xyz] = next_n[xyz];
+            }
+        }
+#undef GATHER
+    }
+    dihedral_terms_scalar(chain, n, count, m, members, n_anchor, x, y);
+}
+
 #undef SELECT
 #undef MASK
 #undef VEC
@@ -436,13 +628,163 @@ static void rotate_tail_scalar(double *planes, long rows, long width,
     }
 }
 
-/* The same two passes on several members at once, in GNU C vector
+/* ---- CCD: the chain build and the torsion re-measure, one member at a
+   time ---- */
+
+/* rotation._normalize_last_axis of one 3-vector, in place. */
+static void unit3(double v[3])
+{
+    const double norm = sqrt(EINSUM_SUM3(v[0] * v[0], v[1] * v[1],
+                                         v[2] * v[2]));
+    const double safe = norm < EPS ? 1.0 : norm;
+    for (int i = 0; i < 3; ++i) {
+        v[i] = v[i] / safe;
+    }
+}
+
+/* np.cross of two 3-vectors, on doubles or on lanes. */
+#define CROSS3(a, b, out) \
+    do { \
+        (out)[0] = (a)[1] * (b)[2] - (a)[2] * (b)[1]; \
+        (out)[1] = (a)[2] * (b)[0] - (a)[0] * (b)[2]; \
+        (out)[2] = (a)[0] * (b)[1] - (a)[1] * (b)[0]; \
+    } while (0)
+
+/* nerf._place_atoms of one member: atom d from a, b, c and the torsion
+   whose cosine and sine are cos_t, sin_t.  bond holds the Python
+   scalars (-length * cos(angle), length * sin(angle),
+   -length * sin(angle)). */
+static void place(const double a[3], const double b[3], const double c[3],
+                  const double *bond, double cos_t, double sin_t, double d[3])
+{
+    double bc[3], ab[3], n[3], m[3];
+    for (int i = 0; i < 3; ++i) {
+        bc[i] = c[i] - b[i];
+        ab[i] = b[i] - a[i];
+    }
+    unit3(bc);
+    CROSS3(ab, bc, n);
+    unit3(n);
+    CROSS3(n, bc, m);
+    const double d1 = bond[1] * cos_t;
+    const double d2 = bond[2] * sin_t;
+    for (int i = 0; i < 3; ++i) {
+        d[i] = ((c[i] + bond[0] * bc[i]) + d1 * m[i]) + d2 * n[i];
+    }
+}
+
+/* `atom` into row `row` of column m of the (3, rows, width) planes. */
+static void put_atom(double *planes, long rows, long width, long m, long row,
+                     const double atom[3])
+{
+    for (int i = 0; i < 3; ++i) {
+        planes[(i * rows + row) * width + m] = atom[i];
+    }
+}
+
+/* nerf._build_backbone_chain of the members members[m0..width) of an
+   n-residue loop into the (3, 4n + 3, width) planes, member m in column
+   m: rows N, CA, C, O per residue, then the closure atoms.  Member p
+   reads row p of the (P, 3n + 2) cosines and sines of its angles
+   [phi_1..phi_n | psi_i + pi | psi_i | omega | end_phi].  n_anchor is
+   (C_prev, N_1, CA_1) row-major; bonds holds place()'s three scalars
+   for the CA-C, C-O, C-N and N-CA bonds, in that order. */
+static void build_planes_scalar(double *planes, long n, long width, long m0,
+                                const long *members, const double *cos_t,
+                                const double *sin_t, const double *n_anchor,
+                                const double *bonds)
+{
+    const long rows = 4 * n + 3;
+    const long cols = 3 * n + 2;
+    for (long m = m0; m < width; ++m) {
+        const double *c = cos_t + members[m] * cols;
+        const double *s = sin_t + members[m] * cols;
+        double prev_c[3], n_i[3], ca_i[3], c_i[3], o_i[3], n_next[3];
+        double ca_next[3];
+        memcpy(prev_c, n_anchor, sizeof(prev_c));
+        memcpy(n_i, n_anchor + 3, sizeof(n_i));
+        memcpy(ca_i, n_anchor + 6, sizeof(ca_i));
+        for (long i = 0; i < n; ++i) {
+            place(prev_c, n_i, ca_i, bonds, c[i], s[i], c_i);
+            place(n_i, ca_i, c_i, bonds + 3, c[n + i], s[n + i], o_i);
+            place(n_i, ca_i, c_i, bonds + 6, c[2 * n + i], s[2 * n + i],
+                  n_next);
+            place(ca_i, c_i, n_next, bonds + 9, c[3 * n], s[3 * n], ca_next);
+            put_atom(planes, rows, width, m, 4 * i, n_i);
+            put_atom(planes, rows, width, m, 4 * i + 1, ca_i);
+            put_atom(planes, rows, width, m, 4 * i + 2, c_i);
+            put_atom(planes, rows, width, m, 4 * i + 3, o_i);
+            memcpy(prev_c, c_i, sizeof(prev_c));
+            memcpy(n_i, n_next, sizeof(n_i));
+            memcpy(ca_i, ca_next, sizeof(ca_i));
+        }
+        place(prev_c, n_i, ca_i, bonds, c[3 * n + 1], s[3 * n + 1], c_i);
+        put_atom(planes, rows, width, m, 4 * n, n_i);
+        put_atom(planes, rows, width, m, 4 * n + 1, ca_i);
+        put_atom(planes, rows, width, m, 4 * n + 2, c_i);
+    }
+}
+
+/* geometry.vectors.dihedral_angles_batch's (x, y) of the points a-d:
+   arctan2(y, x) is the dihedral. */
+static void dihedral_terms_of(const double *a, const double *b,
+                              const double *c, const double *d, double *x,
+                              double *y)
+{
+    double b1[3], b2[3], b3[3], n1[3], n2[3], b2n[3], m1[3];
+    for (int i = 0; i < 3; ++i) {
+        b1[i] = b[i] - a[i];
+        b2[i] = c[i] - b[i];
+        b3[i] = d[i] - c[i];
+    }
+    CROSS3(b1, b2, n1);
+    CROSS3(b2, b3, n2);
+    memcpy(b2n, b2, sizeof(b2n));
+    unit3(b2n);
+    CROSS3(n1, b2n, m1);
+    *x = EINSUM_SUM3(n1[0] * n2[0], n1[1] * n2[1], n1[2] * n2[2]);
+    *y = EINSUM_SUM3(m1[0] * n2[0], m1[1] * n2[1], m1[2] * n2[2]);
+}
+
+/* geometry.internal.backbone_torsions_batch's dihedral terms of the
+   members members[m0..count) of an n-residue loop, read from their rows
+   of the (P, 4n + 3, 3) chain: torsion 2i is phi_i (C_{i-1}, N_i, CA_i,
+   C_i; C_0 is n_anchor's first row), 2i + 1 is psi_i (N_i, CA_i, C_i,
+   N_{i+1}; N_{n+1} the first closure atom).  x and y are (2n, count)
+   row-major: torsion j of member m at [j, m]. */
+static void dihedral_terms_scalar(const double *chain, long n, long count,
+                                  long m0, const long *members,
+                                  const double *n_anchor, double *x,
+                                  double *y)
+{
+    const long rows = 4 * n + 3;
+    for (long m = m0; m < count; ++m) {
+        const double *atoms = chain + members[m] * rows * 3;
+        const double *prev_c = n_anchor;
+        for (long i = 0; i < n; ++i) {
+            const double *n_i = atoms + 4 * i * 3;
+            const double *ca_i = n_i + 3;
+            const double *c_i = n_i + 6;
+            const double *next_n = n_i + 12;
+            dihedral_terms_of(prev_c, n_i, ca_i, c_i, x + 2 * i * count + m,
+                              y + 2 * i * count + m);
+            dihedral_terms_of(n_i, ca_i, c_i, next_n,
+                              x + (2 * i + 1) * count + m,
+                              y + (2 * i + 1) * count + m);
+            prev_c = c_i;
+        }
+    }
+}
+
+/* The same four passes on several members at once, in GNU C vector
    types, compiled once per x86 tier (the target attributes of
    _LANE_PASSES): 8 lanes on AVX-512F, 4 on AVX2.  Every lane runs the
    scalar form's + - * / in its order (sqrt lane by lane), so each
-   lane's bits are the scalar form's.  An excluded member's lane is
-   computed and then dropped by a bitwise select, so the member keeps
-   its coordinates verbatim.  No function takes or returns a vector, so
+   lane's bits are the scalar form's; build_planes and dihedral_terms
+   gather each lane's inputs and store LANES adjacent columns at once.  An excluded
+   member's lane is computed and then dropped by a bitwise select, so
+   the member keeps its coordinates verbatim.  No function takes or
+   returns a vector (only pointers to them), so
    no vector crosses a call between tiers (nor draws GCC's -Wpsabi
    note).  The baseline x86 tier and other machines run the scalar
    form: 4 lanes emulated on SSE2 are slower than it. */
@@ -504,18 +846,19 @@ void pivot_terms(int tier, const double *planes, long rows, long width,
 
 /* The masked sweep's exclusions of members [0, k), in place on their
    arctan2 angles: zero the angle where both alignment terms (rows 4, 5
-   of `terms`) are below EPS or the squared axis norm (row 3) is below
-   EPS * EPS, then set rotating[m] where |angle| > 1e-10.  Returns the
-   number of rotating members. */
+   of `terms`) are below EPS, the squared axis norm (row 3) is below
+   EPS * EPS or active[m] is 0, then set rotating[m] where
+   |angle| > 1e-10.  Returns the number of rotating members. */
 long exclude_angles(double *angles, const double *terms, long stride, long k,
-                    unsigned char *rotating)
+                    const unsigned char *active, unsigned char *rotating)
 {
     const double *squared = terms + 3 * stride;
     const double *a = terms + 4 * stride;
     const double *b = terms + 5 * stride;
     long count = 0;
     for (long m = 0; m < k; ++m) {
-        if ((fabs(a[m]) < EPS && fabs(b[m]) < EPS) || squared[m] < EPS * EPS) {
+        if ((fabs(a[m]) < EPS && fabs(b[m]) < EPS) || squared[m] < EPS * EPS
+            || !active[m]) {
             angles[m] = 0.0;
         }
         rotating[m] = fabs(angles[m]) > 1e-10;
@@ -574,6 +917,124 @@ long compact_columns(double *matrix, long rows, long width,
         }
     }
     return kept;
+}
+
+/* The chain build of members [0, width) on lane tier `tier` (see
+   pivot_terms). */
+void build_planes(int tier, double *planes, long n, long width,
+                  const long *members, const double *cos_t,
+                  const double *sin_t, const double *n_anchor,
+                  const double *bonds)
+{
+    const int host = lane_tier();
+    switch (tier < host ? tier : host) {
+#if LANE_TIERS
+    case 2:
+        build_planes_avx512(planes, n, width, members, cos_t, sin_t,
+                            n_anchor, bonds);
+        return;
+    case 1:
+        build_planes_avx2(planes, n, width, members, cos_t, sin_t, n_anchor,
+                          bonds);
+        return;
+#endif
+    default:
+        build_planes_scalar(planes, n, width, 0, members, cos_t, sin_t,
+                            n_anchor, bonds);
+    }
+}
+
+/* The dihedral terms of members [0, count) on lane tier `tier` (see
+   pivot_terms). */
+void dihedral_terms(int tier, const double *chain, long n, long count,
+                    const long *members, const double *n_anchor, double *x,
+                    double *y)
+{
+    const int host = lane_tier();
+    switch (tier < host ? tier : host) {
+#if LANE_TIERS
+    case 2:
+        dihedral_terms_avx512(chain, n, count, members, n_anchor, x, y);
+        return;
+    case 1:
+        dihedral_terms_avx2(chain, n, count, members, n_anchor, x, y);
+        return;
+#endif
+    default:
+        dihedral_terms_scalar(chain, n, count, 0, members, n_anchor, x, y);
+    }
+}
+
+/* ---- CCD: the closure check and write-back ---- */
+
+/* Column m of the (3, rows, width) planes into row `member` of the
+   (P, rows, 3) chain. */
+static void write_column(const double *planes, long rows, long width, long m,
+                         long member, double *chain)
+{
+    double *out = chain + member * rows * 3;
+    for (long row = 0; row < rows; ++row) {
+        for (int i = 0; i < 3; ++i) {
+            out[row * 3 + i] = planes[(i * rows + row) * width + m];
+        }
+    }
+}
+
+/* write_column of every column m whose mask[m] is set, into row
+   members[m]. */
+void write_columns(const double *planes, long rows, long width,
+                   const unsigned char *mask, const long *members,
+                   double *chain)
+{
+    for (long m = 0; m < width; ++m) {
+        if (mask[m]) {
+            write_column(planes, rows, width, m, members[m], chain);
+        }
+    }
+}
+
+/* The closure check after `sweeps` sweeps, for every column m of the
+   planes whose active[m] is set: geometry.rmsd.coordinate_rmsd_batch
+   of the closure atoms (the last three rows) against the (3 atoms,
+   3 coordinates) anchors, each atom's squared distance summed and the
+   three averaged as .sum(-1) and np.mean add them, into
+   errors[members[m]].  A member within tolerance converged after
+   `sweeps`; one no longer above it (NaN included) leaves: its active[m]
+   is cleared and its column written to the chain.  Returns the number
+   of columns still active. */
+long check_closure(const double *planes, long rows, long width,
+                   const double *anchors, unsigned char *active,
+                   const long *members, double tolerance, long sweeps,
+                   double *errors, long *converged_at, double *chain)
+{
+    const double *closure = planes + (rows - 3) * width;
+    const long plane = rows * width;
+    long live = 0;
+    for (long m = 0; m < width; ++m) {
+        if (!active[m]) {
+            continue;
+        }
+        double atom[3];
+        for (int q = 0; q < 3; ++q) {
+            double d[3];
+            for (int i = 0; i < 3; ++i) {
+                d[i] = closure[i * plane + q * width + m] - anchors[q * 3 + i];
+            }
+            atom[q] = REDUCE_SUM3(d[0] * d[0], d[1] * d[1], d[2] * d[2]);
+        }
+        const double error = sqrt(REDUCE_SUM3(atom[0], atom[1], atom[2]) / 3.0);
+        errors[members[m]] = error;
+        if (error <= tolerance) {
+            converged_at[members[m]] = sweeps;
+        }
+        if (error > tolerance) {
+            ++live;
+        } else {
+            active[m] = 0;
+            write_column(planes, rows, width, m, members[m], chain);
+        }
+    }
+    return live;
 }
 
 /* ---- Scoring: one call per population block ---- */
@@ -1168,7 +1629,7 @@ def _load(path: Path) -> ctypes.CDLL:
         tier, ptr, size, size, size, size, size, ptr, ptr, size
     ]
     lib.pivot_terms.restype = None
-    lib.exclude_angles.argtypes = [ptr, ptr, size, size, ptr]
+    lib.exclude_angles.argtypes = [ptr, ptr, size, size, ptr, ptr]
     lib.exclude_angles.restype = size
     lib.rotate_tail.argtypes = [
         tier, ptr, size, size, size, size, size, ptr, size, ptr, ptr, ptr
@@ -1177,6 +1638,16 @@ def _load(path: Path) -> ctypes.CDLL:
     lib.compact_columns.argtypes = [ptr, size, size, ptr]
     lib.compact_columns.restype = size
     real = ctypes.c_double
+    lib.build_planes.argtypes = [tier, ptr, size, size, ptr, ptr, ptr, ptr, ptr]
+    lib.build_planes.restype = None
+    lib.write_columns.argtypes = [ptr, size, size, ptr, ptr, ptr]
+    lib.write_columns.restype = None
+    lib.check_closure.argtypes = [
+        ptr, size, size, ptr, ptr, ptr, real, size, ptr, ptr, ptr
+    ]
+    lib.check_closure.restype = size
+    lib.dihedral_terms.argtypes = [tier, ptr, size, size, ptr, ptr, ptr, ptr]
+    lib.dihedral_terms.restype = None
     lib.pair_penalty.argtypes = [
         ptr, size, ptr, size, size, ptr, ptr, size, ptr, ptr
     ]

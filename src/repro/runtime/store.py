@@ -23,6 +23,7 @@ interleave partial writes.  The store is intentionally dumb — all policy
 from __future__ import annotations
 
 import json
+import zipfile
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -280,10 +281,14 @@ class RunStore:
         )
 
     def read_shard_status(self, run_id: str, index: int) -> Dict[str, Any]:
-        """Status document of a shard (``{"state": "pending"}`` if unwritten)."""
+        """Status document of a shard (``{"state": "pending"}`` if unwritten).
+
+        Status is a status-channel file that promises nothing durable, so
+        an unreadable one (truncated, not JSON) reads as absent too.
+        """
         try:
             return _read_json(self.shard_dir(run_id, index) / "status.json")
-        except FileNotFoundError:
+        except (FileNotFoundError, RunStoreError):
             return {"state": "pending"}
 
     # ------------------------------------------------------------------
@@ -418,17 +423,25 @@ class RunStore:
 
     @staticmethod
     def _load_decoys(path: Path, distinctness_threshold: float) -> DecoySet:
-        decoys = DecoySet(distinctness_threshold=distinctness_threshold)
-        with np.load(path) as data:
-            n = data["rmsd"].shape[0]
-            for i in range(n):
-                decoys.absorb(
-                    Decoy(
-                        torsions=np.array(data["torsions"][i], dtype=np.float64),
-                        coords=np.array(data["coords"][i], dtype=np.float64),
-                        scores=np.array(data["scores"][i], dtype=np.float64),
-                        rmsd=float(data["rmsd"][i]),
-                        trajectory=int(data["trajectory"][i]),
-                    )
+        """The decoy set of ``path``; each array is read from the archive
+        once, and every decoy gets its own row copies."""
+        try:
+            with np.load(path) as data:
+                torsions, coords, scores, rmsd, trajectory = (
+                    data[name]
+                    for name in ("torsions", "coords", "scores", "rmsd", "trajectory")
                 )
+        except (zipfile.BadZipFile, KeyError, ValueError, OSError) as exc:
+            raise RunStoreError(f"unreadable decoy file {path}: {exc}") from exc
+        decoys = DecoySet(distinctness_threshold=distinctness_threshold)
+        for i in range(rmsd.shape[0]):
+            decoys.absorb(
+                Decoy(
+                    torsions=np.array(torsions[i], dtype=np.float64),
+                    coords=np.array(coords[i], dtype=np.float64),
+                    scores=np.array(scores[i], dtype=np.float64),
+                    rmsd=float(rmsd[i]),
+                    trajectory=int(trajectory[i]),
+                )
+            )
         return decoys

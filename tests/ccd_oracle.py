@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.closure.ccd import _ATOMS, _CLOSURE, _EPS, CCDResult, _pivot_indices
+from repro.closure.ccd import _ATOMS, _EPS, CCDResult, _pivot_indices
 from repro.geometry.internal import backbone_torsions_batch
 from repro.geometry.rmsd import coordinate_rmsd_batch
 from repro.geometry.rotation import rotate_points_about_axes_batch
@@ -208,7 +208,7 @@ def sweep_atom_major(
         norm = np.sqrt(squared)
         axes = raw / np.where(norm < _EPS, 1.0, norm)
         a, b = _alignment_sums(
-            planes[:, _CLOSURE, :k] - origin[:, None, :],
+            planes[:, -3:, :k] - origin[:, None, :],
             anchors.T[:, :, None] - origin[:, None, :],
             axes,
         )

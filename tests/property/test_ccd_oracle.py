@@ -61,7 +61,11 @@ def initial(target):
 
 class _CollapsedAxisTarget:
     """A target whose built chain puts CA onto N of one residue for some
-    members, so that residue's phi pivot axis has zero length."""
+    members, so that residue's phi pivot axis has zero length.
+
+    The oracle and the masked route build the chain with ``build_batch``;
+    the compiled route builds it straight into planes, which
+    :meth:`collapse_planes` collapses the same way."""
 
     def __init__(self, target, members, residue):
         self._target = target
@@ -78,6 +82,19 @@ class _CollapsedAxisTarget:
             self._members, self._residue, 0
         ]
         return coords, closure
+
+    def collapse_planes(self, monkeypatch):
+        """Collapse the same atoms in the compiled route's planes."""
+        build = ccd_module._build_planes
+
+        def collapsed(call, members, lib):
+            planes = build(call, members, lib)
+            columns = np.isin(members, self._members)
+            row = self._residue * 4
+            planes[:, row + 1, columns] = planes[:, row, columns]
+            return planes
+
+        monkeypatch.setattr(ccd_module, "_build_planes", collapsed)
 
 
 class TestPanelLoops:
@@ -99,9 +116,10 @@ class TestPanelLoops:
         assert np.unique(starts).size > 1
         assert_same_closure(proposals, target, start_indices=starts)
 
-    def test_zero_length_pivot_axis(self, target, initial):
+    def test_zero_length_pivot_axis(self, target, initial, monkeypatch):
         members = np.arange(0, POPULATION, 3)
         collapsed = _CollapsedAxisTarget(target, members, residue=2)
+        collapsed.collapse_planes(monkeypatch)
         starts = np.arange(POPULATION, dtype=np.int64) % 6
         result = assert_same_closure(initial, collapsed, start_indices=starts)
         # The collapsed bond is upstream of its own pivot: every rotation

@@ -25,19 +25,23 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import ccd_oracle as oracle
+import repro.closure.ccd as ccd_module
 from repro import native
 from repro.closure.ccd import _EPS, _pivot_indices, _sweep_atom_major, ccd_close_batch
+from repro.geometry.internal import backbone_torsions_batch
+from repro.geometry.nerf import _build_backbone_chain
 from repro.geometry.rotation import _rotate_points_about_axes
 from repro.geometry.vectors import einsum_sum3
 from repro.loops.ramachandran import RamachandranModel
-from repro.loops.targets import get_target
+from repro.loops.targets import get_target, make_target
 from repro.moscem.mutation import mutate_population
-from repro.scoring.pairwise import _alignment_sums
+from repro.scoring.pairwise import _alignment_sums, using_member_threads
 from repro.xp import numpy_kernels
 from repro.xp.xp import numpy_namespace
 
@@ -235,8 +239,9 @@ def test_rotate_tail_on_every_tier_at_small_widths(lib, width, mask):
 
 
 def test_exclude_angles_matches_the_masked_sweep(lib):
-    """The exclusions in place, and the rotating mask and its count, as
-    the masked sweep's numpy computes them."""
+    """The exclusions in place (the ``active`` mask included), and the
+    rotating mask and its count, as the masked sweep's numpy computes
+    them."""
     rng = np.random.default_rng(17)
     k = 203
     terms = rng.normal(size=(6, k + 5))
@@ -248,13 +253,16 @@ def test_exclude_angles_matches_the_masked_sweep(lib):
     with np.errstate(all="ignore"):
         angles = np.arctan2(b, a)
     angles[:20] = rng.choice([1e-10, -1e-10, 1.1e-10, -1.1e-10, 5e-11, np.nan], size=20)
+    active = rng.random(k) < 0.8
     want = angles.copy()
     want[((np.abs(a) < _EPS) & (np.abs(b) < _EPS)) | (squared < _EPS * _EPS)] = 0.0
+    want[~active] = 0.0
     want_rotating = np.abs(want) > 1e-10
     got = angles.copy()
     rotating = np.full(k, 7, dtype=np.uint8)
     count = lib.exclude_angles(
-        got.ctypes.data, terms.ctypes.data, terms.shape[1], k, rotating.ctypes.data
+        got.ctypes.data, terms.ctypes.data, terms.shape[1], k,
+        active.astype(np.uint8).ctypes.data, rotating.ctypes.data,
     )
     assert_same_bits(got, want)
     assert rotating.tolist() == want_rotating.astype(np.uint8).tolist()
@@ -295,8 +303,9 @@ def test_sweep_matches_numpy_oracle_sweep(lib):
     expected = planes.copy()
     anchors = np.ascontiguousarray(target.c_anchor)
     scratch = np.empty((9, 64))
+    active = np.ones(64, dtype=np.uint8)
     for _ in range(3):
-        _sweep_atom_major(planes, starts, anchors, scratch, lib)
+        _sweep_atom_major(planes, starts, anchors, scratch, lib, active)
         oracle.sweep_atom_major(expected, starts, anchors)
         assert planes.tobytes() == expected.tobytes()
 
@@ -396,14 +405,25 @@ def test_sweep_rejects_buffers_the_c_cannot_index(lib):
     planes = np.zeros((3, ROWS, 4))
     starts = np.zeros(4, dtype=np.int64)
     anchors = np.zeros((3, 3))
+    active = np.ones(4, dtype=np.uint8)
     with pytest.raises(ValueError):
-        _sweep_atom_major(np.asfortranarray(planes), starts, anchors, np.empty((9, 4)), lib)
+        _sweep_atom_major(
+            np.asfortranarray(planes), starts, anchors, np.empty((9, 4)), lib, active
+        )
     with pytest.raises(ValueError):
-        _sweep_atom_major(planes, starts, anchors, np.empty((9, 3)), lib)
+        _sweep_atom_major(planes, starts, anchors, np.empty((9, 3)), lib, active)
     with pytest.raises(ValueError):
-        _sweep_atom_major(planes, starts, anchors, np.empty((6, 4)), lib)
+        _sweep_atom_major(planes, starts, anchors, np.empty((6, 4)), lib, active)
     with pytest.raises(ValueError):
-        _sweep_atom_major(planes, starts, anchors.astype(np.float32), np.empty((9, 4)), lib)
+        _sweep_atom_major(
+            planes, starts, anchors.astype(np.float32), np.empty((9, 4)), lib, active
+        )
+    with pytest.raises(ValueError):
+        _sweep_atom_major(planes, starts, anchors, np.empty((9, 4)), lib, active[:3])
+    with pytest.raises(ValueError):
+        _sweep_atom_major(
+            planes, starts, anchors, np.empty((9, 4)), lib, active.astype(bool)
+        )
 
 
 def test_no_fma_in_any_tier(lib):
@@ -416,7 +436,8 @@ def test_no_fma_in_any_tier(lib):
         [objdump, "-d", "--no-show-raw-insn", lib._name],
         capture_output=True, check=True, text=True,
     ).stdout
-    assert "pivot_terms" in listing and "rotate_tail" in listing
+    lanes = ("pivot_terms", "rotate_tail", "build_planes", "dihedral_terms")
+    assert all(f"{name}_avx512" in listing for name in lanes)
     fused = re.findall(r"\bv?f(?:n?madd|n?msub)\w*", listing)
     assert not fused, sorted(set(fused))
 
@@ -449,3 +470,158 @@ def test_loading_a_built_library_starts_no_process(lib, monkeypatch):
     loaded = native.library()
     assert isinstance(loaded, ctypes.CDLL)
     assert loaded._name == lib._name
+
+
+# ---------------------------------------------------------------------------
+# The chain build and the torsion re-measure of the compiled path
+# ---------------------------------------------------------------------------
+
+#: ``(C_prev, N_1, CA_1)`` anchors: a real one, three collinear atoms
+#: (every first-residue frame normal is zero), N on CA (a zero bond) and
+#: N 4e-12 from CA (a bond just above the ``norm < EPS`` guard).
+ANCHORS = {
+    "native": None,
+    "collinear": np.array([[0.0, 0.0, 0.0], [1.3, 0.0, 0.0], [2.8, 0.0, 0.0]]),
+    "coincident": np.array([[0.0, 0.0, 0.0], [1.3, 0.4, 0.0], [1.3, 0.4, 0.0]]),
+    "tiny": np.array([[0.0, 0.0, 0.0], [1.3, 0.4, 0.0], [1.3 + 4e-12, 0.4, 0.0]]),
+}
+
+
+def adversarial_torsions(pop, n, seed):
+    """Uniform torsions with NaN, +-inf and huge angles in some members."""
+    rng = np.random.default_rng(seed)
+    torsions = rng.uniform(-np.pi, np.pi, size=(pop, 2 * n))
+    special = [np.nan, np.inf, -np.inf, 1e300, -0.0]
+    for i, value in enumerate(special):
+        if i < pop:
+            torsions[i, (3 * i) % (2 * n)] = value
+    return torsions
+
+
+def anchored(target, kind):
+    """``target`` with the anchors ``ANCHORS[kind]``, for the chain build."""
+    if ANCHORS[kind] is None:
+        return target
+    return SimpleNamespace(
+        n_anchor=ANCHORS[kind], c_anchor=target.c_anchor, end_phi=target.end_phi
+    )
+
+
+def check_build_planes(lib, torsions, target, members):
+    """``_build_planes`` of ``members``, and ``build_planes`` on every
+    tier the host runs, equal the numpy chain build of their rows, bit
+    for bit."""
+    starts = np.zeros(torsions.shape[0], dtype=np.int64)
+    with np.errstate(all="ignore"):
+        call = ccd_module._new_call(torsions, target, starts, 30, 0.25)
+        planes = ccd_module._build_planes(call, members, lib)
+        coords, closure = _build_backbone_chain(
+            numpy_namespace(), torsions[members], target.n_anchor, target.end_phi
+        )
+    pop = members.size
+    want = np.concatenate([coords.reshape(pop, -1, 3), closure], axis=1).T
+    assert_same_bits(planes, want)
+    for tier in host_tiers(lib):
+        planes = np.full_like(planes, 7.0)
+        lib.build_planes(
+            tier, planes.ctypes.data, call.n, pop, members.ctypes.data,
+            call.cos_t.ctypes.data, call.sin_t.ctypes.data,
+            call.n_anchor.ctypes.data, call.bonds.ctypes.data,
+        )
+        assert_same_bits(planes, want)
+
+
+@pytest.mark.parametrize("kind", sorted(ANCHORS))
+@pytest.mark.parametrize("width", range(1, 10))
+def test_build_planes_matches_the_numpy_chain(lib, width, kind):
+    """Stripe widths 1-9 (the lane tiers' remainders and k < lanes), each
+    a reversed member subset of an adversarial population of a loop of
+    1-9 residues, on real and degenerate anchors."""
+    target = anchored(make_target("native", 1, width, seed=width), kind)
+    torsions = adversarial_torsions(2 * width + 1, width, seed=width)
+    members = np.arange(2 * width, -1, -2, dtype=np.int64)[:width]
+    check_build_planes(lib, torsions, target, members)
+
+
+def test_build_planes_at_population_1000(lib):
+    target = get_target("1cex(40:51)")
+    torsions = adversarial_torsions(1000, target.n_residues, seed=4)
+    members = np.random.default_rng(4).permutation(1000)[:700]
+    check_build_planes(lib, torsions, target, members)
+
+
+def c_torsions(lib, tier, chain, n, members, n_anchor):
+    """``dihedral_terms`` on lane tier ``tier``, then one ``arctan2``, as
+    the compiled path re-measures a stripe."""
+    x = np.empty((2 * n, members.size))
+    y = np.empty_like(x)
+    lib.dihedral_terms(
+        tier, chain.ctypes.data, n, members.size, members.ctypes.data,
+        n_anchor.ctypes.data, x.ctypes.data, y.ctypes.data,
+    )
+    with np.errstate(all="ignore"):
+        return np.arctan2(y, x).T
+
+
+@pytest.mark.parametrize(
+    "pop,n", [(width + 9, width) for width in range(1, 10)] + [(1000, 12)]
+)
+def test_dihedral_terms_match_backbone_torsions(lib, pop, n):
+    """Stripe widths 7-15 (remainders of every lane count) of loops of
+    1-9 residues, and a pop-1,000 case: random chains with NaN, +-inf,
+    zero-length bonds and collinear atoms in some members."""
+    rows = n * 4 + 3
+    rng = np.random.default_rng(n)
+    chain = rng.normal(scale=3.0, size=(pop, rows, 3))
+    chain[0] = -0.0
+    chain[1, :, :] = chain[1, :1, :]  # every atom on one point
+    chain[2, :, 1:] = 0.0  # every atom on the x axis
+    chain[3, 5, 1] = np.nan
+    chain[4, rows - 3, 0] = np.inf
+    chain[5, 2, 2] = -np.inf
+    chain[6] *= 1e-300
+    chain[7] *= 1e300
+    chain[8] *= 1e-12  # bonds just above the ``norm < EPS`` guard
+    n_anchor = rng.normal(size=(3, 3))
+    members = np.ascontiguousarray(rng.permutation(pop)[: pop - 2])
+    with np.errstate(all="ignore"):
+        want = backbone_torsions_batch(
+            chain[members, : n * 4].reshape(-1, n, 4, 3), n_anchor,
+            chain[members, n * 4:],
+        )
+    for tier in host_tiers(lib):
+        assert_same_bits(c_torsions(lib, tier, chain, n, members, n_anchor), want)
+
+
+@pytest.mark.parametrize("compact", [0.0, ccd_module._COMPACT_FRACTION, 0.5])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_whole_call_equals_the_masked_route_and_the_oracle(
+    lib, threads, compact, monkeypatch
+):
+    """Init- and step-shaped calls, split into several stripes, with the
+    planes compacted after every sweep, at the default fall or late:
+    every output field equals the numpy-bundle route's and the
+    oracle's."""
+    monkeypatch.setattr(ccd_module, "_MIN_STRIPE", 64)
+    monkeypatch.setattr(ccd_module, "_COMPACT_FRACTION", compact)
+    target = get_target("1cex(40:51)")
+    rng = np.random.default_rng(21)
+    initial = RamachandranModel().sample_population(target.sequence, 300, rng)
+    initial[:10:3] = target.native_torsions  # closed at build
+    closed = ccd_close_batch(initial, target)
+    proposals, starts = mutate_population(closed.torsions, target.sequence, rng)
+    sweeps = []
+    for torsions, start_indices in ((initial, None), (proposals, starts)):
+        with using_member_threads(threads):
+            compiled = ccd_close_batch(torsions, target, start_indices=start_indices)
+        masked = ccd_close_batch(
+            torsions, target, start_indices=start_indices, kernels=numpy_kernels()
+        )
+        reference = oracle.ccd_close_batch(torsions, target, start_indices=start_indices)
+        for field in FIELDS:
+            got = getattr(compiled, field)
+            assert got.tobytes() == getattr(masked, field).tobytes(), field
+            assert got.tobytes() == getattr(reference, field).tobytes(), field
+        sweeps.append(compiled.iterations)
+    # Members closed at build, part-way and never.
+    assert set(np.concatenate(sweeps).tolist()) >= {0, 1, 30}

@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.geometry.rmsd import coordinate_rmsd_batch
 from repro.geometry.rotation import _normalize_last_axis
 from repro.geometry.vectors import einsum_sum3, einsum_sum9, normalize, reduce_sum3
 from repro.scoring.pairwise import (
@@ -75,6 +76,28 @@ def _point_axis(rng):
         r[:, :, 2] * axes[:, 2, None],
     )
     return explicit, np.einsum("pki,pi->pk", r, axes)
+
+
+def _dihedral_dot(rng):
+    """``dihedral_angles_batch``'s dot over ``(P, n, 3)`` cross products
+    (the compiled ``dihedral_terms``)."""
+    u = _rows(rng, (3,))[:39996].reshape(-1, 12, 3)
+    v = _rows(rng, (3,))[:39996].reshape(-1, 12, 3)
+    explicit = einsum_sum3(u[..., 0] * v[..., 0], u[..., 1] * v[..., 1], u[..., 2] * v[..., 2])
+    return explicit, np.einsum("...i,...i->...", u, v)
+
+
+def _closure_rmsd(rng):
+    """``coordinate_rmsd_batch`` on the transposed ``(K, 3, 3)`` closure
+    view of atom-major planes: each atom's ``.sum(-1)`` and the mean over
+    the atoms add left to right (the compiled ``check_closure``)."""
+    planes = _rows(rng, (3, 7)).transpose(1, 2, 0).copy() * 1e-150  # (3, 7, K)
+    anchors = rng.normal(scale=5.0, size=(3, 3))
+    d = planes[:, -3:, :] - anchors.T[:, :, None]  # (coordinate, atom, K)
+    atoms = [reduce_sum3(d[0, q] * d[0, q], d[1, q] * d[1, q], d[2, q] * d[2, q])
+             for q in range(3)]
+    explicit = np.sqrt(reduce_sum3(*atoms) / 3.0)
+    return explicit, coordinate_rmsd_batch(planes[:, -3:, :].T, anchors)
 
 
 def _pair_products(rng):
@@ -211,6 +234,8 @@ FORMULAS = {
     "einsum ...i,...i->... (squared norm)": _squared_norm,
     "einsum pki,pi->pk": _point_axis,
     "einsum pk,pk->p": _pair_products,
+    "einsum ...i,...i->... over (P, n, 3)": _dihedral_dot,
+    "coordinate_rmsd_batch on a transposed (K, 3, 3) view": _closure_rmsd,
     "einsum pki,pki->p (9 terms)": _nine_terms,
     "sum(axis=1) over 3": _atom_sum,
     "normalize": _normalize,

@@ -125,6 +125,52 @@ class TestRunStore:
         store.save_shard_result("r", 0, DecoySet(), {"shard": 0})
         assert len(store.load_shard_decoys("r", 0)) == 0
 
+    def test_many_decoys_round_trip_field_by_field(self, tmp_path, rng):
+        """Each array is read once; every decoy still gets its own rows,
+        equal to the saved ones and not views of one another."""
+        store = RunStore(tmp_path)
+        decoys = DecoySet(distinctness_threshold=0.5)
+        for i in range(300):
+            decoys.absorb(
+                Decoy(
+                    torsions=rng.uniform(-3, 3, size=20),
+                    coords=rng.normal(size=(10, 4, 3)),
+                    scores=rng.normal(size=3),
+                    rmsd=float(rng.uniform(0, 9)),
+                    trajectory=i % 7,
+                )
+            )
+        store.save_shard_result("r", 0, decoys, {"shard": 0})
+        loaded = list(store.load_shard_decoys("r", 0))
+        assert len(loaded) == 300
+        for a, b in zip(decoys, loaded):
+            for field in ("torsions", "coords", "scores"):
+                got = getattr(b, field)
+                assert got.dtype == np.float64 and got.flags.owndata
+                assert got.tobytes() == getattr(a, field).tobytes()
+            assert b.rmsd == a.rmsd and b.trajectory == a.trajectory
+            assert type(b.rmsd) is float and type(b.trajectory) is int
+
+    def test_damaged_decoy_file_raises_run_store_error(self, tmp_path, rng):
+        store = RunStore(tmp_path)
+        decoys = DecoySet()
+        decoys.absorb(
+            Decoy(torsions=rng.uniform(-3, 3, size=4), coords=rng.normal(size=(2, 4, 3)),
+                  scores=rng.normal(size=3), rmsd=1.0)
+        )
+        store.save_shard_result("r", 0, decoys, {"shard": 0})
+        path = store.shard_dir("r", 0) / "decoys.npz"
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        with pytest.raises(RunStoreError, match="decoys.npz"):
+            store.load_shard_decoys("r", 0)
+
+    def test_damaged_status_reads_as_pending(self, tmp_path):
+        store = RunStore(tmp_path)
+        store.write_shard_status("r", 0, state="done", attempts=2)
+        path = store.shard_dir("r", 0) / "status.json"
+        path.write_bytes(path.read_bytes()[:5])
+        assert store.read_shard_status("r", 0) == {"state": "pending"}
+
 
 # ---------------------------------------------------------------------------
 # Checkpoint serialisation
